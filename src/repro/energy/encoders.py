@@ -50,6 +50,9 @@ _TRANSFORMS = {
     "alt01": lambda n: np.arange(n, dtype=np.uint8) % 2,
 }
 
+#: Word sizes the packed kernel supports: one unsigned integer per word.
+_WORD_BITS = (8, 16, 32, 64)
+
 
 class EncodeOutcome(NamedTuple):
     """One ``encode`` call's result: the cell image plus flag accounting."""
@@ -66,6 +69,13 @@ class LineEncoder:
     Subclasses fix the transform set and the restriction policy; this
     base owns the mechanics: mask tables, selector storage, the
     energy-weighted per-word choice, and the involution decode.
+
+    The kernel works on packed words: the line's 64 bytes are viewed as
+    ``n_words`` unsigned integers (one ``uint32`` per 32-bit word), so a
+    candidate cell image is one XOR with a packed mask and its SET and
+    RESET cell counts are ``np.bitwise_count`` of two masked words --
+    exact integer counts.  Only ``flags`` and the defining parameters
+    are pickled; the packed tables are rebuilt on unpickle.
     """
 
     #: Registry name of the encoding family (``SystemConfig.encoding``).
@@ -73,6 +83,12 @@ class LineEncoder:
     #: Whether non-identity selectors require a compressed write (the
     #: "restricted" in restricted coset coding).
     restricted = False
+
+    #: Attributes :meth:`_build_tables` derives; never pickled.
+    _DERIVED = (
+        "masks", "_word_dtype", "_masks", "_set_pj", "_reset_pj",
+        "_flag_set", "_flag_reset", "_flag_cost", "_window_words",
+    )
 
     def __init__(
         self,
@@ -88,6 +104,11 @@ class LineEncoder:
                 f"word size must divide the {LINE_BITS}-bit line, "
                 f"got {word_bits}"
             )
+        if word_bits not in _WORD_BITS:
+            raise ValueError(
+                f"word size must be one of {_WORD_BITS} bits (one packed "
+                f"unsigned integer per word), got {word_bits}"
+            )
         if not transforms or transforms[0] != "identity":
             raise ValueError(
                 "transform 0 must be 'identity' (the no-slack selector)"
@@ -102,30 +123,92 @@ class LineEncoder:
         self.n_words = LINE_BITS // word_bits
         self.transforms = tuple(transforms)
         self.energy = energy or PCMEnergy()
-        #: (n_transforms, word_bits) mask table, row t = transform t.
-        self.masks = np.stack(
-            [_TRANSFORMS[t](word_bits) for t in transforms]
-        )
         #: Selector width in cells (1 transform -> 0 bits: pure identity
         #: encoders store nothing and flip nothing).
         self.flag_bits = (
             (len(transforms) - 1).bit_length() if len(transforms) > 1 else 0
         )
-        #: (n_transforms, flag_bits) binary selector patterns, MSB first.
-        self.flag_patterns = np.array(
-            [
-                [(t >> bit) & 1 for bit in range(self.flag_bits - 1, -1, -1)]
-                for t in range(len(transforms))
-            ],
-            dtype=np.uint8,
-        ).reshape(len(transforms), self.flag_bits)
         #: Per-line, per-word selector state (the flag/selector cells).
         self.flags = np.zeros((n_lines, self.n_words), dtype=np.uint8)
+        self._build_tables()
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            del state[name]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Derive the packed masks, selector tables and window cache."""
+        n_transforms = len(self.transforms)
+        #: (n_transforms, word_bits) mask table, row t = transform t.
+        self.masks = np.stack(
+            [_TRANSFORMS[t](self.word_bits) for t in self.transforms]
+        )
+        # (n_transforms, flag_bits) binary selector patterns, MSB first.
+        flag_patterns = np.array(
+            [
+                [(t >> bit) & 1 for bit in range(self.flag_bits - 1, -1, -1)]
+                for t in range(n_transforms)
+            ],
+            dtype=np.uint8,
+        ).reshape(n_transforms, self.flag_bits)
+        self._word_dtype = np.dtype(f"<u{self.word_bits // 8}")
+        #: (n_transforms,) packed masks, entry t = transform t.
+        self._masks = np.concatenate([self._pack(mask) for mask in self.masks])
+        # Python floats, so the uint8 counts widen to float64 and each
+        # product equals the per-bit reference's (an int or float32
+        # price would keep a narrow dtype and could wrap or round).
+        self._set_pj = float(self.energy.set_pj_per_bit)
+        self._reset_pj = float(self.energy.reset_pj_per_bit)
+        # (old, new) selector tables: flag-cell SET flips, RESET flips,
+        # and their energy at the data cells' pulse prices.
+        old_bits = flag_patterns[:, None, :]
+        new_bits = flag_patterns[None, :, :]
+        self._flag_set = ((new_bits == 1) & (old_bits == 0)).sum(axis=2)
+        self._flag_reset = ((new_bits == 0) & (old_bits == 1)).sum(axis=2)
+        self._flag_cost = (
+            self._flag_set * self._set_pj + self._flag_reset * self._reset_pj
+        )
+        #: ``(start, size)`` -> indices of the words the window fully
+        #: covers, filled on demand.
+        self._window_words: dict[tuple[int, int], np.ndarray] = {}
+
+    # -- packed representation -------------------------------------------
+
+    def _pack(self, bits: np.ndarray) -> np.ndarray:
+        """Cell bits -> packed words (bit ``i`` of byte ``i // 8``)."""
+        return np.packbits(bits, bitorder="little").view(self._word_dtype)
+
+    @staticmethod
+    def _unpack(words: np.ndarray) -> np.ndarray:
+        """Packed words -> cell bits (inverse of :meth:`_pack`)."""
+        return np.unpackbits(words.view(np.uint8), bitorder="little")
+
+    def _covered_words(self, start: int, size: int) -> np.ndarray:
+        """Indices of the words the ``[start, start+size)`` window covers."""
+        key = (start, size)
+        words = self._window_words.get(key)
+        if words is None:
+            in_window = window_mask(start, size).reshape(
+                self.n_words, self.word_bits
+            )
+            words = np.flatnonzero(in_window.all(axis=1))
+            self._window_words[key] = words
+        return words
 
     # -- involution core -------------------------------------------------
 
     def decode(self, physical: int, stored: np.ndarray) -> np.ndarray:
-        """Stored cell image -> logical bits (XOR is its own inverse)."""
+        """Stored cell image -> logical bits (XOR is its own inverse).
+
+        Per-bit rather than packed: a lone decode is one gather and one
+        XOR either way, and the bit form skips the pack and unpack.
+        """
         words = stored.reshape(self.n_words, self.word_bits)
         return (words ^ self.masks[self.flags[physical]]).reshape(-1)
 
@@ -148,34 +231,61 @@ class LineEncoder:
         the logical bits are unchanged -- which is everywhere outside
         the window, keeping the differential write's update mask exact.
         """
-        words = logical.reshape(self.n_words, self.word_bits)
+        return self._encode_words(
+            physical, self._pack(stored), self._pack(logical),
+            start, size, compressed,
+        )
+
+    def encode_payload(
+        self,
+        physical: int,
+        stored: np.ndarray,
+        payload: bytes,
+        start: int,
+        size: int,
+        compressed: bool,
+    ) -> EncodeOutcome:
+        """:meth:`encode` of ``payload`` laid at byte ``start`` (wrapping)
+        into the decoded line -- decode, placement and encoding in one
+        pass over the packed words."""
+        stored_words = self._pack(stored)
+        logical = stored_words ^ self._masks[self.flags[physical]]
+        line = logical.view(np.uint8)
+        data = np.frombuffer(payload, dtype=np.uint8)
+        head = min(len(data), LINE_BYTES - start)
+        line[start:start + head] = data[:head]
+        line[: len(data) - head] = data[head:]
+        return self._encode_words(
+            physical, stored_words, logical, start, size, compressed
+        )
+
+    def _encode_words(
+        self,
+        physical: int,
+        stored: np.ndarray,
+        logical: np.ndarray,
+        start: int,
+        size: int,
+        compressed: bool,
+    ) -> EncodeOutcome:
+        """The kernel behind :meth:`encode` and :meth:`encode_payload`."""
         flags = self.flags[physical]
-        if size == LINE_BYTES:
-            chosen = np.arange(self.n_words)
-        else:
-            in_window = window_mask(start, size).reshape(
-                self.n_words, self.word_bits
-            )
-            chosen = np.flatnonzero(in_window.all(axis=1))
-        if chosen.size and len(self.transforms) > 1:
+        chosen = self._covered_words(start, size)
+        if chosen.size and self.flag_bits:
+            old = flags[chosen]
             if self.restricted and not compressed:
                 # No compression slack -> no selector storage: the
                 # re-written words fall back to the identity coset.
                 new = np.zeros(chosen.size, dtype=np.uint8)
             else:
-                stored_words = stored.reshape(
-                    self.n_words, self.word_bits
-                )[chosen]
-                new = self._choose(
-                    words[chosen], stored_words, flags[chosen]
-                )
-            old = flags[chosen]
-            set_flips, reset_flips = self._flag_flips(old, new)
+                new = self._choose(logical[chosen], stored[chosen], old)
+            set_flips = int(self._flag_set[old, new].sum())
+            reset_flips = int(self._flag_reset[old, new].sum())
             flags[chosen] = new
             encoded_words = int(np.count_nonzero(new))
         else:
             set_flips = reset_flips = encoded_words = 0
-        target = (words ^ self.masks[flags]).reshape(-1)
+        target = self._unpack(logical ^ self._masks[flags])
         return EncodeOutcome(target, set_flips, reset_flips, encoded_words)
 
     # -- selector choice -------------------------------------------------
@@ -190,47 +300,22 @@ class LineEncoder:
 
         Cost of transform ``t`` for a word = SET energy x (stored 0
         cells driven to 1) + RESET energy x (stored 1 cells driven
-        to 0), for data and selector cells alike.  ``np.argmin``
-        returns the first minimum, so ties break toward the lowest
-        selector (identity first) -- the property the identity-
-        parameter bit-identity tests rely on.
+        to 0), for data and selector cells alike.  The cost is the
+        same float expression, term for term, as the per-bit reference
+        (``tests/energy/reference_encoder.py``): float sums depend on
+        their grouping, and a regrouped sum can break or make a tie.
+        ``np.argmin`` returns the first minimum, so ties break toward
+        the lowest selector (identity first) -- the property the
+        identity-parameter bit-identity tests rely on.
         """
-        # (words, transforms, word_bits) candidate cell images.
-        candidates = logical_words[:, None, :] ^ self.masks[None, :, :]
-        stored = stored_words[:, None, :]
-        sets = ((candidates == 1) & (stored == 0)).sum(axis=2)
-        resets = ((candidates == 0) & (stored == 1)).sum(axis=2)
-        cost = (
-            sets * self.energy.set_pj_per_bit
-            + resets * self.energy.reset_pj_per_bit
-        )
-        if self.flag_bits:
-            old_patterns = self.flag_patterns[old_flags]
-            flag_sets = (
-                (self.flag_patterns[None, :, :] == 1)
-                & (old_patterns[:, None, :] == 0)
-            ).sum(axis=2)
-            flag_resets = (
-                (self.flag_patterns[None, :, :] == 0)
-                & (old_patterns[:, None, :] == 1)
-            ).sum(axis=2)
-            cost = cost + (
-                flag_sets * self.energy.set_pj_per_bit
-                + flag_resets * self.energy.reset_pj_per_bit
-            )
-        return np.argmin(cost, axis=1).astype(np.uint8)
-
-    def _flag_flips(
-        self, old: np.ndarray, new: np.ndarray
-    ) -> tuple[int, int]:
-        """(SET, RESET) cell flips of moving selector cells old -> new."""
-        if not self.flag_bits:
-            return 0, 0
-        old_bits = self.flag_patterns[old]
-        new_bits = self.flag_patterns[new]
-        set_flips = int(((new_bits == 1) & (old_bits == 0)).sum())
-        reset_flips = int(((new_bits == 0) & (old_bits == 1)).sum())
-        return set_flips, reset_flips
+        # (words, transforms) candidate cell images.
+        candidates = logical_words[:, None] ^ self._masks
+        stored = stored_words[:, None]
+        sets = np.bitwise_count(candidates & ~stored)
+        resets = np.bitwise_count(stored & ~candidates)
+        cost = sets * self._set_pj + resets * self._reset_pj
+        cost += self._flag_cost[old_flags]
+        return cost.argmin(axis=1).astype(np.uint8)
 
     # -- reporting -------------------------------------------------------
 

@@ -260,10 +260,8 @@ class EncodingStage(Stage):
         encoder = state.encoder
         if encoder is None:
             return place_bytes(stored, ctx.payload, start)
-        logical = encoder.decode(physical, stored)
-        target_logical = place_bytes(logical, ctx.payload, start)
-        outcome = encoder.encode(
-            physical, stored, target_logical, start, ctx.size, ctx.compressed
+        outcome = encoder.encode_payload(
+            physical, stored, ctx.payload, start, ctx.size, ctx.compressed
         )
         stats = state.stats
         stats.encoding_flag_set_flips += outcome.flag_set_flips

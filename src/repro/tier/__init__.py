@@ -128,36 +128,65 @@ class DramTier:
         caller owes PCM nothing for it now), or ``None`` after
         appending exactly one write-through op for it to ``pcm_ops``.
         Either way any eviction flushes the write forced are appended
-        too, in eviction order, so one inner ``write_batch`` call over
-        ``pcm_ops`` preserves the stream's PCM-visible ordering.
+        too, in eviction order (see :meth:`route`).
+        """
+        (entry,) = self.route([(line, data)], pcm_ops)
+        return entry if isinstance(entry, WriteResult) else None
+
+    def route(
+        self,
+        requests: list[tuple[int, bytes]],
+        pcm_ops: list[tuple[int, bytes]],
+    ) -> list[WriteResult | int]:
+        """Route write-backs in stream order; the tier's one write loop.
+
+        Returns one entry per request: :data:`ABSORBED`, or the index in
+        ``pcm_ops`` of the request's write-through op.  Eviction flushes
+        are appended as they are forced, so one inner ``write_batch``
+        call over ``pcm_ops`` preserves the stream's PCM-visible
+        ordering.
+
+        The compressibility probe runs before the loop, as one batched
+        call over the distinct contents of requests whose line is not
+        resident (a resident line coalesces and needs no probe).  The
+        probe is a pure function of the content, so routing with the
+        precomputed sizes decides exactly what probing each request in
+        turn would.  A line that was resident when the batch began but
+        is evicted and rewritten within it is probed when reached.
         """
         if self.capacity_lines == 0:
-            pcm_ops.append((line, data))
-            return None
-        data = bytes(data)
-        held = self._resident.get(line)
-        if held is not None:
-            # Coalesce: the pending PCM write this line owed is folded
-            # into the new content; only the eventual eviction pays.
-            self._release(held)
+            first = len(pcm_ops)
+            pcm_ops.extend(requests)
+            return list(range(first, len(pcm_ops)))
+        requests = [(line, bytes(data)) for line, data in requests]
+        sizes = self._probe_sizes(dict.fromkeys(
+            data for line, data in requests if line not in self._resident
+        ))
+        routed: list[WriteResult | int] = []
+        for line, data in requests:
+            held = self._resident.get(line)
+            if held is not None:
+                # Coalesce: the pending PCM write this line owed is
+                # folded into the new content; only the eviction pays.
+                self._release(held)
+                self.stats.tier_hits += 1
+                self.stats.tier_coalesced_writes += 1
+            else:
+                if data not in sizes:
+                    sizes.update(self._probe_sizes([data]))
+                if sizes[data] <= self.admit_threshold:
+                    routed.append(len(pcm_ops))
+                    pcm_ops.append((line, data))
+                    continue
+                if data in self._refs:
+                    self.stats.tier_dedup_hits += 1
             self._charge(data)
             self._resident[line] = data
             self._resident.move_to_end(line)
-            self.stats.tier_hits += 1
-            self.stats.tier_coalesced_writes += 1
             self.stats.tier_pcm_writes_avoided += 1
             self._evict_over_capacity(pcm_ops)
-            return ABSORBED
-        if self._probe.compress(data).size_bytes <= self.admit_threshold:
-            pcm_ops.append((line, data))
-            return None
-        if data in self._refs:
-            self.stats.tier_dedup_hits += 1
-        self._charge(data)
-        self._resident[line] = data
-        self.stats.tier_pcm_writes_avoided += 1
-        self._evict_over_capacity(pcm_ops)
-        return ABSORBED
+            routed.append(ABSORBED)
+        return routed
 
     def drain(self) -> list[tuple[int, bytes]]:
         """Flush everything: all residents, oldest first, tier emptied."""
@@ -167,6 +196,22 @@ class DramTier:
         return ops
 
     # -- internals -------------------------------------------------------
+
+    def _probe_sizes(self, contents) -> dict[bytes, int]:
+        """Best-of compressed size of each content, in one probe call.
+
+        A lone content takes the serial kernel: ``compress_batch`` of
+        one line costs about twice ``compress`` (161 vs 76 us), while
+        from three lines on the batch is cheaper per line (26 us at 32).
+        """
+        contents = list(contents)
+        if len(contents) == 1:
+            results = [self._probe.compress(contents[0])]
+        else:
+            results = self._probe.compress_batch(contents)
+        return {
+            data: result.size_bytes for data, result in zip(contents, results)
+        }
 
     def _charge(self, data: bytes) -> None:
         self._refs[data] = self._refs.get(data, 0) + 1
@@ -227,16 +272,7 @@ class HybridController:
         """One demand write-back, routed through the tier."""
         if self.tier.capacity_lines == 0:
             return self.inner.write(logical, data)
-        if len(data) != LINE_BYTES:
-            raise ValueError(f"write data must be {LINE_BYTES} bytes")
-        pcm_ops: list[tuple[int, bytes]] = []
-        result = self.tier.write(logical, data, pcm_ops)
-        flushed = self.inner.write_batch(pcm_ops) if pcm_ops else []
-        if result is not None:
-            return result
-        # Write-through: the demand op is the first one appended (any
-        # eviction flushes would only follow an admission).
-        return flushed[0]
+        return self.write_batch([(logical, data)])[0]
 
     def write_batch(
         self, requests: list[tuple[int, bytes]]
@@ -258,13 +294,7 @@ class HybridController:
             if len(data) != LINE_BYTES:
                 raise ValueError(f"write data must be {LINE_BYTES} bytes")
         pcm_ops: list[tuple[int, bytes]] = []
-        routed: list[WriteResult | int] = []
-        for line, data in requests:
-            slot = len(pcm_ops)
-            result = self.tier.write(line, data, pcm_ops)
-            # A routed-to-PCM request's op sits at the pre-call length;
-            # absorbed requests carry their result directly.
-            routed.append(slot if result is None else result)
+        routed = self.tier.route(requests, pcm_ops)
         flushed = self.inner.write_batch(pcm_ops) if pcm_ops else []
         return [
             entry if isinstance(entry, WriteResult) else flushed[entry]
