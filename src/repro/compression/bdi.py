@@ -104,6 +104,10 @@ class BDICompressor(Compressor):
         instead of per-delta ``int.to_bytes`` calls.
         """
         self._check_input(data)
+        if type(data) is not bytes:
+            # Buffer-like lines (bytearray, memoryview) get the same
+            # immutable bytes payloads as compress_batch.
+            data = bytes(data)
 
         if data == bytes(LINE_SIZE_BYTES):
             return CompressionResult(self.name, ENC_ZEROS, 8, b"\x00")
@@ -143,7 +147,7 @@ class BDICompressor(Compressor):
                 )
 
         return CompressionResult(
-            self.name, ENC_UNCOMPRESSED, LINE_SIZE_BYTES * 8, bytes(data)
+            self.name, ENC_UNCOMPRESSED, LINE_SIZE_BYTES * 8, data
         )
 
     def compress_batch(self, lines) -> list[CompressionResult]:

@@ -8,6 +8,13 @@ observation).  :class:`CachingCompressor` exploits that redundancy by
 memoizing ``compress`` results in a bounded LRU map keyed on the raw
 line content, turning the dominant per-write cost into a dict lookup.
 
+A caller that already holds the result for a content it is about to
+write -- the DRAM tier's admission probe runs the same uncached
+best-of compressor -- can hand it over with :meth:`hand_off` for the
+duration of one call.  A miss then takes the handed result instead of
+recompressing; it is still counted and inserted exactly like any other
+miss, so the counters, the LRU order and every result are unchanged.
+
 The wrapper is transparent: it returns the *same* frozen
 :class:`~repro.compression.base.CompressionResult` objects the inner
 compressor produced (results are immutable, so sharing is safe), and
@@ -50,6 +57,9 @@ class CachingCompressor:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[bytes, CompressionResult] = OrderedDict()
+        #: Results handed over for one call (see :meth:`hand_off`);
+        #: derived data, so never pickled.
+        self._handed: dict[bytes, CompressionResult] = {}
         # Mirror the identity attributes so the wrapper is a drop-in,
         # and bind the hot metadata codecs directly (the __getattr__
         # fallback is an order of magnitude slower per access).
@@ -74,7 +84,9 @@ class CachingCompressor:
             entries.move_to_end(key)
             return result
         self.misses += 1
-        result = self.inner.compress(key)
+        result = self._handed.get(key)
+        if result is None:
+            result = self.inner.compress(key)
         entries[key] = result
         if len(entries) > self.capacity:
             entries.popitem(last=False)
@@ -118,10 +130,14 @@ class CachingCompressor:
                 evicted_key, evicted_value = entries.popitem(last=False)
                 if evicted_value is _PENDING:
                     pending_in_cache.discard(evicted_key)
+        handed = self._handed
+        computed = {key: handed[key] for key in to_compute if key in handed}
+        remaining = [key for key in to_compute if key not in computed]
         try:
-            computed = dict(
-                zip(to_compute, self.inner.compress_batch(list(to_compute)))
-            )
+            if remaining:
+                computed.update(
+                    zip(remaining, self.inner.compress_batch(remaining))
+                )
         except BaseException:
             # A placeholder must never outlive the batch call: a later
             # compress() would hand the sentinel out as a result.
@@ -135,12 +151,35 @@ class CachingCompressor:
             for slot in slots
         ]
 
+    def hand_off(self, results: dict[bytes, CompressionResult]) -> None:
+        """Offer precomputed results to the misses of the next call.
+
+        ``results`` maps line contents to what ``inner.compress`` would
+        return for them.  The caller must :meth:`drop_handed` once the
+        call that needs them returns (in a ``finally``), so nothing
+        handed outlives it.
+        """
+        self._handed = results
+
+    def drop_handed(self) -> None:
+        """Forget the results offered by :meth:`hand_off`."""
+        self._handed = {}
+
     def clear(self) -> None:
         """Drop all cached entries (counters are kept)."""
         self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_handed", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._handed = {}
 
     def __getattr__(self, attribute: str):
         # Everything not defined here (decompress, compress_all,

@@ -7,9 +7,11 @@ incompressible data -- which is also statistically the hot, frequently
 rewritten data -- wears PCM hardest and gains nothing from the
 compression window.  The tier therefore routes by content:
 
-* **Write-through** -- a line whose compressibility probe (the same
-  best-of-FPC/BDI kernels the controller itself uses) lands at or
-  under the admission threshold goes straight to PCM.
+* **Write-through** -- a line whose compressibility probe (the
+  controller's own uncached best-of-FPC/BDI compressor) lands at or
+  under the admission threshold goes straight to PCM.  The probe's
+  result is handed to the controller's compression cache for the PCM
+  write, so a line is compressed once on its way to the medium.
 * **Admission** -- an incompressible line becomes DRAM-resident; the
   PCM write is deferred until eviction, so re-writes of hot lines are
   coalesced into (at most) one PCM write.
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..compression import BestOfCompressor
+from ..compression import CachingCompressor, CompressionResult, Compressor
 from ..core.window import LINE_BYTES
 from ..engine.context import ControllerStats, WriteResult
 
@@ -71,11 +73,19 @@ class DramTier:
     Counters live on a :class:`ControllerStats` overlay that uses only
     the ``tier_*`` fields, so a facade can merge it with the inner
     controller's stats through the ordinary monoid.
+
+    ``compressor`` is the probe: :class:`HybridController` passes the
+    inner controller's own uncached best-of compressor, so a shard
+    runs one.  The tier holds the probe result of each resident
+    content until that content is released, and reports the results
+    of the contents it sends to PCM (see :meth:`route`), so the PCM
+    write can reuse them instead of compressing again.
     """
 
     def __init__(
         self,
         capacity_lines: int,
+        compressor: Compressor,
         admit_threshold: int = DEFAULT_ADMIT_THRESHOLD,
     ) -> None:
         if capacity_lines < 0:
@@ -86,12 +96,28 @@ class DramTier:
             )
         self.capacity_lines = capacity_lines
         self.admit_threshold = admit_threshold
-        self._probe = BestOfCompressor()
+        self.compressor = compressor
         #: line -> content, in LRU order (oldest first).
         self._resident: OrderedDict[int, bytes] = OrderedDict()
         #: content -> number of resident lines holding it.
         self._refs: dict[bytes, int] = {}
+        #: resident content -> its probe result (derived, never pickled;
+        #: a content that was not probed, e.g. a coalesced rewrite, has
+        #: no entry).
+        self._held: dict[bytes, CompressionResult] = {}
         self.stats = ControllerStats()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_held", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # A tier pickled before the probe was shared carries a private
+        # one; the facade rebinds ``compressor`` on unpickling.
+        self.__dict__.pop("_probe", None)
+        self._held = {}
 
     def __len__(self) -> int:
         return len(self._resident)
@@ -137,6 +163,7 @@ class DramTier:
         self,
         requests: list[tuple[int, bytes]],
         pcm_ops: list[tuple[int, bytes]],
+        results: dict[bytes, CompressionResult] | None = None,
     ) -> list[WriteResult | int]:
         """Route write-backs in stream order; the tier's one write loop.
 
@@ -144,26 +171,29 @@ class DramTier:
         ``pcm_ops`` of the request's write-through op.  Eviction flushes
         are appended as they are forced, so one inner ``write_batch``
         call over ``pcm_ops`` preserves the stream's PCM-visible
-        ordering.
+        ordering.  When ``results`` is given, the probe result of every
+        content appended to ``pcm_ops`` that the tier has one for is
+        recorded in it.
 
         The compressibility probe runs before the loop, as one batched
         call over the distinct contents of requests whose line is not
         resident (a resident line coalesces and needs no probe).  The
         probe is a pure function of the content, so routing with the
-        precomputed sizes decides exactly what probing each request in
-        turn would.  A line that was resident when the batch began but
-        is evicted and rewritten within it is probed when reached.
+        precomputed results decides exactly what probing each request
+        in turn would.  A line that was resident when the batch began
+        but is evicted and rewritten within it is probed when reached.
         """
         if self.capacity_lines == 0:
             first = len(pcm_ops)
             pcm_ops.extend(requests)
             return list(range(first, len(pcm_ops)))
         requests = [(line, bytes(data)) for line, data in requests]
-        sizes = self._probe_sizes(dict.fromkeys(
+        probed = self._probe(dict.fromkeys(
             data for line, data in requests if line not in self._resident
         ))
         routed: list[WriteResult | int] = []
         for line, data in requests:
+            result = probed.get(data)
             held = self._resident.get(line)
             if held is not None:
                 # Coalesce: the pending PCM write this line owed is
@@ -172,33 +202,47 @@ class DramTier:
                 self.stats.tier_hits += 1
                 self.stats.tier_coalesced_writes += 1
             else:
-                if data not in sizes:
-                    sizes.update(self._probe_sizes([data]))
-                if sizes[data] <= self.admit_threshold:
+                if result is None:
+                    probed.update(self._probe([data]))
+                    result = probed[data]
+                if result.size_bytes <= self.admit_threshold:
                     routed.append(len(pcm_ops))
                     pcm_ops.append((line, data))
+                    if results is not None:
+                        results[data] = result
                     continue
                 if data in self._refs:
                     self.stats.tier_dedup_hits += 1
+            if result is not None:
+                self._held[data] = result
             self._charge(data)
             self._resident[line] = data
             self._resident.move_to_end(line)
             self.stats.tier_pcm_writes_avoided += 1
-            self._evict_over_capacity(pcm_ops)
+            self._evict_over_capacity(pcm_ops, results)
             routed.append(ABSORBED)
         return routed
 
-    def drain(self) -> list[tuple[int, bytes]]:
-        """Flush everything: all residents, oldest first, tier emptied."""
+    def drain(
+        self, results: dict[bytes, CompressionResult] | None = None
+    ) -> list[tuple[int, bytes]]:
+        """Flush everything: all residents, oldest first, tier emptied.
+
+        When ``results`` is given, the held probe results of the
+        drained contents are recorded in it.
+        """
         ops = list(self._resident.items())
+        if results is not None:
+            results.update(self._held)
         self._resident.clear()
         self._refs.clear()
+        self._held.clear()
         return ops
 
     # -- internals -------------------------------------------------------
 
-    def _probe_sizes(self, contents) -> dict[bytes, int]:
-        """Best-of compressed size of each content, in one probe call.
+    def _probe(self, contents) -> dict[bytes, CompressionResult]:
+        """Best-of compression of each content, in one probe call.
 
         A lone content takes the serial kernel: ``compress_batch`` of
         one line costs about twice ``compress`` (161 vs 76 us), while
@@ -206,12 +250,10 @@ class DramTier:
         """
         contents = list(contents)
         if len(contents) == 1:
-            results = [self._probe.compress(contents[0])]
+            results = [self.compressor.compress(contents[0])]
         else:
-            results = self._probe.compress_batch(contents)
-        return {
-            data: result.size_bytes for data, result in zip(contents, results)
-        }
+            results = self.compressor.compress_batch(contents)
+        return dict(zip(contents, results))
 
     def _charge(self, data: bytes) -> None:
         self._refs[data] = self._refs.get(data, 0) + 1
@@ -222,12 +264,17 @@ class DramTier:
             self._refs[data] = remaining
         else:
             del self._refs[data]
+            self._held.pop(data, None)
 
     def _evict_over_capacity(
-        self, pcm_ops: list[tuple[int, bytes]]
+        self,
+        pcm_ops: list[tuple[int, bytes]],
+        results: dict[bytes, CompressionResult] | None,
     ) -> None:
         while len(self._refs) > self.capacity_lines:
             victim, data = self._resident.popitem(last=False)
+            if results is not None and data in self._held:
+                results[data] = self._held[data]
             self._release(data)
             self.stats.tier_evictions += 1
             pcm_ops.append((victim, data))
@@ -251,6 +298,12 @@ class HybridController:
     bare inner controller).  Delegation is explicit -- no
     ``__getattr__`` magic -- so pickling (checkpoints carry the whole
     facade) and attribute errors stay predictable.
+
+    The tier probes with the inner controller's own uncached best-of
+    compressor (its public ``compressor``, unwrapped from the
+    compression cache), and the probe results of the contents a batch
+    sends to PCM are handed to that cache for the one inner call, so
+    the controller does not compress them a second time.
     """
 
     def __init__(
@@ -260,7 +313,13 @@ class HybridController:
         admit_threshold: int = DEFAULT_ADMIT_THRESHOLD,
     ) -> None:
         self.inner = inner
-        self.tier = DramTier(tier_lines, admit_threshold)
+        self.tier = DramTier(tier_lines, _uncached(inner.compressor),
+                             admit_threshold)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Covers tiers pickled before the probe was shared, too.
+        self.tier.compressor = _uncached(self.inner.compressor)
 
     @property
     def tier_lines(self) -> int:
@@ -294,8 +353,9 @@ class HybridController:
             if len(data) != LINE_BYTES:
                 raise ValueError(f"write data must be {LINE_BYTES} bytes")
         pcm_ops: list[tuple[int, bytes]] = []
-        routed = self.tier.route(requests, pcm_ops)
-        flushed = self.inner.write_batch(pcm_ops) if pcm_ops else []
+        results: dict[bytes, CompressionResult] = {}
+        routed = self.tier.route(requests, pcm_ops, results)
+        flushed = self._write_pcm(pcm_ops, results) if pcm_ops else []
         return [
             entry if isinstance(entry, WriteResult) else flushed[entry]
             for entry in routed
@@ -309,10 +369,27 @@ class HybridController:
         PCM to hold the complete image, e.g. before decommissioning
         the tier.
         """
-        ops = self.tier.drain()
+        results: dict[bytes, CompressionResult] = {}
+        ops = self.tier.drain(results)
         if ops:
-            self.inner.write_batch(ops)
+            self._write_pcm(ops, results)
         return len(ops)
+
+    def _write_pcm(self, ops, results) -> list[WriteResult]:
+        """One inner ``write_batch``, its cache lent the probe results.
+
+        A cache miss on a handed content takes the handed result
+        instead of recompressing (still counted as a miss), so every
+        result and counter is what recompressing would give.
+        """
+        cache = self.inner.compressor
+        if not results or not isinstance(cache, CachingCompressor):
+            return self.inner.write_batch(ops)
+        cache.hand_off(results)
+        try:
+            return self.inner.write_batch(ops)
+        finally:
+            cache.drop_handed()
 
     # -- read path -------------------------------------------------------
 
@@ -376,3 +453,10 @@ class HybridController:
         """
         self.flush()
         self.inner.verify_state()
+
+
+def _uncached(compressor):
+    """The compressor a compression cache wraps, or ``compressor``."""
+    if isinstance(compressor, CachingCompressor):
+        return compressor.inner
+    return compressor

@@ -83,6 +83,13 @@ class ValidatingController:
         self.ops: list[tuple[int, bytes]] = []
         self.write_index = 0
 
+    @property
+    def compressor(self):
+        """The fast controller's compressor, so a front tier wrapping
+        this controller probes with (and hands results to) exactly the
+        production compressor."""
+        return self.fast.compressor
+
     # -- driving ---------------------------------------------------------
 
     def write(self, logical: int, data: bytes):

@@ -131,3 +131,64 @@ def test_wrapper_is_transparent(cache):
     encoded = cache.encode_metadata(result)
     assert encoded == inner.encode_metadata(result)
     assert cache.decode_metadata(encoded) == inner.decode_metadata(encoded)
+
+
+class _CountingBestOf(BestOfCompressor):
+    """Best-of that records which contents it was asked to compress."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def compress(self, data):
+        self.asked.append(bytes(data))
+        return super().compress(data)
+
+    def compress_batch(self, lines):
+        self.asked.extend(bytes(data) for data in lines)
+        return super().compress_batch(lines)
+
+
+def test_a_miss_takes_the_handed_result_and_still_counts():
+    inner = _CountingBestOf()
+    cache = CachingCompressor(inner, capacity=2)
+    handed = {_line(1): BestOfCompressor().compress(_line(1))}
+    cache.hand_off(handed)
+    assert cache.compress(_line(1)) is handed[_line(1)]
+    assert cache.compress(_line(2)) == BestOfCompressor().compress(_line(2))
+    cache.drop_handed()
+    assert inner.asked == [_line(2)]
+    assert (cache.hits, cache.misses) == (0, 2)
+    assert list(cache._entries) == [_line(1), _line(2)]
+    cache.compress(_line(3))  # LRU evicts line 1 exactly as before
+    assert list(cache._entries) == [_line(2), _line(3)]
+
+
+def test_batch_misses_take_handed_results_and_batch_the_rest():
+    inner = _CountingBestOf()
+    cache = CachingCompressor(inner, capacity=4)
+    reference = CachingCompressor(BestOfCompressor(), capacity=4)
+    lines = [_line(fill) for fill in (1, 2, 1, 3, 4, 5, 2)]
+    cache.hand_off({_line(2): BestOfCompressor().compress(_line(2)),
+                    _line(5): BestOfCompressor().compress(_line(5))})
+    got = cache.compress_batch(lines)
+    cache.drop_handed()
+    assert got == reference.compress_batch(lines)
+    assert inner.asked == [_line(1), _line(3), _line(4)]
+    assert (cache.hits, cache.misses) == (reference.hits, reference.misses)
+    assert list(cache._entries) == list(reference._entries)
+
+
+def test_handed_results_are_never_pickled(cache):
+    import pickle
+
+    cache.hand_off({_line(1): BestOfCompressor().compress(_line(1))})
+    restored = pickle.loads(pickle.dumps(cache))
+    assert restored._handed == {}
+    # A wrapper pickled before the field existed restores it empty.
+    legacy = CachingCompressor.__new__(CachingCompressor)
+    state = restored.__dict__.copy()
+    del state["_handed"]
+    legacy.__setstate__(state)
+    assert legacy._handed == {}
+    assert legacy.compress(_line(4)) == BestOfCompressor().compress(_line(4))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import BestOfCompressor
 from repro.core.config import comp_wf
 from repro.core.controller import CompressedPCMController
 from repro.core.window import LINE_BYTES
@@ -35,6 +36,8 @@ INCOMPRESSIBLE = bytes(
     np.random.default_rng(99).integers(0, 256, LINE_BYTES, dtype=np.uint8)
 )
 COMPRESSIBLE = bytes(LINE_BYTES)
+#: A bare tier's probe (a HybridController passes its controller's).
+PROBE = BestOfCompressor()
 
 
 def noise(seed):
@@ -66,35 +69,35 @@ trace = st.lists(
 class TestDramTierPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
-            DramTier(-1)
+            DramTier(-1, PROBE)
         with pytest.raises(ValueError, match="threshold"):
-            DramTier(4, admit_threshold=0)
+            DramTier(4, PROBE, admit_threshold=0)
         with pytest.raises(ValueError, match="threshold"):
-            DramTier(4, admit_threshold=LINE_BYTES + 1)
+            DramTier(4, PROBE, admit_threshold=LINE_BYTES + 1)
 
     def test_capacity_zero_passes_everything_through(self):
-        tier = DramTier(0)
+        tier = DramTier(0, PROBE)
         ops = []
         assert tier.write(3, INCOMPRESSIBLE, ops) is None
         assert ops == [(3, INCOMPRESSIBLE)]
         assert len(tier) == 0 and tier.stats.tier_pcm_writes_avoided == 0
 
     def test_compressible_lines_write_through(self):
-        tier = DramTier(4)
+        tier = DramTier(4, PROBE)
         ops = []
         assert tier.write(0, COMPRESSIBLE, ops) is None
         assert ops == [(0, COMPRESSIBLE)]
         assert not tier.resident(0)
 
     def test_incompressible_lines_become_resident(self):
-        tier = DramTier(4)
+        tier = DramTier(4, PROBE)
         ops = []
         assert tier.write(0, INCOMPRESSIBLE, ops) is ABSORBED
         assert ops == [] and tier.resident(0)
         assert tier.stats.tier_pcm_writes_avoided == 1
 
     def test_rewrites_coalesce_in_dram(self):
-        tier = DramTier(4)
+        tier = DramTier(4, PROBE)
         ops = []
         tier.write(0, INCOMPRESSIBLE, ops)
         for seed in (1, 2, 3):
@@ -107,14 +110,14 @@ class TestDramTierPolicy:
     def test_coalescing_keeps_a_resident_compressible_rewrite(self):
         """A rewrite of a resident line coalesces even if the new
         content is compressible -- residency, not content, wins."""
-        tier = DramTier(4)
+        tier = DramTier(4, PROBE)
         ops = []
         tier.write(0, INCOMPRESSIBLE, ops)
         assert tier.write(0, COMPRESSIBLE, ops) is ABSORBED
         assert ops == [] and tier.lookup(0) == COMPRESSIBLE
 
     def test_dedup_charges_capacity_once_per_content(self):
-        tier = DramTier(2)
+        tier = DramTier(2, PROBE)
         ops = []
         for line in range(4):
             tier.write(line, INCOMPRESSIBLE, ops)
@@ -124,7 +127,7 @@ class TestDramTierPolicy:
         assert tier.stats.tier_dedup_hits == 3
 
     def test_dedup_never_aliases_lines_that_diverge(self):
-        tier = DramTier(4)
+        tier = DramTier(4, PROBE)
         ops = []
         tier.write(0, INCOMPRESSIBLE, ops)
         tier.write(1, INCOMPRESSIBLE, ops)
@@ -134,7 +137,7 @@ class TestDramTierPolicy:
         assert tier.unique_contents == 2
 
     def test_eviction_is_lru_and_reads_refresh_recency(self):
-        tier = DramTier(2)
+        tier = DramTier(2, PROBE)
         ops = []
         tier.write(0, noise(1), ops)
         tier.write(1, noise(2), ops)
@@ -145,7 +148,7 @@ class TestDramTierPolicy:
         assert tier.stats.tier_evictions == 1
 
     def test_fresh_admission_is_never_its_own_victim(self):
-        tier = DramTier(1)
+        tier = DramTier(1, PROBE)
         ops = []
         tier.write(0, noise(1), ops)
         tier.write(1, noise(2), ops)
@@ -153,7 +156,7 @@ class TestDramTierPolicy:
         assert tier.resident(1)
 
     def test_drain_flushes_oldest_first_and_empties(self):
-        tier = DramTier(4)
+        tier = DramTier(4, PROBE)
         ops = []
         for line, seed in ((3, 1), (1, 2), (2, 3)):
             tier.write(line, noise(seed), ops)
@@ -168,7 +171,7 @@ class TestDramTierPolicy:
         """Conservation: after draining, the PCM-visible image (last op
         per line) equals last-write-wins over the full input stream --
         no write is lost to eviction, coalescing, or dedup."""
-        tier = DramTier(4)
+        tier = DramTier(4, PROBE)
         pcm_image = {}
         shadow = {}
         for line, data in ops:
