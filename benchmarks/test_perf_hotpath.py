@@ -36,6 +36,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -112,14 +114,36 @@ RECORDED_REFERENCE = {
 }
 
 
+def _commit() -> str:
+    """The checked-out commit, or ``"unknown"`` outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=Path(__file__).parent, capture_output=True, text=True,
+            check=True,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
 def _merge_json(section: str, payload) -> None:
-    """Update one section of BENCH_hotpath.json, keeping the others."""
+    """Update one section of BENCH_hotpath.json, keeping the others.
+
+    Every section written is stamped with the commit, the core count
+    and the numpy and Python versions it was measured with.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
     data = {}
     if BENCH_JSON.exists():
         data = json.loads(BENCH_JSON.read_text())
     data["recorded_reference"] = RECORDED_REFERENCE
-    data[section] = payload
+    data[section] = {
+        **payload,
+        "commit": _commit(),
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
     BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 

@@ -104,7 +104,8 @@ class CachingCompressor:
         ``inner.compress_batch`` call and the placeholders are
         resolved; repeated misses of one content share a single frozen
         result, which is indistinguishable from serial's equal-valued
-        recomputes.
+        recomputes.  The counters are bumped once per call, and a batch
+        that hits on every key returns straight after the replay.
         """
         if not lines:
             return []
@@ -114,14 +115,14 @@ class CachingCompressor:
         slots: list = [None] * len(keys)
         to_compute: dict[bytes, None] = {}
         pending_in_cache: set[bytes] = set()
+        hits = 0
         for index, key in enumerate(keys):
             result = entries.get(key)
             if result is not None:
-                self.hits += 1
+                hits += 1
                 entries.move_to_end(key)
                 slots[index] = key if result is _PENDING else result
                 continue
-            self.misses += 1
             to_compute.setdefault(key)
             entries[key] = _PENDING
             pending_in_cache.add(key)
@@ -130,6 +131,11 @@ class CachingCompressor:
                 evicted_key, evicted_value = entries.popitem(last=False)
                 if evicted_value is _PENDING:
                     pending_in_cache.discard(evicted_key)
+        self.hits += hits
+        self.misses += len(keys) - hits
+        if not to_compute:
+            # All hits (the steady state): every slot holds a result.
+            return slots
         handed = self._handed
         computed = {key: handed[key] for key in to_compute if key in handed}
         remaining = [key for key in to_compute if key not in computed]

@@ -30,7 +30,7 @@ from multiprocessing import get_context, resource_tracker, shared_memory
 
 import numpy as np
 
-from ..pcm.bank import PCMBankArray, write_rows_arrays
+from ..pcm.bank import PCMBankArray, check_write_rows, write_rows_arrays
 
 __all__ = ["BankParallelExecutor"]
 
@@ -140,10 +140,13 @@ class BankParallelExecutor:
         passes this to ``WritePipeline.program_rows``).  Rows are
         distinct within a wave, and banks partition them into disjoint
         sets touching disjoint slices of every shared array, so the
-        concurrent kernels are race-free.
+        concurrent kernels are race-free.  Malformed calls raise
+        ``ValueError`` before any fan-out (see
+        :func:`~repro.pcm.bank.check_write_rows`).
         """
         if self._pool is None:
             raise RuntimeError("bank-parallel executor is closed")
+        rows, targets = check_write_rows(rows, targets, self.memory.n_blocks)
         banks = rows % self.n_banks
         members = [
             np.flatnonzero(banks == bank) for bank in np.unique(banks)

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.window import (
-    LINE_BYTES,
-    _payload_bits,
-    _window_bit_indices,
-)
+from ..core.window import LINE_BYTES
 from ..pcm import FaultMode
 from .context import EngineState, WriteContext, WriteResult
 from .stages import (
@@ -234,10 +230,11 @@ class WritePipeline:
 
         ``entries`` pairs each context (storage format already fixed)
         with its placed window start.  Overlays every payload on a copy
-        of its stored row (exactly ``place_bytes``, row-wise; cells
-        outside each window keep their stored value, so the
-        differential write needs no update mask), issues a single
-        ``write_rows`` scatter, and accounts the flip counters.
+        of its stored row (exactly ``place_bytes``, row-wise, done on
+        the wave's packed bytes; cells outside each window keep their
+        stored value, so the differential write needs no update mask),
+        issues a single ``write_rows`` scatter, and accounts the flip
+        counters.
         Returns ``(targets, flips, worn)`` aligned with ``entries``;
         ``worn`` is None when no cell wore out.  Shared by
         :meth:`step_batch` and the out-of-order batch scheduler's wave
@@ -247,28 +244,27 @@ class WritePipeline:
         state = self.state
         memory = state.memory
         rows = np.array([ctx.physical for ctx, _ in entries], dtype=np.intp)
-        if all(ctx.size == LINE_BYTES for ctx, _ in entries):
-            # Full-line wave (the uncompressed steady state): every row
-            # is fully overwritten, so stack the payloads directly and
-            # skip the stored-row gather (np.stack copies, so the
-            # cached read-only bit rows stay untouched).
-            targets = np.stack(
-                [_payload_bits(ctx.payload) for ctx, _ in entries]
-            )
-        else:
-            targets = memory.stored[rows]  # fancy indexing copies the rows
-            for j, (ctx, start) in enumerate(entries):
-                bits = _payload_bits(ctx.payload)
-                size = ctx.size
-                if size == LINE_BYTES:
-                    targets[j] = bits
-                else:
-                    end = start + size
-                    if end <= LINE_BYTES:
-                        targets[j, start * 8 : end * 8] = bits
-                    else:  # wrapping window
-                        indices = _window_bit_indices(start, size, LINE_BYTES)
-                        targets[j, indices] = bits
+        # Overlay at byte level: pack the stored rows once, lay each
+        # payload into its (possibly wrapping) byte window of the
+        # packed wave, and unpack the whole wave once.
+        packed = bytearray(
+            np.packbits(memory.stored[rows], axis=1, bitorder="little")
+        )
+        offset = 0
+        for ctx, start in entries:
+            payload = ctx.payload
+            end = start + len(payload)
+            if end <= LINE_BYTES:
+                packed[offset + start : offset + end] = payload
+            else:  # wrapping window
+                split = LINE_BYTES - start
+                packed[offset + start : offset + LINE_BYTES] = payload[:split]
+                packed[offset : offset + end - LINE_BYTES] = payload[split:]
+            offset += LINE_BYTES
+        targets = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(-1, LINE_BYTES),
+            axis=1, bitorder="little",
+        )
         kernel = write_rows if write_rows is not None else memory.write_rows
         programmed, set_flips, worn = kernel(rows, targets)
         total = int(programmed.sum())

@@ -54,8 +54,7 @@ def write_rows_arrays(
         else:
             stored_all[rows] = targets
         counts_all[rows] += want
-        programmed = want.sum(axis=1)
-        set_flips = (want & (targets != 0)).sum(axis=1)
+        programmed, set_flips = _flip_counts(want, targets)
         return programmed, set_flips, np.zeros(len(rows), dtype=np.int64)
     stored = stored_all[rows]
     want = stored != targets
@@ -71,9 +70,61 @@ def write_rows_arrays(
     if worn_per_row.any():
         faulty_all[rows] |= worn
         fault_counts_all[rows] += worn_per_row
-    programmed = want.sum(axis=1)
-    set_flips = (want & (targets != 0)).sum(axis=1)
+    programmed, set_flips = _flip_counts(want, targets)
     return programmed, set_flips, worn_per_row
+
+
+def _flip_counts(
+    want: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row programmed and SET flip counts, exact, on packed words.
+
+    ``want`` is the ``(K, 512)`` programmed-cell mask; a programmed
+    cell is a SET when its target is 1.  Packing both matrices to
+    uint64 words turns each count into a ``bitwise_count`` sum over
+    eight words per row instead of 512 cells.
+    """
+    packed_want = np.packbits(want, axis=1).view(np.uint64)
+    packed_sets = packed_want & np.packbits(targets, axis=1).view(np.uint64)
+    return (
+        np.bitwise_count(packed_want).sum(axis=1, dtype=np.int64),
+        np.bitwise_count(packed_sets).sum(axis=1, dtype=np.int64),
+    )
+
+
+def check_write_rows(
+    rows, targets, n_blocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a ``write_rows`` call; returns ``(rows, targets)`` arrays.
+
+    Raises ``ValueError`` for rows that are not a 1-D integer vector,
+    lie outside ``[0, n_blocks)`` (a negative row would silently wrap
+    to the end of the bank) or repeat (the fancy-indexed scatter would
+    silently drop all but one update), and for targets not shaped
+    ``(K, 512)``.  One sort of at most a wave's worth of ints.
+    """
+    rows = np.asarray(rows)
+    targets = np.asarray(targets)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(
+            f"write_rows rows must be a 1-D integer vector, got "
+            f"{rows.dtype} with shape {rows.shape}"
+        )
+    if targets.shape != (len(rows), BLOCK_BITS):
+        raise ValueError(
+            f"write_rows targets must be shaped ({len(rows)}, {BLOCK_BITS}), "
+            f"got {targets.shape}"
+        )
+    if len(rows):
+        ordered = np.sort(rows)
+        if ordered[0] < 0 or ordered[-1] >= n_blocks:
+            raise ValueError(
+                f"write_rows rows must lie in [0, {n_blocks}), got "
+                f"[{ordered[0]}, {ordered[-1]}]"
+            )
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("write_rows rows must be distinct")
+    return rows, targets
 
 
 class PCMBankArray:
@@ -158,9 +209,9 @@ class PCMBankArray:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Differential write of K *distinct* lines in one vectorized pass.
 
-        ``rows`` is a ``(K,)`` line-index vector -- duplicates are not
-        allowed, the fancy-indexed scatter would silently drop all but
-        one update per line -- ``targets`` a ``(K, 512)`` 0/1 matrix and
+        ``rows`` is a ``(K,)`` vector of distinct in-range line indices
+        and ``targets`` a ``(K, 512)`` 0/1 matrix (anything else raises
+        ``ValueError``, see :func:`check_write_rows`), and
         ``masks`` a ``(K, 512)`` boolean update-mask matrix, or ``None``
         to treat every cell as updatable (windowed callers overlay the
         payload on a copy of the stored rows, so out-of-window cells
@@ -176,6 +227,7 @@ class PCMBankArray:
         """
         if self.fault_mode is not FaultMode.STUCK_AT_LAST:
             raise ValueError("write_rows supports STUCK_AT_LAST faults only")
+        rows, targets = check_write_rows(rows, targets, self.n_blocks)
         return write_rows_arrays(
             self.stored, self.counts, self.endurance, self.faulty,
             self.fault_counts, self.row_writes, self.no_wear_limit,

@@ -173,6 +173,16 @@ def test_caching_batch_matches_serial_cache_semantics(capacity, seed):
         batched_results.extend(batched.compress_batch(chunk))
         assert _cache_state(batched) == _cache_state(serial)
 
+    # An all-hit batch (the steady state) returns early; every hit must
+    # still be counted and every key moved to the LRU front in order.
+    resident = list(serial._entries)[::-1]
+    chunk = resident + resident[:1]
+    computed = batched.inner.lines_compressed
+    serial_results.extend(serial.compress(data) for data in chunk)
+    batched_results.extend(batched.compress_batch(chunk))
+    assert _cache_state(batched) == _cache_state(serial)
+    assert batched.inner.lines_compressed == computed
+
     _assert_equal_results(batched_results, serial_results)
     # Batched compute of duplicate misses collapses to one inner call
     # per distinct content; it must never exceed the serial count.

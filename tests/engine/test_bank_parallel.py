@@ -175,3 +175,26 @@ def test_parallel_writes_match_serial_after_roundtrip():
         np.testing.assert_array_equal(
             getattr(parallel, attr), getattr(serial, attr)
         )
+
+
+MALFORMED = {
+    "negative row": ([0, -1], (2, 512)),
+    "out-of-range row": ([0, 4], (2, 512)),
+    "duplicate rows": ([1, 1], (2, 512)),
+    "non-integer rows": ([0.0, 1.0], (2, 512)),
+    "targets not (K, 512)": ([0, 1], (2, 256)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_write_rows_raise_before_fan_out(case):
+    """Bad rows or targets raise ValueError instead of wrapping, dropping
+    updates, or reaching a worker; the bank is left untouched."""
+    rows, shape = MALFORMED[case]
+    memory = small_memory()
+    before = {attr: getattr(memory, attr).copy() for attr in _STATE_ARRAYS}
+    with BankParallelExecutor(memory, n_banks=2, workers=1) as executor:
+        with pytest.raises(ValueError, match="write_rows"):
+            executor.write_rows(np.array(rows), np.zeros(shape, np.uint8))
+    for attr in _STATE_ARRAYS:
+        np.testing.assert_array_equal(getattr(memory, attr), before[attr])
