@@ -30,9 +30,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: remap-to-spare machinery on both substrates.
 VARIANTS = (
     ("comp_wf/startgap", "comp_wf", {}),
-    ("comp_wf/wolfram", "comp_wf_wolfram", {}),
+    ("comp_wf/wolfram", "comp_wf", {"wl_backend": "wolfram"}),
     ("comp_wf+spares/startgap", "comp_wf_freep", {}),
-    ("comp_wf+spares/wolfram", "comp_wf_freep_wolfram", {}),
+    ("comp_wf+spares/wolfram", "comp_wf_freep", {"wl_backend": "wolfram"}),
 )
 WORKLOADS = ("mcf", "gcc", "lbm")
 COVS = (0.15, 0.25)
@@ -66,9 +66,8 @@ def test_wolfram_backend_lifetime_and_fault_tolerance(
                     points.append({
                         "label": label,
                         "system": system,
-                        "backend": (
-                            "wolfram" if system.endswith("_wolfram")
-                            else "startgap_freep"
+                        "backend": overrides.get(
+                            "wl_backend", "startgap_freep"
                         ),
                         "workload": workload,
                         "endurance_cov": cov,

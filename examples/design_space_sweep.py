@@ -7,6 +7,7 @@ reports lifetime (writes to 50%-capacity failure) plus flips per write:
 * the Figure 8 thresholds (Threshold1 / Threshold2);
 * the Start-Gap period psi;
 * the correction scheme (ECP-6 / SAFER-32 / Aegis 17x31);
+* the wear-leveling backend (Start-Gap + FREE-p / WoLFRaM PAD);
 * the registered comp_wf ablation/extension variants
   (``python -m repro systems`` lists them).
 
@@ -66,6 +67,12 @@ def main() -> None:
         result = run(args, correction_scheme=scheme)
         print(f"  {scheme:12}: writes={result.writes_issued:8d}  "
               f"faults/dead block={result.avg_faults_per_dead_block:5.1f}")
+
+    print("\nwear-leveling backend:")
+    for backend in ("startgap_freep", "wolfram"):
+        result = run(args, wl_backend=backend)
+        print(f"  {backend:14}: writes={result.writes_issued:8d}  "
+              f"flips/wr={result.flips_per_write:6.1f}")
 
     print("\nregistered comp_wf variants (see `python -m repro systems`):")
     variants = [n for n in system_names() if n.startswith("comp_wf")]

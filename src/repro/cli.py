@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         "systems", help="list registered SystemSpecs and their stages"
     )
     systems.add_argument("--tag", default=None,
-                         choices=("paper", "ablation", "extension"),
+                         choices=sorted({tag for spec in list_systems()
+                                         for tag in spec.tags}),
                          help="only show specs carrying this tag")
     systems.add_argument("--stages", action="store_true",
                          help="also print each system's stage composition")

@@ -300,39 +300,6 @@ class CompressedPCMController:
             return [self.write(logical, data) for logical, data in requests]
         return self.scheduler.run(requests)
 
-    def enable_bank_parallel(self, workers: int | None = None):
-        """Fan each scheduled wave's programming across a process pool.
-
-        Moves the bank arrays into shared memory and forks ``workers``
-        processes (default: one per bank, capped at cores minus one)
-        that program disjoint per-bank row sets concurrently; see
-        :mod:`repro.engine.bank_parallel`.  Opt-in: the dispatch only
-        pays off for wide waves on multi-core hosts.  Requires an
-        engine composition the scheduler supports.  Returns the
-        executor; idempotent while one is active.
-        """
-        if self.scheduler.bank_parallel is not None:
-            return self.scheduler.bank_parallel
-        if not self.scheduler.supported():
-            raise ValueError(
-                "bank-parallel execution requires a schedulable engine "
-                "(SLC array, stuck-at faults, no invariant checkers)"
-            )
-        from ..engine.bank_parallel import BankParallelExecutor
-
-        executor = BankParallelExecutor(
-            self.engine.memory, self.n_banks, workers
-        )
-        self.scheduler.bank_parallel = executor
-        return executor
-
-    def disable_bank_parallel(self) -> None:
-        """Tear the process pool down and privatize the bank state."""
-        executor = self.scheduler.bank_parallel
-        if executor is not None:
-            self.scheduler.bank_parallel = None
-            executor.close()
-
     def _resolve(self, physical: int) -> int:
         """Follow FREE-p remap pointers when the extension is enabled."""
         return self.engine.resolve(physical)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.window import LINE_BYTES
-from ..pcm import FaultMode
 from .context import EngineState, WriteContext, WriteResult
 from .stages import (
     CompressStage,
@@ -111,120 +110,8 @@ class WritePipeline:
 
     # -- batched write path ----------------------------------------------
 
-    def step_batch(
-        self, requests: list[tuple[int, bytes]]
-    ) -> list[WriteResult]:
-        """Run K write-backs to *distinct* physical lines as one batch.
-
-        Bit-identical to calling :meth:`write_line` on each request in
-        order (``revival_allowed=False``, the demand-write setting):
-        the compress stage runs once over the whole batch (one cache
-        gather), then rows whose line provably cannot exceed the
-        correction scheme's deterministic capability this write -- the
-        overwhelmingly common case -- take a vectorized
-        place/program/commit across the ``(K, 512)`` cell matrix, with
-        one differential-write scatter into the bank arrays.  Rows that
-        fail the precheck (or hit the rescue/remap/death machinery) run
-        the ordinary serial loop at their in-batch position, so every
-        cross-write ordering effect (cache LRU, intra-line rotation,
-        FREE-p spare consumption) is preserved exactly.
-        """
-        if not requests:
-            return []
-        state = self.state
-        memory = state.memory
-        if (
-            self.invariants
-            or state.encoder is not None
-            or len(requests) < 2
-            or not hasattr(memory, "write_rows")
-            or memory.fault_mode is not FaultMode.STUCK_AT_LAST
-        ):
-            # Invariant checkers observe per-write state; line encoders
-            # keep per-write selector state the row kernel does not
-            # model; MLC arrays and probabilistic fault modes have no
-            # vectorized row kernel.
-            return [
-                self.write_line(physical, data) for physical, data in requests
-            ]
-        seen: set[int] = set()
-        for physical, _ in requests:
-            if physical in seen:
-                raise ValueError(
-                    "step_batch requests must target distinct physical lines"
-                )
-            seen.add(physical)
-
-        results: list[WriteResult | None] = [None] * len(requests)
-        live: list[int] = []
-        ctxs: list[WriteContext] = []
-        for index, (physical, data) in enumerate(requests):
-            if self.remap.blocked(physical, False):
-                state.stats.lost_writes += 1
-                results[index] = WriteResult(
-                    physical=physical, compressed=False,
-                    size_bytes=LINE_BYTES, window_start=0, flips=0, lost=True,
-                )
-            else:
-                live.append(index)
-                ctxs.append(WriteContext(physical=physical, data=data))
-        if not ctxs:
-            return results
-
-        self.compress.run_batch(ctxs)
-
-        # A row is batch-eligible when even the worst case -- every
-        # at-risk cell (within 1 program of its endurance limit, or
-        # already stuck) failing inside the window -- stays within the
-        # scheme's deterministic capability: placement's O(1) fast path
-        # applies and post-write verification cannot fail, so the write
-        # is guaranteed to commit in one program.  The bank's O(K)
-        # per-row wear bound usually proves every row has zero at-risk
-        # cells; only once a row nears its weakest cell's limit does
-        # the exact per-cell scan run.
-        rows = np.array([ctx.physical for ctx in ctxs], dtype=np.intp)
-        if bool((memory.row_writes[rows] < memory.no_wear_limit[rows]).all()):
-            eligible = None
-        else:
-            at_risk = (
-                (memory.endurance[rows] - memory.counts[rows]) <= 1
-            ).sum(axis=1)
-            eligible = (
-                at_risk <= state.scheme.deterministic_capability
-            ).tolist()
-
-        fast: list[tuple[int, WriteContext, int]] = []
-        for position, index in enumerate(live):
-            ctx = ctxs[position]
-            if eligible is None or eligible[position]:
-                ctx.hint = self.placement.initial_hint(ctx.physical, ctx)
-                start = self.placement.place(ctx.physical, ctx)
-                # Guaranteed commit: advance the intra-line rotation
-                # now so later rows in the scan see serial-order hints.
-                self.placement.note_commit(ctx.physical)
-                fast.append((index, ctx, start))
-            else:
-                results[index] = self._finish_serial(ctx)
-
-        if fast:
-            targets, flips, new_faults = self.program_rows(
-                [(ctx, start) for _, ctx, start in fast]
-            )
-            for j, (index, ctx, start) in enumerate(fast):
-                if new_faults is not None and new_faults[j]:
-                    ctx.line_faults += new_faults[j]
-                self.correction.commit(ctx.physical, ctx, start, targets[j])
-                results[index] = WriteResult(
-                    physical=ctx.physical, compressed=ctx.compressed,
-                    size_bytes=ctx.size, window_start=start,
-                    flips=flips[j], heuristic_step=ctx.step,
-                )
-        return results
-
     def program_rows(
-        self,
-        entries: list[tuple[WriteContext, int]],
-        write_rows=None,
+        self, entries: list[tuple[WriteContext, int]]
     ) -> tuple[np.ndarray, list[int], list[int] | None]:
         """Program K writes to *distinct* rows as one vectorized pass.
 
@@ -236,10 +123,8 @@ class WritePipeline:
         issues a single ``write_rows`` scatter, and accounts the flip
         counters.
         Returns ``(targets, flips, worn)`` aligned with ``entries``;
-        ``worn`` is None when no cell wore out.  Shared by
-        :meth:`step_batch` and the out-of-order batch scheduler's wave
-        execution; ``write_rows`` overrides the bank kernel (the
-        bank-parallel executor passes its fan-out dispatch here).
+        ``worn`` is None when no cell wore out.  The batch scheduler
+        programs each of its waves through here.
         """
         state = self.state
         memory = state.memory
@@ -265,8 +150,7 @@ class WritePipeline:
             np.frombuffer(packed, dtype=np.uint8).reshape(-1, LINE_BYTES),
             axis=1, bitorder="little",
         )
-        kernel = write_rows if write_rows is not None else memory.write_rows
-        programmed, set_flips, worn = kernel(rows, targets)
+        programmed, set_flips, worn = memory.write_rows(rows, targets)
         total = int(programmed.sum())
         sets = int(set_flips.sum())
         stats = state.stats
@@ -276,22 +160,6 @@ class WritePipeline:
         return targets, programmed.tolist(), (
             worn.tolist() if worn.any() else None
         )
-
-    def _finish_serial(self, ctx: WriteContext) -> WriteResult:
-        """Finish one batch row through the ordinary serial machinery.
-
-        The context's storage format is already fixed (the batched
-        compress stage ran), so this is :meth:`_run_write` minus the
-        dead gate and compress call; batch rows are demand writes into
-        live blocks, so there is no revival to record either.
-        """
-        physical = ctx.physical
-        ctx.hint = self.placement.initial_hint(physical, ctx)
-        result = self._attempt(physical, ctx)
-        if result.died:
-            return result
-        self.placement.note_commit(physical)
-        return result
 
     def _attempt(self, physical: int, ctx: WriteContext) -> WriteResult:
         """The place/program/verify loop for one physical target.

@@ -36,7 +36,8 @@ class SystemSpec:
     name: str
     description: str
     config: SystemConfig
-    #: Free-form grouping labels (``paper``, ``ablation``, ``extension``).
+    #: Free-form grouping labels (``paper``, ``ablation``, ``extension``,
+    #: ``energy``).
     tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -231,32 +232,3 @@ register_system(SystemSpec(
     config=_config.comp_wf(name="comp_wf_coset", encoding="coset"),
     tags=("extension", "energy"),
 ))
-
-# WoLFRaM PAD backend variants: every system above gains a
-# ``*_wolfram`` twin running the programmable-address-decoder backend
-# (:mod:`repro.wearleveling.wolfram`) in place of Start-Gap + FREE-p --
-# same compression / encoding / correction stages, different
-# wear-leveling and remap-to-spare substrate.  The 4-region spec is
-# excluded (regions are a Start-Gap scaling mechanism the PAD table
-# subsumes; the config layer rejects the combination).  Twins are
-# extensions regardless of their base's grouping (a ``paper`` system's
-# twin is *not* a paper system), keeping ``system_names(tag="paper")``
-# the paper's exact four; secondary tags like ``energy`` carry over.
-# Tagged ``wolfram`` so tooling can select backends by tag; the
-# differential fuzz oracle's *default* set stays Start-Gap-only and
-# covers the PAD backend via its explicit ``wl_backend`` override.
-for _base in list(_REGISTRY.values()):
-    if _base.config.start_gap_regions > 1:
-        continue
-    _carried = tuple(
-        tag for tag in _base.tags if tag not in ("paper", "ablation", "extension")
-    )
-    register_system(SystemSpec(
-        name=f"{_base.name}_wolfram",
-        description=f"{_base.description} -- WoLFRaM PAD backend",
-        config=_base.config.with_overrides(
-            name=f"{_base.name}_wolfram", wl_backend="wolfram"
-        ),
-        tags=_carried + ("extension", "wolfram"),
-    ))
-del _base, _carried

@@ -77,24 +77,14 @@ class BatchScheduler:
         #: packing is a pure function of those two fields, so flush
         #: loops skip the member scan in ``encode_metadata``.
         self._encoding_memo: dict[tuple[str, int], int] = {}
-        #: Optional :class:`~repro.engine.bank_parallel.BankParallelExecutor`
-        #: -- when set, each wave's row programming fans out across a
-        #: process pool over shared-memory bank arrays (opt-in; see
-        #: ``CompressedPCMController.enable_bank_parallel``).
-        self.bank_parallel = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["bank_parallel"] = None  # process pools don't pickle
-        return state
 
     def supported(self) -> bool:
         """Whether this engine composition can schedule out of order.
 
-        Mirrors ``step_batch``'s fallback conditions: invariant
-        checkers observe per-write state, line encoders keep per-write
-        selector state the row kernel does not model, and MLC arrays /
-        probabilistic fault modes have no vectorized row kernel.
+        Invariant checkers observe per-write state, line encoders keep
+        per-write selector state the row kernel does not model, and MLC
+        arrays / probabilistic fault modes have no vectorized row
+        kernel; all of them take the controller's serial ``write`` loop.
         """
         memory = self.state.memory
         return (
@@ -288,10 +278,10 @@ class BatchScheduler:
         exactly one program -- execution order against other rows is
         then unobservable.  The cheap per-row wear bound (write total
         under the weakest cell's endurance) usually proves it; a row
-        near end of life falls back to the exact at-risk scan
-        ``step_batch`` uses, which is only valid against *current* cell
-        state -- so a row with pending writes that fails the wear bound
-        is a barrier, not a scan candidate.
+        near end of life falls back to an exact per-cell at-risk scan,
+        which is only valid against *current* cell state -- so a row
+        with pending writes that fails the wear bound is a barrier, not
+        a scan candidate.
         """
         memory = self.state.memory
         if memory.row_writes[row] + pending < memory.no_wear_limit[row]:
@@ -444,8 +434,6 @@ class BatchScheduler:
         # order.
         stats.batch_waves += len(waves)
         widest = 0
-        parallel = self.bank_parallel
-        writer = parallel.write_rows if parallel is not None else None
         commit_repairs = correction.commit_repairs
         program_rows = pipeline.program_rows
         repairs = state.repairs
@@ -454,8 +442,7 @@ class BatchScheduler:
             if len(bucket) > widest:
                 widest = len(bucket)
             targets, flips, worn = program_rows(
-                [(ctx, start) for _, ctx, start in bucket],
-                write_rows=writer,
+                [(ctx, start) for _, ctx, start in bucket]
             )
             for j, (index, ctx, start) in enumerate(bucket):
                 row = ctx.physical

@@ -77,27 +77,6 @@ class CompressStage(Stage):
         self._apply_format(ctx, *self._choose_format(meta, ctx.data))
         self._mirror_cache_counters()
 
-    def run_batch(self, ctxs: list[WriteContext]) -> None:
-        """Fix the storage format of a whole batch of contexts.
-
-        One ``compress_batch`` call replaces the per-write ``compress``
-        calls; the Figure 8 decisions then replay in batch order, so
-        the per-line metadata (``sc``), the heuristic counters, and --
-        because the batched cache replays its probe/evict bookkeeping
-        serially -- the cache counters all land exactly where the
-        equivalent ``run`` loop would put them.
-        """
-        state = self.state
-        if state.config.use_compression:
-            batch = state.compressor.compress_batch([ctx.data for ctx in ctxs])
-            for ctx, result in zip(ctxs, batch):
-                meta = state.metadata[ctx.physical]
-                self._apply_format(ctx, *self._decide(meta, result))
-        else:
-            for ctx in ctxs:
-                self._apply_format(ctx, False, None, 0)
-        self._mirror_cache_counters()
-
     def apply_decision(self, ctx: WriteContext, result) -> None:
         """Fix one context's format from a precomputed compression.
 
@@ -106,10 +85,10 @@ class CompressStage(Stage):
         Figure 8 decisions strictly in *program* order, interleaved with
         the metadata commits -- a collision successor's decision reads
         the ``sc``/``stored_size`` its predecessor's commit just wrote,
-        so :meth:`run_batch` (which decides everything up front) cannot
-        serve it.  This is the per-op decision half, identical to what
-        :meth:`run` does after compressing.  ``result`` is ``None`` when
-        compression is off.
+        so no decision can be taken before the preceding commits land.
+        This is the per-op decision half, identical to what :meth:`run`
+        does after compressing.  ``result`` is ``None`` when compression
+        is off.
         """
         if result is None:
             self._apply_format(ctx, False, None, 0)

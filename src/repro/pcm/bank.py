@@ -2,7 +2,8 @@
 
 This is the hot path of the lifetime simulator: all per-cell state for
 ``n_blocks`` lines lives in three contiguous numpy arrays, and a write
-touches exactly one row.  The write semantics are shared with
+touches exactly one row (a batched wave, :meth:`PCMBankArray.write_rows`,
+touches one row per write).  The write semantics are shared with
 :class:`repro.pcm.block.MemoryBlock` through
 :func:`repro.pcm.block.apply_write`.
 """
@@ -15,63 +16,6 @@ from .bits import bits_to_bytes, bytes_to_bits
 from .block import BLOCK_BITS, WriteOutcome, apply_write
 from .cell import FaultMode
 from .variation import EnduranceModel
-
-
-def write_rows_arrays(
-    stored_all: np.ndarray,
-    counts_all: np.ndarray,
-    endurance_all: np.ndarray,
-    faulty_all: np.ndarray,
-    fault_counts_all: np.ndarray,
-    row_writes_all: np.ndarray,
-    no_wear_limit_all: np.ndarray,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    masks: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :meth:`PCMBankArray.write_rows` kernel over bare arrays.
-
-    A module-level function so the bank-parallel executor's worker
-    processes can run it directly on shared-memory views of the bank
-    state (see :mod:`repro.engine.bank_parallel`) -- the method
-    delegates here.  ``STUCK_AT_LAST`` semantics; ``rows`` must be
-    distinct.  Touches only state belonging to ``rows``, so concurrent
-    calls over disjoint row sets are race-free.
-    """
-    row_writes = row_writes_all[rows] + 1
-    row_writes_all[rows] = row_writes
-    if (row_writes <= no_wear_limit_all[rows]).all():
-        # Wear-free rows (the common case until late life): no
-        # faulty cells exist and none can appear this write, so the
-        # fault mask, the endurance compare, and the worn scatter
-        # all drop out.
-        stored = stored_all[rows]
-        want = stored != targets
-        if masks is not None:
-            want &= masks
-            np.copyto(stored, targets, where=want)
-            stored_all[rows] = stored
-        else:
-            stored_all[rows] = targets
-        counts_all[rows] += want
-        programmed, set_flips = _flip_counts(want, targets)
-        return programmed, set_flips, np.zeros(len(rows), dtype=np.int64)
-    stored = stored_all[rows]
-    want = stored != targets
-    if masks is not None:
-        want &= masks
-    want &= ~faulty_all[rows]
-    new_counts = counts_all[rows] + want
-    worn = want & (new_counts >= endurance_all[rows])
-    np.copyto(stored, targets, where=want)
-    stored_all[rows] = stored
-    counts_all[rows] = new_counts
-    worn_per_row = worn.sum(axis=1)
-    if worn_per_row.any():
-        faulty_all[rows] |= worn
-        fault_counts_all[rows] += worn_per_row
-    programmed, set_flips = _flip_counts(want, targets)
-    return programmed, set_flips, worn_per_row
 
 
 def _flip_counts(
@@ -202,22 +146,17 @@ class PCMBankArray:
         return self.write(block_index, bytes_to_bits(data), update_mask)
 
     def write_rows(
-        self,
-        rows: np.ndarray,
-        targets: np.ndarray,
-        masks: np.ndarray | None = None,
+        self, rows: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Differential write of K *distinct* lines in one vectorized pass.
 
         ``rows`` is a ``(K,)`` vector of distinct in-range line indices
         and ``targets`` a ``(K, 512)`` 0/1 matrix (anything else raises
-        ``ValueError``, see :func:`check_write_rows`), and
-        ``masks`` a ``(K, 512)`` boolean update-mask matrix, or ``None``
-        to treat every cell as updatable (windowed callers overlay the
-        payload on a copy of the stored rows, so out-of-window cells
-        compare equal and are untouched without a mask).  Row ``j`` has
-        exactly the :meth:`write` semantics under ``STUCK_AT_LAST``
-        faults: cells outside the mask, already-faulty cells, and cells
+        ``ValueError``, see :func:`check_write_rows`).  Every cell is
+        updatable: windowed callers overlay the payload on a copy of the
+        stored rows, so out-of-window cells compare equal and are left
+        untouched.  Row ``j`` has exactly the :meth:`write` semantics
+        under ``STUCK_AT_LAST`` faults: already-faulty cells and cells
         whose stored value matches the target are untouched; every
         programmed cell's count is bumped, and cells reaching their
         endurance limit become stuck at the value just written.
@@ -228,11 +167,32 @@ class PCMBankArray:
         if self.fault_mode is not FaultMode.STUCK_AT_LAST:
             raise ValueError("write_rows supports STUCK_AT_LAST faults only")
         rows, targets = check_write_rows(rows, targets, self.n_blocks)
-        return write_rows_arrays(
-            self.stored, self.counts, self.endurance, self.faulty,
-            self.fault_counts, self.row_writes, self.no_wear_limit,
-            rows, targets, masks,
-        )
+        row_writes = self.row_writes[rows] + 1
+        self.row_writes[rows] = row_writes
+        if (row_writes <= self.no_wear_limit[rows]).all():
+            # Wear-free rows (the common case until late life): no
+            # faulty cells exist and none can appear this write, so the
+            # fault mask, the endurance compare, and the worn scatter
+            # all drop out.
+            want = self.stored[rows] != targets
+            self.stored[rows] = targets
+            self.counts[rows] += want
+            programmed, set_flips = _flip_counts(want, targets)
+            return programmed, set_flips, np.zeros(len(rows), dtype=np.int64)
+        stored = self.stored[rows]
+        want = stored != targets
+        want &= ~self.faulty[rows]
+        new_counts = self.counts[rows] + want
+        worn = want & (new_counts >= self.endurance[rows])
+        np.copyto(stored, targets, where=want)
+        self.stored[rows] = stored
+        self.counts[rows] = new_counts
+        worn_per_row = worn.sum(axis=1)
+        if worn_per_row.any():
+            self.faulty[rows] |= worn
+            self.fault_counts[rows] += worn_per_row
+        programmed, set_flips = _flip_counts(want, targets)
+        return programmed, set_flips, worn_per_row
 
     def read_bits(self, block_index: int) -> np.ndarray:
         """The line's current cell values (0/1 array)."""

@@ -438,12 +438,6 @@ class HybridController:
         """Inner PCM counters plus the tier overlay, one merged view."""
         return self.inner.stats.merge(self.tier.stats)
 
-    def enable_bank_parallel(self, workers: int | None = None):
-        return self.inner.enable_bank_parallel(workers)
-
-    def disable_bank_parallel(self) -> None:
-        self.inner.disable_bank_parallel()
-
     def verify_state(self) -> None:
         """Lockstep hook: flush pending residents, then verify PCM.
 

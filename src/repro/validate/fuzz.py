@@ -361,15 +361,9 @@ def run_fuzz(
         # model.  Energy-encoded variants store XOR-transformed cells,
         # which the reference model would flag as divergence -- their
         # read-back correctness is pinned by tests/energy instead.
-        # Registry ``*_wolfram`` twins are excluded too: the PAD
-        # backend is covered by re-running this same set under the
-        # ``wl_backend`` override, not by doubling the default matrix.
         names = tuple(
             name for name in system_names()
             if getattr(get_system(name).config, "encoding", "none") == "none"
-            and getattr(
-                get_system(name).config, "wl_backend", "startgap_freep"
-            ) == "startgap_freep"
         )
         if wl_backend == "wolfram":
             # The PAD table is region-free; multi-region Start-Gap

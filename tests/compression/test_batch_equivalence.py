@@ -1,7 +1,7 @@
 """Batched compression must be value-identical to the per-line loop.
 
 ``compress_batch`` on FPC/BDI/Best is a 2-D rewrite of the serial
-kernels; the batched write engine (``pipeline.step_batch``) relies on
+kernels; the batch scheduler (``BatchScheduler.run``) relies on
 exact equality of every field -- encoding, bit-exact payload, size --
 for its batched/serial bit-identity guarantee.  ``CachingCompressor``
 additionally must leave the *cache* (hit/miss counters, LRU key order,

@@ -1,5 +1,7 @@
 """Tests for the declarative system registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import EVALUATED_SYSTEMS, SystemConfig, make_config
@@ -79,3 +81,15 @@ def test_stage_summary_reflects_the_composition():
     assert any("ecp6" in line for line in full)
     safer = get_system("comp_wf_safer32").stage_summary()
     assert any("safer32" in line for line in safer)
+
+
+def test_no_two_specs_differ_only_in_wl_backend():
+    """The wear-leveling backend is a config axis, not a registry
+    cross-product: pick it with ``configured(wl_backend=...)``."""
+    backends = {}
+    for spec in list_systems():
+        knobs = dataclasses.asdict(spec.config)
+        del knobs["name"]
+        backend = knobs.pop("wl_backend")
+        backends.setdefault(repr(sorted(knobs.items())), set()).add(backend)
+    assert all(len(found) == 1 for found in backends.values())

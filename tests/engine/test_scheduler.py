@@ -8,11 +8,10 @@ flushes with per-row dependency edges.  These tests pin
   writes now costs dependency *edges* (extra waves), not flushes;
 * the wave/barrier telemetry semantics;
 * element-wise serial identity under hypothesis-generated adversarial
-  streams (collision-heavy, gap-move-dense, duplicate-line bursts);
-* the bank-parallel executor's bit-identity and teardown.
+  streams (collision-heavy, gap-move-dense, duplicate-line bursts).
 
 Whole-state equivalence across every system under heavy wear lives in
-``test_step_batch.py``; lockstep-oracle campaigns in
+``test_write_batch.py``; lockstep-oracle campaigns in
 ``tests/validate/test_lockstep.py``.
 """
 
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.engine.registry import get_system
 
-from .test_step_batch import (
+from .helpers import (
     LINE,
     N_LINES,
     assert_same_state,
@@ -205,57 +204,3 @@ def test_duplicate_line_bursts_match_serial(bursts, chunk):
         return
     config = get_system("comp_wf_freep").config
     _assert_batched_equals_serial(config, stream, chunk, endurance=40.0)
-
-
-# -- bank-parallel execution ---------------------------------------------
-
-
-def test_bank_parallel_waves_are_bit_identical():
-    """Process-pool wave programming equals in-process scheduling."""
-    config = get_system("comp_wf").config
-    requests = make_requests(600, seed=13)
-    plain = make_controller(config)
-    fanned = make_controller(config)
-    executor = fanned.enable_bank_parallel(workers=2)
-    assert fanned.enable_bank_parallel() is executor  # idempotent
-    try:
-        plain_results, fanned_results = [], []
-        for start in range(0, len(requests), 32):
-            chunk = requests[start:start + 32]
-            plain_results.extend(plain.write_batch(chunk))
-            fanned_results.extend(fanned.write_batch(chunk))
-        assert fanned_results == plain_results
-        # Same chunking on both sides: *all* stats agree, including the
-        # scheduler's wave telemetry.
-        assert fanned.stats == plain.stats
-        assert_same_state(
-            state_fingerprint(fanned), state_fingerprint(plain), "parallel"
-        )
-    finally:
-        fanned.disable_bank_parallel()
-    fanned.disable_bank_parallel()  # idempotent
-
-    # Teardown privatized the arrays: serial writes keep agreeing.
-    tail = make_requests(60, seed=14)
-    for line, data in tail:
-        assert fanned.write(line, data) == plain.write(line, data)
-    assert_same_state(
-        state_fingerprint(fanned), state_fingerprint(plain), "after-close"
-    )
-
-
-def test_bank_parallel_requires_schedulable_engine():
-    from repro.core.controller import CompressedPCMController
-    from repro.pcm import EnduranceModel
-    from repro.validate.invariants import default_invariants
-
-    checked = CompressedPCMController(
-        config=get_system("comp_wf").config,
-        n_lines=8,
-        endurance_model=EnduranceModel(mean=50.0, cov=0.2),
-        rng=np.random.default_rng(0),
-        n_banks=4,
-        invariants=default_invariants(),
-    )
-    with pytest.raises(ValueError, match="schedulable"):
-        checked.enable_bank_parallel()

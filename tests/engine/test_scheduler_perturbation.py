@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.engine.context import ControllerStats
 from repro.engine.registry import get_system
 
-from .test_step_batch import (
+from .helpers import (
     assert_same_state,
     make_controller,
     make_requests,
@@ -37,7 +37,7 @@ def _configured(backend, **overrides):
     return get_system("comp_wf").configured(wl_backend=backend, **overrides)
 
 
-def _run_batched(config, requests, chunk, endurance_mean=70.0):
+def _batched_run(config, requests, chunk, endurance_mean=70.0):
     controller = make_controller(config, endurance_mean=endurance_mean)
     results = []
     for start in range(0, len(requests), chunk):
@@ -57,7 +57,7 @@ def test_healthy_perturbations_schedule_without_barriers(backend):
     """
     config = _configured(backend, start_gap_psi=5)
     requests = make_requests(600, seed=13)
-    controller, _ = _run_batched(config, requests, chunk=48,
+    controller, _ = _batched_run(config, requests, chunk=48,
                                  endurance_mean=10_000.0)
     stats = controller.stats
     assert stats.gap_move_writes > 0, "stream never perturbed placement"
@@ -94,7 +94,7 @@ def test_worn_perturbations_barrier_or_schedule_and_stay_serial(backend):
     requests = make_requests(1200, seed=4)
     serial = make_controller(config, endurance_mean=18.0)
     want = [serial.write(line, data) for line, data in requests]
-    batched, got = _run_batched(config, requests, chunk=32,
+    batched, got = _batched_run(config, requests, chunk=32,
                                 endurance_mean=18.0)
     assert got == want
     stats = batched.stats
@@ -131,7 +131,7 @@ def test_random_streams_close_the_perturbation_accounting(
     requests = make_requests(500, seed=seed)
     serial = make_controller(config, endurance_mean=30.0)
     want = [serial.write(line, data) for line, data in requests]
-    batched, got = _run_batched(config, requests, chunk=chunk,
+    batched, got = _batched_run(config, requests, chunk=chunk,
                                 endurance_mean=30.0)
     assert got == want
     stats = batched.stats
@@ -152,7 +152,7 @@ def test_wave_counters_merge_as_an_order_independent_monoid(backend):
     config = _configured(backend, start_gap_psi=3)
     parts = []
     for seed in (1, 2, 3):
-        controller, _ = _run_batched(
+        controller, _ = _batched_run(
             config, make_requests(300, seed=seed), chunk=16,
             endurance_mean=25.0,
         )
@@ -176,7 +176,7 @@ def test_wave_counters_are_checkpoint_stable(backend):
     """Pickle mid-stream, resume, and match the uninterrupted run exactly."""
     config = _configured(backend, start_gap_psi=3)
     requests = make_requests(800, seed=6)
-    straight, want = _run_batched(config, requests, chunk=24,
+    straight, want = _batched_run(config, requests, chunk=24,
                                   endurance_mean=25.0)
 
     boundary = 384  # a chunk boundary mid-stream

@@ -16,7 +16,7 @@ from repro.lifetime import build_simulator
 from repro.lifetime.checkpoint import latest_checkpoint
 from repro.lifetime.telemetry import RunObserver
 
-from tests.engine.test_step_batch import assert_same_state, state_fingerprint
+from tests.engine.helpers import assert_same_state, state_fingerprint
 
 SIM_KWARGS = dict(n_lines=48, endurance_mean=30.0, seed=5)
 

@@ -131,7 +131,7 @@ class TestBatchedResume:
 
     BATCH = 8
 
-    def _run_batched(self, tmp_path, name, max_writes, resume_from=None):
+    def _batched_run(self, tmp_path, name, max_writes, resume_from=None):
         simulator = small_simulator()
         result = simulator.run(
             max_writes=max_writes, batch=self.BATCH,
@@ -142,17 +142,42 @@ class TestBatchedResume:
         return simulator, result
 
     def test_batched_resume_preserves_wave_counters(self, tmp_path):
-        _, golden = self._run_batched(tmp_path, "golden", BUDGET)
+        _, golden = self._batched_run(tmp_path, "golden", BUDGET)
         assert golden.failed and golden.batch_waves > 0
-        self._run_batched(tmp_path, "interrupted", INTERRUPT_AT)
+        self._batched_run(tmp_path, "interrupted", INTERRUPT_AT)
         resume_point = latest_checkpoint(tmp_path / "interrupted")
         checkpoint = read_checkpoint(resume_point)
         # The checkpointed controller already carries wave telemetry.
         assert checkpoint.controller.stats.batch_waves > 0
-        _, resumed = self._run_batched(
+        _, resumed = self._batched_run(
             tmp_path, "interrupted", BUDGET, resume_from=resume_point
         )
         assert resumed == golden  # includes batch_wave_* continuity
+
+    def test_scheduler_with_a_retired_attribute_still_resumes(
+        self, tmp_path
+    ):
+        """Version-2 checkpoints pickled the batch scheduler while it
+        still held a process-pool slot (always saved as ``None``).  Such
+        a checkpoint must keep loading under the same version and
+        resume bit-identically to an uninterrupted run."""
+        from repro.lifetime.checkpoint import CHECKPOINT_VERSION
+
+        retired = "bank_parallel"  # the slot's attribute name
+        _, golden = self._batched_run(tmp_path, "golden", BUDGET)
+        self._batched_run(tmp_path, "interrupted", INTERRUPT_AT)
+        checkpoint = read_checkpoint(
+            latest_checkpoint(tmp_path / "interrupted")
+        )
+        assert checkpoint.version == CHECKPOINT_VERSION == 2
+        checkpoint.controller.scheduler.__dict__[retired] = None
+        path = write_checkpoint(checkpoint, tmp_path / "older")
+        reloaded = read_checkpoint(path)
+        assert reloaded.controller.scheduler.__dict__[retired] is None
+        _, resumed = self._batched_run(
+            tmp_path, "older", BUDGET, resume_from=path
+        )
+        assert resumed == golden
 
 
 class TestVersionCompatibility:

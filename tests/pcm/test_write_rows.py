@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.controller import CompressedPCMController
-from repro.core.window import LINE_BYTES, place_bytes, window_mask
+from repro.core.window import LINE_BYTES, place_bytes
 from repro.engine.context import WriteContext
 from repro.engine.registry import get_system
 from repro.pcm import EnduranceModel
@@ -53,7 +53,7 @@ def aged_bank(seed: int, worn_rows: list[int], slack: int) -> PCMBankArray:
 @st.composite
 def waves(draw):
     """A wave of distinct rows mixing full-line, windowed and wrapping
-    payloads over an optionally aged bank, with or without masks."""
+    payloads over an optionally aged bank."""
     seed = draw(st.integers(0, 2**16))
     rows = draw(
         st.lists(st.integers(0, N_BLOCKS - 1), min_size=1,
@@ -69,37 +69,26 @@ def waves(draw):
         ))
         for _ in rows
     ]
-    mask_mode = draw(st.sampled_from([None, "window", "random"]))
-    return seed, rows, worn, slack, windows, mask_mode
+    return seed, rows, worn, slack, windows
 
 
 @settings(max_examples=150, deadline=None)
 @given(waves())
 def test_write_rows_matches_the_per_row_write_loop(wave):
-    seed, rows, worn, slack, windows, mask_mode = wave
+    seed, rows, worn, slack, windows = wave
     batched = aged_bank(seed, worn, slack)
     serial = copy.deepcopy(batched)
     rng = np.random.default_rng(seed + 1)
     targets = np.empty((len(rows), BITS), dtype=np.uint8)
-    masks = None if mask_mode is None else np.empty(targets.shape, bool)
     for j, (row, (start, size)) in enumerate(zip(rows, windows)):
         payload = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
         targets[j] = place_bytes(batched.stored[row], payload, start)
-        if mask_mode == "window":
-            masks[j] = window_mask(start, size)
-        elif mask_mode == "random":
-            masks[j] = rng.random(BITS) < 0.7
 
     programmed, set_flips, new_faults = batched.write_rows(
-        np.array(rows), targets, masks
+        np.array(rows), targets
     )
 
-    expected = [
-        serial.write(
-            row, targets[j], None if masks is None else masks[j]
-        )
-        for j, row in enumerate(rows)
-    ]
+    expected = [serial.write(row, targets[j]) for j, row in enumerate(rows)]
     assert programmed.tolist() == [o.programmed_flips for o in expected]
     assert set_flips.tolist() == [o.set_flips for o in expected]
     assert new_faults.tolist() == [

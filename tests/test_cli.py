@@ -155,6 +155,14 @@ def test_systems_command_tag_filter(capsys):
     assert "baseline" not in out
 
 
+def test_systems_command_accepts_every_registered_tag(capsys):
+    assert main(["systems", "--tag", "energy"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == [
+        "baseline_wire", "comp_wf_wire", "comp_coset", "comp_wf_coset",
+    ]
+
+
 def test_lifetime_rejects_unregistered_system():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["lifetime", "--systems", "comp_xyz"])

@@ -124,14 +124,14 @@ class TestBatchedLockstep:
         config = get_system("comp_wf").configured(correction_scheme="ecp6")
         real_write_rows = PCMBankArray.write_rows
 
-        def blind_write_rows(self, rows, targets, masks=None):
+        def blind_write_rows(self, rows, targets):
             # Mutation: inflate the endurance seen by the batched
             # kernel, so batch-path writes never mark new faults while
             # the serial oracle does.
             saved = self.endurance
             self.endurance = saved + np.uint64(1_000)
             try:
-                return real_write_rows(self, rows, targets, masks)
+                return real_write_rows(self, rows, targets)
             finally:
                 self.endurance = saved
 

@@ -16,8 +16,8 @@ from .test_lockstep import _batched_campaign, _campaign
 
 class TestWolframLockstep:
     def test_worn_campaign_agrees_with_deaths_and_revivals(self):
-        config = get_system("comp_wf_wolfram").configured(
-            correction_scheme="ecp6", start_gap_psi=23
+        config = get_system("comp_wf").configured(
+            wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23
         )
         controller = _campaign(config)
         stats = controller.fast.stats
@@ -26,8 +26,8 @@ class TestWolframLockstep:
         assert stats.pad_table_writes > 0
 
     def test_spare_pool_campaign_exercises_pad_remap(self):
-        config = get_system("comp_wf_wolfram").configured(
-            correction_scheme="ecp6", start_gap_psi=23,
+        config = get_system("comp_wf").configured(
+            wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23,
             spare_line_fraction=0.15,
         )
         controller = _campaign(config)
@@ -39,15 +39,16 @@ class TestWolframLockstep:
         )
 
     def test_safer_campaign_agrees(self):
-        config = get_system("comp_wf_wolfram").configured(
-            correction_scheme="safer32", start_gap_psi=23
+        config = get_system("comp_wf").configured(
+            wl_backend="wolfram", correction_scheme="safer32",
+            start_gap_psi=23,
         )
         controller = _campaign(config, writes=600)
         assert controller.fast.stats.deaths > 0
 
     def test_batched_campaign_agrees_through_wearout(self):
-        config = get_system("comp_wf_wolfram").configured(
-            correction_scheme="ecp6", start_gap_psi=23
+        config = get_system("comp_wf").configured(
+            wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23
         )
         controller = _batched_campaign(config)
         stats = controller.fast.stats
@@ -55,8 +56,8 @@ class TestWolframLockstep:
         assert stats.pad_table_writes > 0
 
     def test_batched_spare_campaign_agrees(self):
-        config = get_system("comp_wf_wolfram").configured(
-            correction_scheme="ecp6", start_gap_psi=23,
+        config = get_system("comp_wf").configured(
+            wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23,
             spare_line_fraction=0.15,
         )
         controller = _batched_campaign(config)
