@@ -114,6 +114,20 @@ class BestOfCompressor(Compressor):
             f"best: no member compressor named {result.algorithm!r}"
         )
 
+    def encode_metadata_batch(self, results) -> list[int]:
+        """:meth:`encode_metadata` over a sequence of results."""
+        codes = {
+            (member.name, encoding): base + encoding
+            for member, base in zip(self._compressors, self._encoding_bases)
+            for encoding in range(member.encoding_space)
+        }
+        try:
+            return [codes[result.algorithm, result.encoding] for result in results]
+        except KeyError:
+            for result in results:
+                self.encode_metadata(result)  # raises the specific error
+            raise CompressionError("best: result encoding out of range") from None
+
     def decode_metadata(self, metadata: int) -> tuple[Compressor, int]:
         """Unpack a metadata value into (member compressor, encoding)."""
         if not 0 <= metadata < (1 << ENCODING_METADATA_BITS):

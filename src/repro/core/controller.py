@@ -53,7 +53,7 @@ from ..wearleveling import (
 )
 from .config import SystemConfig
 from .heuristic import BitFlipHeuristic
-from .metadata import LineMetadata
+from .metadata import LineTable
 from .window import LINE_BYTES, extract_bytes
 
 __all__ = ["CompressedPCMController", "ControllerStats", "WriteResult"]
@@ -148,7 +148,7 @@ class CompressedPCMController:
                 base_line=address_range.start if address_range else 0,
             ),
             start_gap=start_gap,
-            metadata=[LineMetadata() for _ in range(physical)],
+            metadata=LineTable(physical),
             dead=np.zeros(physical, dtype=bool),
             repairs=[{} for _ in range(physical)],
             death_fault_counts={},
@@ -225,7 +225,7 @@ class CompressedPCMController:
         return self.engine.memory
 
     @property
-    def metadata(self) -> list[LineMetadata]:
+    def metadata(self) -> LineTable:
         return self.engine.metadata
 
     @property
@@ -316,21 +316,24 @@ class CompressedPCMController:
             return None
         if logical not in self._shadow:
             return None
-        meta = engine.metadata[physical]
+        metadata = engine.metadata
         bits = engine.memory.read_bits(physical).copy()
         for position, value in engine.repairs[physical].items():
             bits[position] = value
         # Undo the write-energy line encoding (repairs patch *cell*
         # values, so they apply before decoding); identity when off.
         bits = self.pipeline.encoding.decode_read(physical, bits)
-        if not meta.compressed:
+        if not metadata.compressed.item(physical):
             return extract_bytes(bits, 0, LINE_BYTES)
-        payload = extract_bytes(bits, meta.start_pointer, meta.stored_size)
-        member, encoding = engine.compressor.decode_metadata(meta.encoding)
+        size = metadata.stored_size.item(physical)
+        payload = extract_bytes(bits, metadata.start_pointer.item(physical), size)
+        member, encoding = engine.compressor.decode_metadata(
+            metadata.encoding.item(physical)
+        )
         result = CompressionResult(
             algorithm=member.name,
             encoding=encoding,
-            size_bits=meta.stored_size * 8,
+            size_bits=size * 8,
             payload=payload,
         )
         return member.decompress(result)

@@ -16,14 +16,25 @@ The decision flow, verbatim from Figure 8:
 3. else                       ->  write compressed, and update SC:
    ``|old_size - new_size| < Threshold2`` decrements it (stable sizes),
    otherwise increments it.
+
+Every outcome is a pure function of ``(SC, Old_S, New_S)``, so
+:class:`BitFlipHeuristic` evaluates the flow once, over the whole
+domain, into one lookup table: the serial path indexes it with Python
+ints (:meth:`BitFlipHeuristic.lookup`), the batched path with arrays
+(:meth:`BitFlipHeuristic.lookup_many`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import DEFAULT_THRESHOLD1, DEFAULT_THRESHOLD2
-from .metadata import LineMetadata
+from .metadata import SC_MAX, LineMetadata
+
+#: Sizes index the table directly, ``0..64`` bytes (0 is never looked up).
+_SIZES = 65
 
 
 @dataclass(frozen=True)
@@ -35,11 +46,34 @@ class HeuristicDecision:
     step: int
 
 
-#: The three possible decisions, pre-built: one is returned per write
-#: on the simulator's hot path, so construction cost matters.
-_STEP1 = HeuristicDecision(compress=True, step=1)
-_STEP2 = HeuristicDecision(compress=False, step=2)
-_STEP3 = HeuristicDecision(compress=True, step=3)
+#: The three possible decisions, pre-built and indexed by step: one is
+#: returned per write on the simulator's hot path, so construction
+#: cost matters.
+_DECISIONS = (
+    None,
+    HeuristicDecision(compress=True, step=1),
+    HeuristicDecision(compress=False, step=2),
+    HeuristicDecision(compress=True, step=3),
+)
+
+
+def figure8_table(threshold1: int, threshold2: int) -> np.ndarray:
+    """The Figure 8 flow over every ``(sc, old_size, new_size)``.
+
+    Entry ``[sc, old, new]`` packs the outcome as
+    ``compress << 4 | step << 2 | new_sc``.
+    """
+    sc, old, new = np.ogrid[: SC_MAX + 1, :_SIZES, :_SIZES]
+    step = np.where(new < threshold1, 1, np.where(sc == SC_MAX, 2, 3))
+    stable = np.abs(old - new) < threshold2
+    new_sc = np.where(
+        step == 3,
+        np.where(stable, np.maximum(sc - 1, 0), np.minimum(sc + 1, SC_MAX)),
+        sc,
+    )
+    table = ((step != 2) << 4 | step << 2 | new_sc).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 class BitFlipHeuristic:
@@ -56,6 +90,25 @@ class BitFlipHeuristic:
             raise ValueError("threshold2 cannot be negative")
         self.threshold1 = threshold1
         self.threshold2 = threshold2
+        self.table = figure8_table(threshold1, threshold2)
+
+    def __getstate__(self) -> dict:
+        # The table is derived from the thresholds: rebuilt on load, so
+        # pickles (and checkpoints from before it existed) stay small.
+        return {"threshold1": self.threshold1, "threshold2": self.threshold2}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["threshold1"], state["threshold2"])
+
+    def lookup(self, sc: int, old_size: int, new_size: int) -> tuple[bool, int, int]:
+        """``(compress, step, new_sc)`` for one write (sizes 1..64)."""
+        code = self.table.item(sc, old_size, new_size)
+        return code >= 16, (code >> 2) & 3, code & 3
+
+    def lookup_many(self, sc, old_size, new_size):
+        """Array :meth:`lookup`: ``(compress, step, new_sc)`` arrays."""
+        code = self.table[sc, old_size, new_size]
+        return code >= 16, (code >> 2) & 3, code & 3
 
     def decide(self, metadata: LineMetadata, new_size: int) -> HeuristicDecision:
         """Evaluate Figure 8 and update ``metadata.sc`` in place.
@@ -67,15 +120,7 @@ class BitFlipHeuristic:
         """
         if not 1 <= new_size <= 64:
             raise ValueError(f"compressed size {new_size} out of range")
-
-        if new_size < self.threshold1:
-            return _STEP1
-
-        if metadata.sc_saturated:
-            return _STEP2
-
-        if abs(metadata.stored_size - new_size) < self.threshold2:
-            metadata.decrement_sc()
-        else:
-            metadata.increment_sc()
-        return _STEP3
+        _, step, metadata.sc = self.lookup(
+            metadata.sc, metadata.stored_size, new_size
+        )
+        return _DECISIONS[step]

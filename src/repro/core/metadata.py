@@ -15,11 +15,21 @@ update rate is far below the data's (start pointer: once per 2^16 bank
 writes; coding/SC: once per 4-5 writes), so metadata wear is not the
 lifetime limiter.  We model metadata as wear-exempt state and account
 its sizes exactly.
+
+A region's metadata lives in one :class:`LineTable`: five numpy
+columns, one entry per physical line, so the batched write path reads
+and commits a whole wave with array operations while the serial path
+reads and writes single entries of the same columns.
+:class:`LineMetadata` is the value type: what ``pack``/``unpack``
+work on and what a per-line read of the table returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 START_POINTER_BITS = 6
 ENCODING_BITS = 5
@@ -91,3 +101,63 @@ class LineMetadata:
             compressed=compressed,
             stored_size=stored_size,
         )
+
+
+class LineTable:
+    """The metadata of every physical line, held as five numpy columns.
+
+    ``start_pointer``, ``encoding``, ``sc`` and ``stored_size`` are
+    ``uint8`` columns and ``compressed`` a ``bool`` column, all indexed
+    by physical line.  Every write goes through the columns; indexing
+    the table (``table[line]``) returns a :class:`LineMetadata`
+    *snapshot* holding plain Python ``int``/``bool`` values, so
+    mutating it does not write back.
+    """
+
+    __slots__ = ("start_pointer", "encoding", "sc", "compressed", "stored_size")
+
+    def __init__(self, n_lines: int) -> None:
+        self.start_pointer = np.zeros(n_lines, dtype=np.uint8)
+        self.encoding = np.zeros(n_lines, dtype=np.uint8)
+        self.sc = np.zeros(n_lines, dtype=np.uint8)
+        self.compressed = np.zeros(n_lines, dtype=bool)
+        self.stored_size = np.full(n_lines, 64, dtype=np.uint8)
+
+    @classmethod
+    def from_records(cls, records: Iterable[LineMetadata]) -> "LineTable":
+        """A table holding ``records`` in line order."""
+        records = list(records)
+        table = cls(len(records))
+        for line, record in enumerate(records):
+            table[line] = record
+        return table
+
+    def __len__(self) -> int:
+        return len(self.sc)
+
+    def __getitem__(self, line: int) -> LineMetadata:
+        return LineMetadata(
+            start_pointer=self.start_pointer.item(line),
+            encoding=self.encoding.item(line),
+            sc=self.sc.item(line),
+            compressed=self.compressed.item(line),
+            stored_size=self.stored_size.item(line),
+        )
+
+    def __setitem__(self, line: int, record: LineMetadata) -> None:
+        record.validate()
+        self.start_pointer[line] = record.start_pointer
+        self.encoding[line] = record.encoding
+        self.sc[line] = record.sc
+        self.compressed[line] = record.compressed
+        self.stored_size[line] = record.stored_size
+
+    def __iter__(self) -> Iterator[LineMetadata]:
+        columns = (
+            self.start_pointer, self.encoding, self.sc, self.compressed,
+            self.stored_size,
+        )
+        for pointer, encoding, sc, compressed, size in zip(
+            *(column.tolist() for column in columns)
+        ):
+            yield LineMetadata(pointer, encoding, sc, compressed, size)

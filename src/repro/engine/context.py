@@ -4,7 +4,8 @@ The engine splits the write path into stages (see
 :mod:`repro.engine.stages`) that communicate through two objects:
 
 * :class:`EngineState` -- the long-lived, shared mutable state of one
-  PCM region: the bank array, per-line metadata, death bookkeeping,
+  PCM region: the bank array, the per-line metadata columns
+  (:class:`~repro.core.metadata.LineTable`), death bookkeeping,
   wear-leveling and correction components, and the statistics counters.
   Exactly one instance exists per controller; every stage holds a
   reference to it.
@@ -28,7 +29,7 @@ import numpy as np
 from ..compression import BestOfCompressor, CompressionResult
 from ..core.config import SystemConfig
 from ..core.heuristic import BitFlipHeuristic
-from ..core.metadata import LineMetadata
+from ..core.metadata import LineTable
 from ..core.window import LINE_BYTES
 from ..correction.base import CorrectionScheme
 from ..correction.freep import FreePRemapper
@@ -255,7 +256,8 @@ class EngineState:
     compressor: BestOfCompressor
     memory: object  # PCMBankArray | MLCBankArray (duck-typed line store)
     start_gap: object  # StartGap | RegionStartGap | WolframPAD
-    metadata: list[LineMetadata]
+    #: Per-line metadata of every physical line, as columns.
+    metadata: LineTable
     dead: np.ndarray
     repairs: list[dict[int, int]]
     death_fault_counts: dict[int, int]
@@ -284,6 +286,13 @@ class EngineState:
     #: deployment can translate and label globally.  ``None`` means the
     #: engine *is* the whole space (the historical single-bank setup).
     address_range: AddressRange | None = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints before format version 3 pickled the metadata as a
+        # list of per-line LineMetadata records.
+        if isinstance(state["metadata"], list):
+            state["metadata"] = LineTable.from_records(state["metadata"])
+        self.__dict__.update(state)
 
     def bank_of(self, physical: int) -> int:
         """The bank a physical line belongs to (round-robin striping)."""

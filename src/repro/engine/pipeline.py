@@ -111,24 +111,22 @@ class WritePipeline:
     # -- batched write path ----------------------------------------------
 
     def program_rows(
-        self, entries: list[tuple[WriteContext, int]]
-    ) -> tuple[np.ndarray, list[int], list[int] | None]:
+        self, rows: np.ndarray, payloads: list[bytes], starts: list[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Program K writes to *distinct* rows as one vectorized pass.
 
-        ``entries`` pairs each context (storage format already fixed)
-        with its placed window start.  Overlays every payload on a copy
-        of its stored row (exactly ``place_bytes``, row-wise, done on
-        the wave's packed bytes; cells outside each window keep their
-        stored value, so the differential write needs no update mask),
-        issues a single ``write_rows`` scatter, and accounts the flip
-        counters.
-        Returns ``(targets, flips, worn)`` aligned with ``entries``;
-        ``worn`` is None when no cell wore out.  The batch scheduler
-        programs each of its waves through here.
+        ``payloads[j]`` (storage format already fixed) lands at window
+        start ``starts[j]`` of row ``rows[j]``.  Overlays every payload
+        on a copy of its stored row (exactly ``place_bytes``, row-wise,
+        done on the wave's packed bytes; cells outside each window keep
+        their stored value, so the differential write needs no update
+        mask), issues a single ``write_rows`` scatter, and accounts the
+        flip counters.  Returns ``(targets, flips, worn)`` aligned with
+        ``rows``; ``worn`` is None when no cell wore out.  The batch
+        scheduler programs each of its waves through here.
         """
         state = self.state
         memory = state.memory
-        rows = np.array([ctx.physical for ctx, _ in entries], dtype=np.intp)
         # Overlay at byte level: pack the stored rows once, lay each
         # payload into its (possibly wrapping) byte window of the
         # packed wave, and unpack the whole wave once.
@@ -136,8 +134,7 @@ class WritePipeline:
             np.packbits(memory.stored[rows], axis=1, bitorder="little")
         )
         offset = 0
-        for ctx, start in entries:
-            payload = ctx.payload
+        for payload, start in zip(payloads, starts):
             end = start + len(payload)
             if end <= LINE_BYTES:
                 packed[offset + start : offset + end] = payload
@@ -157,9 +154,7 @@ class WritePipeline:
         stats.total_flips += total
         stats.set_flips += sets
         stats.reset_flips += total - sets
-        return targets, programmed.tolist(), (
-            worn.tolist() if worn.any() else None
-        )
+        return targets, programmed, worn if worn.any() else None
 
     def _attempt(self, physical: int, ctx: WriteContext) -> WriteResult:
         """The place/program/verify loop for one physical target.

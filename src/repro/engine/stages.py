@@ -4,7 +4,12 @@ Each stage owns one paper mechanism and the statistics counters that
 belong to it.  Stages are small, independently testable objects that
 share an :class:`~repro.engine.context.EngineState` and communicate
 per-write through a :class:`~repro.engine.context.WriteContext`; the
-:class:`~repro.engine.pipeline.WritePipeline` sequences them:
+:class:`~repro.engine.pipeline.WritePipeline` sequences them.  The
+compress, placement and correction stages also have *segment* methods
+(``gather``/``decide_wave``, ``rotate_segment``/``place_wave``,
+``commit_metadata_wave``/``commit_repairs_wave``) that the batch
+scheduler calls once per segment or wave of writes to distinct rows,
+reading and writing the same metadata columns as the serial methods:
 
 ==================  ====================================================
 stage               mechanism
@@ -58,8 +63,9 @@ class CompressStage(Stage):
     """Chooses the storage format: best-of compression + Figure 8.
 
     Populates ``ctx.compressed``, ``ctx.result``, ``ctx.payload``,
-    ``ctx.size`` and ``ctx.step``.  Owns the ``heuristic_steps`` and
-    ``sc_updates`` counters.
+    ``ctx.size`` and ``ctx.step`` on the serial path; on the batched
+    path :meth:`gather` and :meth:`decide_wave` do the same for a whole
+    segment.  Owns the ``heuristic_steps`` and ``sc_updates`` counters.
     """
 
     name = "compress"
@@ -73,31 +79,12 @@ class CompressStage(Stage):
     def run(self, ctx: WriteContext) -> None:
         """Fix the write's storage format on the context."""
         state = self.state
-        meta = state.metadata[ctx.physical]
-        self._apply_format(ctx, *self._choose_format(meta, ctx.data))
-        self._mirror_cache_counters()
-
-    def apply_decision(self, ctx: WriteContext, result) -> None:
-        """Fix one context's format from a precomputed compression.
-
-        The out-of-order batch scheduler gathers the compressions of a
-        whole segment in one ``compress_batch`` call but must replay the
-        Figure 8 decisions strictly in *program* order, interleaved with
-        the metadata commits -- a collision successor's decision reads
-        the ``sc``/``stored_size`` its predecessor's commit just wrote,
-        so no decision can be taken before the preceding commits land.
-        This is the per-op decision half, identical to what :meth:`run`
-        does after compressing.  ``result`` is ``None`` when compression
-        is off.
-        """
-        if result is None:
+        if state.config.use_compression:
+            self._apply_format(
+                ctx, *self._decide(ctx.physical, state.compressor.compress(ctx.data))
+            )
+        else:
             self._apply_format(ctx, False, None, 0)
-            return
-        meta = self.state.metadata[ctx.physical]
-        self._apply_format(ctx, *self._decide(meta, result))
-
-    def mirror_cache_counters(self) -> None:
-        """Publish the compression-cache counters into the stats."""
         self._mirror_cache_counters()
 
     def _apply_format(self, ctx: WriteContext, compressed, result, step) -> None:
@@ -120,25 +107,85 @@ class CompressStage(Stage):
             stats.compression_cache_hits = cache.hits
             stats.compression_cache_misses = cache.misses
 
-    def _choose_format(self, meta, data: bytes):
-        """Compression decision: (store compressed?, result, Fig-8 step)."""
+    def _decide(self, physical: int, result):
+        """Figure 8 for one write: (store compressed?, result, step)."""
+        state = self.state
+        size = result.size_bytes
+        if size >= LINE_BYTES:
+            return False, result, 0
+        heuristic = state.heuristic
+        if heuristic is None:
+            return True, result, 0
+        metadata = state.metadata
+        sc = metadata.sc.item(physical)
+        compress, step, new_sc = heuristic.lookup(
+            sc, metadata.stored_size.item(physical), size
+        )
+        if new_sc != sc:
+            metadata.sc[physical] = new_sc
+            state.stats.sc_updates += 1
+        state.stats.count_step(step)
+        return compress, result, step
+
+    # -- batched path ----------------------------------------------------
+
+    def gather(self, lines: list[bytes]):
+        """Compress a whole segment in one ``compress_batch`` call.
+
+        Returns ``(sizes, payloads, codes)`` aligned with ``lines`` --
+        byte sizes, compressed payloads and 5-bit encoding codes -- or
+        ``None`` when compression is off.  The content cache replays
+        its probe/evict bookkeeping in program order inside the call.
+        """
         state = self.state
         if not state.config.use_compression:
-            return False, None, 0
-        return self._decide(meta, state.compressor.compress(data))
+            return None
+        compressor = state.compressor
+        results = compressor.compress_batch(lines)
+        self._mirror_cache_counters()
+        size_bits = np.fromiter(
+            [result.size_bits for result in results], dtype=np.intp,
+            count=len(results),
+        )
+        return (
+            (size_bits + 7) >> 3,
+            [result.payload for result in results],
+            np.array(compressor.encode_metadata_batch(results), dtype=np.uint8),
+        )
 
-    def _decide(self, meta, result):
-        """The post-compression half of the decision (shared with batch)."""
+    def decide_wave(self, rows: np.ndarray, sizes: np.ndarray):
+        """Figure 8 for one wave of writes to *distinct* rows.
+
+        One table lookup decides the whole wave: each row's ``sc`` and
+        ``stored_size`` are its own, and no other write in the wave can
+        change them.  Returns ``(compressed, step)`` arrays; writes that
+        do not compress below a line count no step and keep their SC.
+        """
         state = self.state
-        if result.size_bytes >= LINE_BYTES:
-            return False, result, 0
-        if state.heuristic is None:
-            return True, result, 0
-        sc_before = meta.sc
-        decision = state.heuristic.decide(meta, result.size_bytes)
-        state.stats.sc_updates += meta.sc != sc_before
-        state.stats.count_step(decision.step)
-        return decision.compress, result, decision.step
+        heuristic = state.heuristic
+        if heuristic is None:
+            return sizes < LINE_BYTES, np.zeros(len(rows), dtype=np.uint8)
+        metadata = state.metadata
+        sc = metadata.sc[rows]
+        old_sizes = metadata.stored_size[rows]
+        if sizes.max() < LINE_BYTES:
+            compress, step, new_sc = heuristic.lookup_many(sc, old_sizes, sizes)
+        else:
+            fits = sizes < LINE_BYTES
+            compress, step, new_sc = heuristic.lookup_many(
+                sc, old_sizes, np.where(fits, sizes, 1)
+            )
+            compress &= fits
+            step[~fits] = 0
+            new_sc = np.where(fits, new_sc, sc)
+        metadata.sc[rows] = new_sc
+        stats = state.stats
+        stats.sc_updates += int(np.count_nonzero(new_sc != sc))
+        steps = stats.heuristic_steps
+        for value, count in enumerate(np.bincount(step, minlength=4).tolist()):
+            if value and count:
+                steps[value] = steps.get(value, 0) + count
+        return compress, step
 
     def describe(self) -> str:
         config = self.state.config
@@ -171,7 +218,7 @@ class PlacementStage(Stage):
             return 0
         if state.intra_wl is not None:
             return state.intra_wl.offset(state.bank_of(physical))
-        return state.metadata[physical].start_pointer
+        return state.metadata.start_pointer.item(physical)
 
     def place(self, physical: int, ctx: WriteContext) -> int | None:
         """First feasible window start for the payload, or None."""
@@ -187,7 +234,7 @@ class PlacementStage(Stage):
             start = find_window(faults, ctx.size, state.scheme, start_hint=ctx.hint)
         if start is None:
             return None
-        if ctx.compressed and start != state.metadata[physical].start_pointer:
+        if ctx.compressed and start != state.metadata.start_pointer.item(physical):
             state.stats.window_slides += 1
         return start
 
@@ -196,6 +243,39 @@ class PlacementStage(Stage):
         state = self.state
         if state.intra_wl is not None:
             state.intra_wl.record_write(state.bank_of(physical))
+
+    # -- batched path ----------------------------------------------------
+
+    def rotate_segment(self, rows: np.ndarray) -> np.ndarray | None:
+        """Count a segment's writes against the rotation counters.
+
+        Every write of a batched segment lands, so the whole segment
+        advances the counters at once.  Returns the bank offset each
+        write sees -- its :meth:`initial_hint` under intra-line WL --
+        or ``None`` without intra-line WL.
+        """
+        state = self.state
+        if state.intra_wl is None:
+            return None
+        return state.intra_wl.record_writes(rows % state.n_banks)
+
+    def place_wave(
+        self, rows: np.ndarray, compressed: np.ndarray, offsets: np.ndarray | None
+    ) -> np.ndarray:
+        """Window starts for one wave of writes to *distinct* rows.
+
+        The batch scheduler only admits rows whose faults the scheme
+        always tolerates, so every write takes :meth:`place`'s O(1)
+        path: the start is the hint (``offsets`` under intra-line WL,
+        else the row's pointer); uncompressed writes start at 0.
+        """
+        pointer = self.state.metadata.start_pointer[rows]
+        hint = pointer if offsets is None else offsets % LINE_BYTES
+        starts = np.where(compressed, hint, 0)
+        self.state.stats.window_slides += int(
+            np.count_nonzero(compressed & (starts != pointer))
+        )
+        return starts
 
     def describe(self) -> str:
         config = self.state.config
@@ -331,54 +411,57 @@ class CorrectionStage(Stage):
     ) -> None:
         """Update line metadata and repair state for a landed write."""
         self.commit_metadata(physical, ctx, start)
-        self.commit_repairs(physical, ctx, start, target)
+        self.commit_repairs(physical, ctx.size, start, target, ctx.line_faults)
 
     def commit_metadata(
         self, physical: int, ctx: WriteContext, start: int
     ) -> None:
         """The metadata half of the commit: 13-bit line state + counters.
 
-        Split from :meth:`commit_repairs` for the out-of-order batch
-        scheduler, which must settle metadata in *program* order (a
-        later write to the same line reads ``stored_size``/``sc`` during
-        its own compression decision) while the repair refresh needs the
-        *post-write* fault state of an execution that happens later.
+        Split from :meth:`commit_repairs` so the batch scheduler can
+        settle a wave's metadata (:meth:`commit_metadata_wave`) before
+        a later wave's writes to the same lines decide their format.
         Nothing between the two halves reads the repair dict, so the
         split is unobservable; the serial path calls both back to back.
         """
         state = self.state
-        meta = state.metadata[physical]
+        metadata = state.metadata
+        stats = state.stats
         new_pointer = start if ctx.compressed else 0
+        if new_pointer != metadata.start_pointer.item(physical):
+            metadata.start_pointer[physical] = new_pointer
+            stats.start_pointer_updates += 1
+        old_encoding = metadata.encoding.item(physical)
         new_encoding = (
             state.compressor.encode_metadata(ctx.result)
             if ctx.compressed and ctx.result is not None
-            else meta.encoding
+            else old_encoding
         )
-        state.stats.start_pointer_updates += new_pointer != meta.start_pointer
-        state.stats.encoding_updates += (
-            new_encoding != meta.encoding or ctx.size != meta.stored_size
-        )
-        meta.start_pointer = new_pointer
-        meta.compressed = ctx.compressed
-        meta.stored_size = ctx.size
-        meta.encoding = new_encoding
+        if new_encoding != old_encoding or (
+            ctx.size != metadata.stored_size.item(physical)
+        ):
+            metadata.encoding[physical] = new_encoding
+            metadata.stored_size[physical] = ctx.size
+            stats.encoding_updates += 1
+        metadata.compressed[physical] = ctx.compressed
         if ctx.compressed:
-            state.stats.compressed_writes += 1
+            stats.compressed_writes += 1
         else:
-            state.stats.uncompressed_writes += 1
+            stats.uncompressed_writes += 1
 
     def commit_repairs(
-        self, physical: int, ctx: WriteContext, start: int, target: np.ndarray
+        self, physical: int, size: int, start: int, target: np.ndarray,
+        line_faults: int,
     ) -> None:
         """The repair half of the commit: refresh the scheme's state.
 
-        ``ctx.line_faults`` must reflect the line's *post-write* stuck
-        count when this runs (the scheme remembers the written value of
-        every stuck cell inside the window).
+        ``line_faults`` must be the line's *post-write* stuck count (the
+        scheme remembers the written value of every stuck cell inside
+        the ``size``-byte window at ``start``).
         """
         state = self.state
-        if ctx.line_faults:
-            mask = window_mask(start, ctx.size)
+        if line_faults:
+            mask = window_mask(start, size)
             faulty = state.memory.faulty_mask(physical) & mask
             positions = np.flatnonzero(faulty)
             state.repairs[physical] = {
@@ -387,6 +470,59 @@ class CorrectionStage(Stage):
             state.stats.repair_commits += 1
         elif state.repairs[physical]:
             state.repairs[physical] = {}
+
+    # -- batched path ----------------------------------------------------
+
+    def commit_metadata_wave(
+        self, rows: np.ndarray, compressed: np.ndarray, sizes: np.ndarray,
+        starts: np.ndarray, codes: np.ndarray | None,
+    ) -> None:
+        """:meth:`commit_metadata` for one wave of *distinct* rows.
+
+        ``sizes`` and ``starts`` are the stored sizes (64 when raw) and
+        window starts (0 when raw); ``codes`` the 5-bit encoding of each
+        write's compression result (``None`` when compression is off).
+        """
+        state = self.state
+        metadata = state.metadata
+        stats = state.stats
+        old_pointer = metadata.start_pointer[rows]
+        old_encoding = metadata.encoding[rows]
+        new_encoding = (
+            old_encoding if codes is None
+            else np.where(compressed, codes, old_encoding)
+        )
+        stats.start_pointer_updates += int(np.count_nonzero(starts != old_pointer))
+        stats.encoding_updates += int(np.count_nonzero(
+            (new_encoding != old_encoding) | (sizes != metadata.stored_size[rows])
+        ))
+        metadata.start_pointer[rows] = starts
+        metadata.compressed[rows] = compressed
+        metadata.stored_size[rows] = sizes
+        metadata.encoding[rows] = new_encoding
+        packed = int(np.count_nonzero(compressed))
+        stats.compressed_writes += packed
+        stats.uncompressed_writes += len(rows) - packed
+
+    def commit_repairs_wave(
+        self, rows: list[int], sizes: list[int], starts: list[int],
+        targets: np.ndarray, line_faults: list[int] | None,
+    ) -> None:
+        """:meth:`commit_repairs` for one programmed wave.
+
+        ``line_faults`` is ``None`` when no row of the wave has a stuck
+        cell, else each row's post-write stuck count.
+        """
+        repairs = self.state.repairs
+        if line_faults is None and not any(map(repairs.__getitem__, rows)):
+            return  # the common case: nothing to refresh or clear
+        for j, row in enumerate(rows):
+            if line_faults is not None and line_faults[j]:
+                self.commit_repairs(
+                    row, sizes[j], starts[j], targets[j], line_faults[j]
+                )
+            elif repairs[row]:
+                repairs[row] = {}
 
     def try_remap(self, physical: int) -> int | None:
         """FREE-p: retire an unplaceable block to a spare line."""

@@ -37,13 +37,17 @@ from pathlib import Path
 #: pickled controller) and pins that the controller pickle carries the
 #: complete ``ControllerStats``, scheduler telemetry included, so
 #: observability counters survive a resume instead of silently
-#: resetting.
-CHECKPOINT_VERSION = 2
+#: resetting; 3 = the line metadata is one column table
+#: (:class:`~repro.core.metadata.LineTable`) instead of a list of
+#: per-line records, and ``wl_backend`` joins the run identity.
+CHECKPOINT_VERSION = 3
 
 #: Versions :func:`read_checkpoint` accepts.  Version-1 checkpoints
 #: predate the tier knob; missing fields read back via ``getattr``
-#: defaults, so old snapshots resume as tier-less runs.
-SUPPORTED_VERSIONS = frozenset({1, 2})
+#: defaults, so old snapshots resume as tier-less runs.  Versions 1-2
+#: pickled the metadata as a record list, which the engine state turns
+#: into the column table as it unpickles.
+SUPPORTED_VERSIONS = frozenset({1, 2, 3})
 
 #: ``checkpoint-<writes, zero-padded>.pkl`` -- zero-padding keeps
 #: lexicographic and numeric order identical.
@@ -82,6 +86,20 @@ class Checkpoint:
     #: Defaulted (and read back with ``getattr``) so version-1
     #: checkpoints load as the tier-less runs they were.
     tier_lines: int = 0
+    #: Wear-leveling backend (version >= 3).  Part of the experiment
+    #: identity: a WoLFRaM run and a Start-Gap run of the same system
+    #: are different experiments.  Older checkpoints lack the field;
+    #: :func:`checkpoint_wl_backend` reads it from their controller.
+    wl_backend: str | None = None
+
+
+def checkpoint_wl_backend(checkpoint: Checkpoint) -> str:
+    """The wear-leveling backend a checkpoint's run used."""
+    backend = getattr(checkpoint, "wl_backend", None)
+    if backend is None:
+        config = getattr(checkpoint.controller, "config", None)
+        backend = getattr(config, "wl_backend", "startgap_freep")
+    return backend
 
 
 def checkpoint_path(directory: str | Path, writes_issued: int) -> Path:
@@ -127,9 +145,18 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Load one checkpoint file, validating the format version."""
+    """Load one checkpoint file, validating the format version.
+
+    A file that does not unpickle (empty, truncated, or garbage) raises
+    ``ValueError`` naming the path, like a wrong version does.
+    """
     with open(path, "rb") as handle:
-        checkpoint = pickle.load(handle)
+        try:
+            checkpoint = pickle.load(handle)
+        except Exception as error:
+            raise ValueError(
+                f"checkpoint {path} is corrupt or truncated: {error}"
+            ) from error
     if not isinstance(checkpoint, Checkpoint):
         raise ValueError(f"{path} is not a lifetime checkpoint")
     if checkpoint.version not in SUPPORTED_VERSIONS:

@@ -31,6 +31,7 @@ from ..traces import SyntheticWorkload, Trace, WriteBack, WorkloadProfile
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
+    checkpoint_wl_backend,
     read_checkpoint,
     write_checkpoint,
 )
@@ -162,6 +163,7 @@ class LifetimeSimulator:
             trace_cursor=self.trace_cursor,
             elapsed_seconds=self.elapsed_seconds,
             tier_lines=self.config.tier_lines,
+            wl_backend=self.config.wl_backend,
         )
         return write_checkpoint(checkpoint, directory, keep=keep)
 
@@ -169,26 +171,29 @@ class LifetimeSimulator:
         """Adopt a checkpoint's state; the next ``run`` continues from it.
 
         The checkpoint must come from the same experiment (system,
-        workload, memory size, failure threshold) -- a mismatch raises
-        ``ValueError`` before any state is replaced.
+        workload, memory size, failure threshold, tier capacity,
+        wear-leveling backend) -- a mismatch raises ``ValueError``
+        before any state is replaced.
         """
         if not isinstance(checkpoint, Checkpoint):
             checkpoint = read_checkpoint(checkpoint)
         expected = (
             self.config.name, self.workload_name, self.n_lines,
             self.dead_threshold, self.config.tier_lines,
+            self.config.wl_backend,
         )
         found = (
             checkpoint.system, checkpoint.workload, checkpoint.n_lines,
             checkpoint.dead_threshold,
             # getattr: version-1 checkpoints predate the tier knob.
             getattr(checkpoint, "tier_lines", 0),
+            checkpoint_wl_backend(checkpoint),
         )
         if expected != found:
             raise ValueError(
                 "checkpoint belongs to a different run: expected "
-                "(system, workload, n_lines, dead_threshold, tier_lines)="
-                f"{expected}, checkpoint has {found}"
+                "(system, workload, n_lines, dead_threshold, tier_lines, "
+                f"wl_backend)={expected}, checkpoint has {found}"
             )
         self.controller = checkpoint.controller
         self.source = checkpoint.source

@@ -13,6 +13,8 @@ window currently sits, so reads always know where to look.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class IntraLineWearLeveler:
     """Per-bank rotation offsets driven by saturating write counters."""
@@ -65,6 +67,43 @@ class IntraLineWearLeveler:
         ) % self.line_bytes
         self.rotations += 1
         return True
+
+    def record_writes(self, banks: np.ndarray) -> np.ndarray:
+        """Count a run of writes at once; returns the offset each saw.
+
+        ``banks[i]`` is the bank of the run's ``i``-th write.
+        Equivalent to calling :meth:`offset` then :meth:`record_write`
+        per write, in order: a write sees every rotation its bank
+        completed before it, so a rotation may land mid-run.
+        """
+        offsets = np.array(self._offsets)
+        seen = offsets[banks]
+        limit = self.counter_limit
+        totals = [
+            counter + count for counter, count in zip(
+                self._counters,
+                np.bincount(banks, minlength=self.n_banks).tolist(),
+            )
+        ]
+        if max(totals) < limit:  # no bank rotates during the run
+            self._counters = totals
+            return seen
+        counters = np.array(self._counters)
+        # How many earlier writes of the run hit each write's bank.
+        hits = banks[:, None] == np.arange(self.n_banks)
+        earlier = np.cumsum(hits, axis=0)[np.arange(len(banks)), banks] - 1
+        step = self.step_bytes
+        seen = (
+            seen + (counters[banks] + earlier) // limit * step
+        ) % self.line_bytes
+        rotations = [total // limit for total in totals]
+        self._counters = [total % limit for total in totals]
+        self._offsets = [
+            (offset + turns * step) % self.line_bytes
+            for offset, turns in zip(self._offsets, rotations)
+        ]
+        self.rotations += sum(rotations)
+        return seen
 
     def writes_until_rotation(self, bank: int) -> int:
         """Writes remaining before the bank's next rotation."""

@@ -1,8 +1,17 @@
 """Unit tests for the Figure 8 bit-flip heuristic."""
 
+import pickle
+
+import numpy as np
 import pytest
 
-from repro.core import BitFlipHeuristic, LineMetadata
+from repro.core import (
+    DEFAULT_THRESHOLD1,
+    DEFAULT_THRESHOLD2,
+    SC_MAX,
+    BitFlipHeuristic,
+    LineMetadata,
+)
 
 
 @pytest.fixture()
@@ -85,3 +94,47 @@ def test_validation():
         heuristic.decide(LineMetadata(), new_size=0)
     with pytest.raises(ValueError):
         heuristic.decide(LineMetadata(), new_size=65)
+
+
+# -- the Figure 8 table against the scalar flow ---------------------------
+
+
+def _figure8(sc, old_size, new_size, threshold1, threshold2):
+    """Figure 8 written out as scalar rules: (compress, step, new SC)."""
+    if new_size < threshold1:
+        return True, 1, sc
+    if sc == SC_MAX:
+        return False, 2, sc
+    if abs(old_size - new_size) < threshold2:
+        return True, 3, max(sc - 1, 0)
+    return True, 3, min(sc + 1, SC_MAX)
+
+
+@pytest.mark.parametrize(
+    "thresholds", [(DEFAULT_THRESHOLD1, DEFAULT_THRESHOLD2), (24, 3)],
+    ids=["default", "t1=24,t2=3"],
+)
+def test_table_matches_the_scalar_rules_over_the_whole_domain(thresholds):
+    heuristic = BitFlipHeuristic(*thresholds)
+    domain = [
+        (sc, old, new)
+        for sc in range(SC_MAX + 1)
+        for old in range(1, 65)
+        for new in range(1, 65)
+    ]
+    sc, old, new = (np.array(column) for column in zip(*domain))
+    compress, step, new_sc = heuristic.lookup_many(sc, old, new)
+    for j, point in enumerate(domain):
+        want = _figure8(*point, *thresholds)
+        assert heuristic.lookup(*point) == want, point
+        assert (bool(compress[j]), int(step[j]), int(new_sc[j])) == want, point
+        meta = LineMetadata(sc=point[0], stored_size=point[1])
+        decision = heuristic.decide(meta, point[2])
+        assert (decision.compress, decision.step, meta.sc) == want, point
+
+
+def test_table_survives_pickling():
+    heuristic = BitFlipHeuristic(24, 3)
+    restored = pickle.loads(pickle.dumps(heuristic))
+    assert (restored.threshold1, restored.threshold2) == (24, 3)
+    assert np.array_equal(restored.table, heuristic.table)

@@ -101,7 +101,7 @@ class TestPlacementStage:
 
     def test_initial_hint_is_pointer_without_intra_wl(self):
         controller = build_controller("comp")
-        controller.engine.metadata[3].start_pointer = 17
+        controller.engine.metadata.start_pointer[3] = 17
         ctx = WriteContext(physical=3, data=compressible_line(), compressed=True)
         assert controller.pipeline.placement.initial_hint(3, ctx) == 17
 

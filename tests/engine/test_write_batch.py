@@ -182,3 +182,125 @@ def test_conflict_free_sets_are_order_and_partition_invariant(seed):
     }
     for label, plan in plans.items():
         assert_same_state(apply(plan), want, label)
+
+
+# -- segment paths the stage methods must reproduce -----------------------
+
+
+def _serial_and_batched(config, requests, batches, prepare=None, **kwargs):
+    """Run ``requests`` serially and through ``write_batch`` chunks.
+
+    ``batches`` lists the chunk sizes (the last chunk takes the rest);
+    ``prepare`` may adjust each fresh controller before the stream.
+    Returns both controllers after asserting identical results/state.
+    """
+    serial = make_controller(config, **kwargs)
+    batched = make_controller(config, **kwargs)
+    if prepare is not None:
+        prepare(serial)
+        prepare(batched)
+    want = [serial.write(line, data) for line, data in requests]
+    got = []
+    taken = 0
+    for size in [*batches, len(requests)]:
+        got.extend(batched.write_batch(requests[taken:taken + size]))
+        taken += size
+        if taken >= len(requests):
+            break
+    assert got == want
+    assert_same_state(state_fingerprint(batched), state_fingerprint(serial))
+    return serial, batched
+
+
+def test_intra_line_rotation_mid_segment_matches_serial():
+    """A 3-write rotation counter rotates several times inside every
+    32-write segment, so writes of one segment see different offsets."""
+    config = get_system("comp_wf").configured(
+        intra_counter_limit=3, start_gap_psi=1_000_000
+    )
+    requests = make_requests(320, seed=5)
+    _, batched = _serial_and_batched(
+        config, requests, [32] * 10, endurance_mean=1e6
+    )
+    assert batched.engine.intra_wl.rotations >= 320 // 3 - 4
+    assert batched.stats.barrier_collision == 0
+
+
+def _words_line(delta_bits):
+    """Eight 8-byte words around one base: BDI stores base + deltas."""
+    base = 0x1122334455667788
+    return b"".join(
+        (base + (k * 0x9E3779B97F4A7C15) % (1 << delta_bits)).to_bytes(8, "little")
+        for k in range(8)
+    )
+
+
+def test_sc_saturates_along_a_same_row_collision_chain():
+    """Eight writes to one line in one batch are eight waves; their
+    size swings walk the line's SC 0 -> 3 and the last writes take
+    Figure 8's step 2, each wave reading its predecessor's commit."""
+    config = get_system("comp_wf").configured(start_gap_psi=1_000_000)
+    small, large = _words_line(4), _words_line(20)  # BDI: 16 and 40 bytes
+    chain = [(7, small if k % 2 else large) for k in range(8)]
+    others = [(line, small) for line in range(20, 28)]
+    requests = [request for pair in zip(chain, others) for request in pair]
+    _, batched = _serial_and_batched(
+        config, requests, [len(requests)], endurance_mean=1e6
+    )
+    results = batched.write_batch(chain)  # a second chain, saturated
+    steps = [result.heuristic_step for result in results]
+    assert set(steps) == {2}
+    assert batched.stats.batch_waves >= 16
+    assert batched.engine.metadata[batched.pipeline.remap.map_logical(7)].sc == 3
+
+
+def test_start_gap_moves_on_first_and_last_request_of_a_segment():
+    """psi=8: 25 warm-up writes and a 14-write batch leave the write
+    count at 39, so the next 9-write batch (writes 40..48) takes a gap
+    move on its first request and on its last."""
+    config = get_system("comp_wf").configured(start_gap_psi=8)
+    warm = [(line, make_requests(1, seed=line)[0][1]) for line in range(N_LINES)]
+    requests = warm[:14] + make_requests(9, seed=9) + make_requests(40, seed=10)
+
+    def prepare(controller):
+        for line, data in warm[15:]:
+            controller.write(line, data)
+        assert controller.start_gap.write_count == 25
+
+    serial, batched = _serial_and_batched(
+        config, requests, [14, 9, 8, 8], prepare=prepare, endurance_mean=1e6
+    )
+    assert batched.start_gap.gap_moves == (25 + len(requests)) // 8
+    assert batched.stats.gap_move_writes == serial.stats.gap_move_writes > 0
+
+
+def _wear_out_row(controller, row, cells=128):
+    """Put ``cells`` cells of ``row`` one program away from sticking."""
+    memory = controller.engine.memory
+    positions = np.arange(cells) * 4
+    memory.counts[row, positions] = (
+        np.ceil(memory.endurance[row, positions]) - 1
+    ).astype(memory.counts.dtype)
+    memory.row_writes[row] = int(memory.counts[row].max())
+
+
+def test_barrier_in_the_middle_of_a_segment():
+    """A write to a row at its wear-out point splits the batch: the
+    writes before it run as one segment, it runs serially, and the
+    rest run as a second segment."""
+    config = get_system("comp_wf").configured(start_gap_psi=1_000_000)
+    warm = make_requests(64, seed=4)
+    requests = [(line, make_requests(1, seed=50 + line)[0][1]) for line in range(16)]
+
+    def prepare(controller):
+        for line, data in warm:
+            controller.write(line, data)
+        _wear_out_row(controller, controller.pipeline.remap.map_logical(8))
+
+    serial, batched = _serial_and_batched(
+        config, requests, [len(requests)], prepare=prepare, endurance_mean=1000.0
+    )
+    assert batched.stats.barrier_ineligible_row == 1
+    assert batched.stats.batch_waves == 2
+    assert batched.stats.batch_wave_ops == 15
+    assert serial.memory.fault_counts.any()

@@ -9,12 +9,15 @@ equivalence checks stay fast.
 
 from __future__ import annotations
 
+import gzip
 import itertools
 import json
 import types
+from pathlib import Path
 
 import pytest
 
+from repro.core.metadata import LineTable
 from repro.lifetime import (
     Checkpoint,
     LifetimeSimulator,
@@ -25,6 +28,7 @@ from repro.lifetime import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.lifetime.checkpoint import checkpoint_wl_backend
 from repro.lifetime.telemetry import JsonlObserver
 from repro.traces import SyntheticWorkload, Trace, get_profile
 
@@ -157,10 +161,10 @@ class TestBatchedResume:
     def test_scheduler_with_a_retired_attribute_still_resumes(
         self, tmp_path
     ):
-        """Version-2 checkpoints pickled the batch scheduler while it
-        still held a process-pool slot (always saved as ``None``).  Such
-        a checkpoint must keep loading under the same version and
-        resume bit-identically to an uninterrupted run."""
+        """Checkpoints once pickled the batch scheduler while it still
+        held a process-pool slot (always saved as ``None``).  Such a
+        checkpoint must keep loading and resume bit-identically to an
+        uninterrupted run."""
         from repro.lifetime.checkpoint import CHECKPOINT_VERSION
 
         retired = "bank_parallel"  # the slot's attribute name
@@ -169,7 +173,7 @@ class TestBatchedResume:
         checkpoint = read_checkpoint(
             latest_checkpoint(tmp_path / "interrupted")
         )
-        assert checkpoint.version == CHECKPOINT_VERSION == 2
+        assert checkpoint.version == CHECKPOINT_VERSION == 3
         checkpoint.controller.scheduler.__dict__[retired] = None
         path = write_checkpoint(checkpoint, tmp_path / "older")
         reloaded = read_checkpoint(path)
@@ -209,6 +213,85 @@ class TestVersionCompatibility:
         resumed = small_simulator().run(max_writes=BUDGET, resume_from=path)
         assert resumed == golden
         assert reloaded.writes_issued == 500
+
+
+#: A version-2 checkpoint (per-line metadata pickled as a list of
+#: ``LineMetadata`` records), written by the code before the column
+#: table existed: ``build_simulator("comp_wf", "milc", n_lines=8,
+#: endurance_mean=12.0, seed=3).run(max_writes=600,
+#: checkpoint_dir=..., checkpoint_interval=250)``, newest checkpoint
+#: (500 writes), gzipped.
+V2_FIXTURE = Path(__file__).parent / "fixtures" / (
+    "checkpoint-v2-comp_wf-milc-8lines.pkl.gz"
+)
+V2_SETTINGS = dict(n_lines=8, endurance_mean=12.0, seed=3)
+
+
+class TestVersion2Checkpoints:
+    def _fixture(self, tmp_path):
+        path = tmp_path / "checkpoint-000000000500.pkl"
+        path.write_bytes(gzip.decompress(V2_FIXTURE.read_bytes()))
+        return path
+
+    def test_v2_fixture_loads_into_the_column_table(self, tmp_path):
+        checkpoint = read_checkpoint(self._fixture(tmp_path))
+        assert checkpoint.version == 2
+        assert checkpoint.writes_issued == 500
+        metadata = checkpoint.controller.engine.metadata
+        assert isinstance(metadata, LineTable)
+        assert any(record.compressed for record in metadata)
+
+    def test_v2_fixture_resumes_bit_identically(self, tmp_path):
+        path = self._fixture(tmp_path)
+        golden = build_simulator("comp_wf", "milc", **V2_SETTINGS).run(
+            max_writes=BUDGET
+        )
+        resumed = build_simulator("comp_wf", "milc", **V2_SETTINGS).run(
+            max_writes=BUDGET, resume_from=path
+        )
+        assert golden.failed
+        assert resumed == golden
+
+    def test_v2_checkpoint_backend_comes_from_its_controller(self, tmp_path):
+        checkpoint = read_checkpoint(self._fixture(tmp_path))
+        assert checkpoint_wl_backend(checkpoint) == "startgap_freep"
+        wolfram = build_simulator(
+            "comp_wf", "milc", wl_backend="wolfram", **V2_SETTINGS
+        )
+        with pytest.raises(ValueError, match="different run"):
+            wolfram.restore(checkpoint)
+
+
+class TestBackendIdentity:
+    def test_checkpoints_record_the_backend(self, tmp_path):
+        simulator = build_simulator("comp_wf", "milc", wl_backend="wolfram", **SMALL)
+        simulator.run(max_writes=600, checkpoint_dir=tmp_path,
+                      checkpoint_interval=500)
+        checkpoint = read_checkpoint(latest_checkpoint(tmp_path))
+        assert checkpoint.wl_backend == "wolfram"
+
+    def test_restore_refuses_a_checkpoint_from_another_backend(self, tmp_path):
+        """A WoLFRaM run and a Start-Gap run of one system are different
+        experiments, though they share the system name."""
+        wolfram = build_simulator("comp_wf", "milc", wl_backend="wolfram", **SMALL)
+        wolfram.run(max_writes=600, checkpoint_dir=tmp_path,
+                    checkpoint_interval=500)
+        with pytest.raises(ValueError, match="wl_backend"):
+            small_simulator().restore(latest_checkpoint(tmp_path))
+
+    def test_same_backend_resumes(self, tmp_path):
+        def wolfram():
+            return build_simulator(
+                "comp_wf", "milc", wl_backend="wolfram", **SMALL
+            )
+
+        golden = wolfram().run(max_writes=3_000)
+        wolfram().run(max_writes=INTERRUPT_AT, checkpoint_dir=tmp_path,
+                      checkpoint_interval=CHECKPOINT_EVERY)
+        resumed = wolfram().run(
+            max_writes=3_000, resume_from=latest_checkpoint(tmp_path)
+        )
+        assert resumed == golden
 
 
 class TestTieredCheckpoints:
@@ -272,6 +355,30 @@ class TestCheckpointStore:
         path = write_checkpoint(stale, tmp_path / "stale")
         with pytest.raises(ValueError, match="version"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        {
+            "empty": lambda payload: b"",
+            "truncated": lambda payload: payload[: len(payload) // 2],
+            "garbage": lambda payload: b"not a pickle at all" * 8,
+        }.items(),
+        ids=lambda item: item[0],
+    )
+    def test_corrupt_checkpoint_raises_value_error_naming_it(
+        self, tmp_path, damage
+    ):
+        simulator = small_simulator()
+        simulator.run(max_writes=600, checkpoint_dir=tmp_path,
+                      checkpoint_interval=500)
+        path = latest_checkpoint(tmp_path)
+        _, corrupt = damage
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError, match="corrupt or truncated") as info:
+            read_checkpoint(path)
+        assert str(path) in str(info.value)
+        with pytest.raises(ValueError, match="corrupt or truncated"):
+            small_simulator().restore(path)
 
     def test_restore_rejects_a_foreign_checkpoint(self, tmp_path):
         simulator = small_simulator()

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.controller import CompressedPCMController
 from repro.core.window import LINE_BYTES, place_bytes
-from repro.engine.context import WriteContext
 from repro.engine.registry import get_system
 from repro.pcm import EnduranceModel
 from repro.pcm.bank import PCMBankArray
@@ -131,19 +130,19 @@ def test_program_rows_targets_equal_place_bytes(seed, windows):
     memory.stored[:] = rng.integers(0, 2, memory.stored.shape, dtype=np.uint8)
     before = memory.stored.copy()
     rows = rng.permutation(memory.n_blocks)[: len(windows)]
-    entries = []
-    for row, (start, size) in zip(rows.tolist(), windows):
-        payload = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-        ctx = WriteContext(physical=row, data=payload)
-        ctx.payload, ctx.size = payload, size
-        entries.append((ctx, start))
+    starts = [start for start, _ in windows]
+    payloads = [
+        rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        for _, size in windows
+    ]
 
-    targets, _, worn = controller.pipeline.program_rows(entries)
+    targets, flips, worn = controller.pipeline.program_rows(rows, payloads, starts)
 
-    for j, (ctx, start) in enumerate(entries):
-        expected = place_bytes(before[ctx.physical], ctx.payload, start)
+    assert isinstance(flips, np.ndarray) and flips.shape == (len(rows),)
+    for j, (row, payload, start) in enumerate(zip(rows, payloads, starts)):
+        expected = place_bytes(before[row], payload, start)
         np.testing.assert_array_equal(targets[j], expected)
-        np.testing.assert_array_equal(memory.stored[ctx.physical], expected)
+        np.testing.assert_array_equal(memory.stored[row], expected)
     assert worn is None
 
 

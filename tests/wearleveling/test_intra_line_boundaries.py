@@ -129,3 +129,26 @@ class TestRejectsBadParameters:
             leveler.offset(2)
         with pytest.raises(IndexError):
             leveler.record_write(-1)
+
+
+class TestRecordWrites:
+    """``record_writes`` is the per-write ``offset``/``record_write``
+    loop in one call, including rotations that land mid-run."""
+
+    @pytest.mark.parametrize("limit, step", [(1, 1), (3, 1), (5, 7), (2**16, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_write_loop(self, limit, step, seed):
+        rng = np.random.default_rng(seed)
+        looped = IntraLineWearLeveler(n_banks=4, counter_limit=limit, step_bytes=step)
+        batched = IntraLineWearLeveler(n_banks=4, counter_limit=limit, step_bytes=step)
+        for run in range(6):
+            banks = rng.integers(0, 4, int(rng.integers(1, 40)))
+            want = []
+            for bank in banks.tolist():
+                want.append(looped.offset(bank))
+                looped.record_write(bank)
+            got = batched.record_writes(banks)
+            assert got.tolist() == want, run
+            assert batched._counters == looped._counters
+            assert batched._offsets == looped._offsets
+            assert batched.rotations == looped.rotations
