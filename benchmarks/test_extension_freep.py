@@ -36,11 +36,11 @@ def test_extension_freep_remapping(benchmark, report, bench_scale):
     lines = [f"{'spares':>7}{'writes (mean)':>15}{'remaps':>8}{'deaths':>8}"]
     for spare_fraction, results in rows.items():
         mean_writes = sum(r.writes_issued for r in results) / len(results)
-        # remaps surfaced through controller stats are not in the
-        # LifetimeResult; report deaths as the observable.
-        mean_deaths = sum(r.deaths for r in results) / len(results)
+        mean_remaps = sum(r.stats.remaps for r in results) / len(results)
+        mean_deaths = sum(r.stats.deaths for r in results) / len(results)
         lines.append(
-            f"{spare_fraction:7.0%}{mean_writes:15.0f}{'-':>8}{mean_deaths:8.0f}"
+            f"{spare_fraction:7.0%}{mean_writes:15.0f}{mean_remaps:8.0f}"
+            f"{mean_deaths:8.0f}"
         )
     lines.append("remap-on-death trades spare capacity for end-of-life slack")
     report("extension_freep_remapping", "\n".join(lines))

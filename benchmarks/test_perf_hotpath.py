@@ -209,12 +209,12 @@ def _replay_wave_stats(system: str, trace, batch: int) -> dict:
         max_writes=REPLAY_WRITES, batch=batch,
         check_interval=max(64, batch),
     )
-    stats = simulator.controller.stats
+    stats = result.stats
     return {
-        "waves": result.batch_waves,
-        "wave_ops": result.batch_wave_ops,
-        "wave_width_max": result.batch_wave_width_max,
-        "wave_width_mean": round(result.batch_wave_width_mean, 2),
+        "waves": stats.batch_waves,
+        "wave_ops": stats.batch_wave_ops,
+        "wave_width_max": stats.batch_wave_width_max,
+        "wave_width_mean": round(stats.batch_wave_width_mean, 2),
         "collision_edges": stats.batch_collision_edges,
         "barrier_gap_move": stats.barrier_gap_move,
         "barrier_collision": stats.barrier_collision,

@@ -197,7 +197,7 @@ def test_lifetime_with_and_without_tier(report):
             )[str(capacity)] = {
                 "writes_issued": result.writes_issued,
                 "failed": result.failed,
-                "pcm_stored_writes": result.stored_writes,
+                "pcm_stored_writes": result.stats.stored_writes,
             }
             if capacity:
                 bare = report["lifetime"]["writes_to_failure"][system]["0"]

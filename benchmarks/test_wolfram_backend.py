@@ -73,11 +73,11 @@ def test_wolfram_backend_lifetime_and_fault_tolerance(
                         "endurance_cov": cov,
                         "writes_issued": result.writes_issued,
                         "failed": result.failed,
-                        "deaths": result.deaths,
-                        "revivals": result.revivals,
+                        "deaths": result.stats.deaths,
+                        "revivals": result.stats.revivals,
                         "avg_faults_per_dead_block":
                             result.avg_faults_per_dead_block,
-                        "pad_table_writes": result.pad_table_writes,
+                        "pad_table_writes": result.stats.pad_table_writes,
                         "energy_per_write_pj": breakdown.per_write_pj,
                         "pad_table_pj": breakdown.pad_table_pj,
                     })

@@ -74,7 +74,7 @@ def main() -> None:
           f"{'revivals':>10}")
     for name, result in results.items():
         print(f"{name:10}{result.writes_issued:>20d}"
-              f"{result.flips_per_write:>13.1f}{result.revivals:>10d}")
+              f"{result.flips_per_write:>13.1f}{result.stats.revivals:>10d}")
     gain = results["comp_wf"].writes_issued / results["baseline"].writes_issued
     print(f"\nComp+WF extends the consolidated memory's lifetime {gain:.2f}x")
 

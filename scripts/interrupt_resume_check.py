@@ -123,11 +123,11 @@ def orchestrate(work_dir: Path) -> int:
         print("golden run never failed; check the run parameters",
               file=sys.stderr)
         return 1
-    if golden.batch_waves <= 0:
+    if golden.stats.batch_waves <= 0:
         print("golden run scheduled no waves; check BATCH", file=sys.stderr)
         return 1
     print(f"golden: failed after {golden.writes_issued} writes "
-          f"({golden.batch_waves} waves)")
+          f"({golden.stats.batch_waves} waves)")
 
     child = spawn_worker(checkpoint_dir, result_path, resume=False)
     try:
@@ -156,7 +156,7 @@ def orchestrate(work_dir: Path) -> int:
     if resumed == expected:
         print(f"OK: resumed run is bit-identical "
               f"({resumed['writes_issued']} writes, "
-              f"{resumed['total_flips']} flips)")
+              f"{resumed['stats']['total_flips']} flips)")
         return 0
     mismatched = sorted(
         key for key in expected

@@ -12,7 +12,8 @@ crash), and asserts that
   in-process golden run (:class:`~repro.service.ShardedController`
   on the same stream -- the documented equivalence chain), and
 * the JSONL telemetry tells the story: ``service_start``,
-  ``fleet_heartbeat``s, one ``shard_recovered``, ``service_end``.
+  ``fleet_heartbeat``s, one ``shard_recovered``, ``service_end`` --
+  whose ``stats`` equal the golden run's counters.
 
 Usage::
 
@@ -138,6 +139,8 @@ def check(work_dir: Path) -> int:
         failures.append("no fleet_heartbeat events emitted")
     if len(recovered) != 1 or recovered[0]["shard"] != VICTIM:
         failures.append(f"bad shard_recovered events: {recovered}")
+    if fleet_events[-1].get("stats") != golden.stats.to_dict():
+        failures.append("service_end stats differ from the golden run's")
 
     if failures:
         for failure in failures:

@@ -31,7 +31,7 @@ from .analysis import (
     fig11_max_size_cdf,
     run_workload_study,
 )
-from .core import EVALUATED_SYSTEMS
+from .core import EVALUATED_SYSTEMS, ControllerStats
 from .correction import PAPER_SCHEMES, make_scheme
 from .engine import list_systems, resolve_config, system_names
 from .faultinjection import tolerable_faults
@@ -64,10 +64,10 @@ def _nonnegative_int(value: str) -> int:
 
 def _add_tier_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tier-lines", type=_nonnegative_int, default=0, metavar="LINES",
+        "--tier-lines", type=_nonnegative_int, default=None, metavar="LINES",
         help="content-aware DRAM front-tier capacity in 64-byte lines "
-        "(repro.tier; default 0 = no tier, bit-identical to the bare "
-        "controller)",
+        "(repro.tier; default: the system's own, which is 0 = no tier "
+        "for every system but comp_wf_hybrid)",
     )
 
 
@@ -337,8 +337,7 @@ def _run_lifetime(args: argparse.Namespace) -> None:
         systems = ("baseline",) + systems
     print(f"{'workload':12}" + "".join(f"{s:>10}" for s in systems if s != "baseline")
           + f"{'base months':>13}{'WF months':>11}")
-    cache_hits = cache_misses = 0
-    waves = wave_ops = widest_wave = 0
+    run_stats: list[ControllerStats] = []
     energy_rows: list[tuple[str, str, object]] = []
     for workload in args.workloads:
         study = run_workload_study(
@@ -348,7 +347,7 @@ def _run_lifetime(args: argparse.Namespace) -> None:
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_interval=args.checkpoint_interval or 0,
             resume=args.resume, progress=args.progress,
-            batch=args.batch, tier_lines=args.tier_lines,
+            batch=args.batch, tier_lines=args.tier_lines or 0,
         )
         row = f"{workload:12}"
         for system in systems:
@@ -359,11 +358,7 @@ def _run_lifetime(args: argparse.Namespace) -> None:
         row += f"{study.months(wf):11.1f}"
         print(row)
         for system, result in study.results.items():
-            cache_hits += result.compression_cache_hits
-            cache_misses += result.compression_cache_misses
-            waves += result.batch_waves
-            wave_ops += result.batch_wave_ops
-            widest_wave = max(widest_wave, result.batch_wave_width_max)
+            run_stats.append(result.stats)
             if args.energy:
                 scheme = resolve_config(system).correction_scheme
                 energy_rows.append(
@@ -377,13 +372,16 @@ def _run_lifetime(args: argparse.Namespace) -> None:
             print(f"{workload:12}{system:>14}{b.per_write_pj:10.1f}"
                   f"{b.array_pj / writes:9.1f}{b.flag_pj / writes:8.2f}"
                   f"{b.correction_pj / writes:8.2f}")
-    lookups = cache_hits + cache_misses
-    if lookups:
-        print(f"compression cache: {cache_hits} hits / {cache_misses} misses "
-              f"({cache_hits / lookups:.1%} hit rate)")
-    if waves:
-        print(f"batch scheduler: {wave_ops} writes in {waves} waves "
-              f"(mean width {wave_ops / waves:.1f}, max {widest_wave})")
+    total = ControllerStats.merge_all(run_stats)
+    if total.compression_cache_hits or total.compression_cache_misses:
+        print(f"compression cache: {total.compression_cache_hits} hits / "
+              f"{total.compression_cache_misses} misses "
+              f"({total.compression_cache_hit_rate:.1%} hit rate)")
+    if total.batch_waves:
+        print(f"batch scheduler: {total.batch_wave_ops} writes in "
+              f"{total.batch_waves} waves (mean width "
+              f"{total.batch_wave_width_mean:.1f}, "
+              f"max {total.batch_wave_width_max})")
 
 
 def _print_profile_summary(profiler, path: str, top: int = 20) -> None:

@@ -175,10 +175,11 @@ class EnergyBreakdown:
 class EnergyModel:
     """Prices write-path operation counters into picojoules.
 
-    The counter source is duck-typed: anything exposing the
-    :class:`~repro.engine.context.ControllerStats` counter names works,
-    including :class:`~repro.lifetime.results.LifetimeResult` (missing
-    attributes read as 0, so pre-energy records price cleanly).
+    The counter source is duck-typed: a
+    :class:`~repro.engine.context.ControllerStats`, or anything exposing
+    its counter names (missing attributes read as 0, so sparse stubs
+    price cleanly).  A lifetime result prices its ``stats`` through
+    :meth:`~repro.lifetime.results.LifetimeResult.energy_breakdown`.
     """
 
     cell: PCMEnergy = field(default_factory=PCMEnergy)

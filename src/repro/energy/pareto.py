@@ -69,8 +69,8 @@ def run_energy_sweep(
                 seed=seed,
             )
             result = simulator.run(max_writes=max_writes)
-            breakdown = model.breakdown(
-                result, scheme=config.correction_scheme
+            breakdown = result.energy_breakdown(
+                scheme=config.correction_scheme, model=model
             )
             read_ns = perf.average_read_latency_ns(
                 mix if config.use_compression else ReadMix(1.0, 0.0, 0.0)

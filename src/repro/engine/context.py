@@ -21,7 +21,7 @@ their historical names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -169,6 +169,23 @@ class ControllerStats:
         """Writes that landed (compressed or raw) -- the derived total."""
         return self.compressed_writes + self.uncompressed_writes
 
+    @property
+    def compression_cache_hit_rate(self) -> float:
+        """Cache hits over lookups (0.0 when the cache never ran)."""
+        lookups = self.compression_cache_hits + self.compression_cache_misses
+        if not lookups:
+            return 0.0
+        return self.compression_cache_hits / lookups
+
+    def to_dict(self) -> dict:
+        """Every counter, JSON-ready (the telemetry ``stats`` object)."""
+        payload = asdict(self)
+        # JSON objects key by string; keep the heuristic histogram readable.
+        payload["heuristic_steps"] = {
+            str(step): count for step, count in self.heuristic_steps.items()
+        }
+        return payload
+
     # -- fleet aggregation ----------------------------------------------
     #
     # Every counter is an additive event count over disjoint write
@@ -214,6 +231,11 @@ class ControllerStats:
             merged = merged.merge(item)
         return merged
 
+    def copy(self) -> "ControllerStats":
+        """An independent copy, the steps histogram included (results
+        and heartbeats keep one while the controller keeps counting)."""
+        return self.merge(ControllerStats())
+
     def without_scheduler_telemetry(self) -> "ControllerStats":
         """A copy with the wave/barrier telemetry zeroed.
 
@@ -223,7 +245,7 @@ class ControllerStats:
         legitimately differ, every remaining counter must agree
         exactly.  See :data:`SCHEDULER_FIELDS`.
         """
-        clone = self.merge(ControllerStats())  # copies the steps dict too
+        clone = self.copy()
         for name in SCHEDULER_FIELDS:
             setattr(clone, name, 0)
         return clone

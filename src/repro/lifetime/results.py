@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine.context import ControllerStats
 from ..pcm import PAPER_ENDURANCE_MEAN, PCMEnergy
 
 #: Paper-scale memory: 4 GB of 64-byte lines (Table II).
@@ -24,7 +25,14 @@ SECONDS_PER_MONTH = 3600 * 24 * 30
 
 @dataclass(frozen=True)
 class LifetimeResult:
-    """Outcome of one lifetime simulation run."""
+    """Outcome of one lifetime simulation run.
+
+    The run-level fields are what only the run knows; every write-path
+    counter lives in ``stats``, a copy of the controller's
+    :class:`~repro.engine.context.ControllerStats` taken when the run
+    returned.  The death fields carry the numerators and denominators
+    of the Figure 10/12 ratios, so fleet records merge exactly.
+    """
 
     system: str
     workload: str
@@ -32,65 +40,29 @@ class LifetimeResult:
     endurance_mean: float
     writes_issued: int
     failed: bool  # True when the 50%-capacity criterion was reached
-    dead_fraction: float
-    total_flips: int
-    set_flips: int
-    reset_flips: int
-    lost_writes: int
-    deaths: int
-    revivals: int
-    avg_faults_per_dead_block: float
-    compressed_write_fraction: float
-    # Content-addressed compression-cache counters (both 0 when the
-    # cache -- a pure simulator speed knob -- is disabled).
-    compression_cache_hits: int = 0
-    compression_cache_misses: int = 0
-    # Out-of-order batch-scheduler telemetry (all 0 for batch=1 runs,
-    # which never enter the scheduler).
-    batch_waves: int = 0
-    batch_wave_ops: int = 0
-    batch_wave_width_max: int = 0
-    # -- exact-merge extensions (sharded fleets) -------------------------
-    # The ratio fields above (dead_fraction, avg_faults_per_dead_block,
-    # compressed_write_fraction) cannot be combined across shards without
-    # their numerators and denominators, so those are carried explicitly.
-    # All default to 0 for records predating the service mode; `merge`
-    # falls back to write-weighted approximations when they are absent.
-    stored_writes: int = 0
-    compressed_writes: int = 0
-    capacity_lines: int = 0
-    dead_blocks: int = 0
-    death_fault_total: int = 0
-    death_fault_blocks: int = 0
-    # -- energy extension (repro.energy) ---------------------------------
-    # Flag/selector cells programmed by the WIRE / restricted-coset
-    # encoders (all 0 when ``encoding == "none"`` or for records
-    # predating the energy model), plus the repair-state refresh count
-    # the gate-level correction-energy model multiplies.
-    encoding_flag_set_flips: int = 0
-    encoding_flag_reset_flips: int = 0
-    encoded_words: int = 0
-    repair_commits: int = 0
-    # -- WoLFRaM PAD backend (``wl_backend == "wolfram"``) ----------------
-    # Decoder-table entry rewrites (0 on the Start-Gap backend and for
-    # records predating the backend); priced by the energy model at
-    # ``PAD_ENTRY_BITS`` register-bit updates each.
-    pad_table_writes: int = 0
+    capacity_lines: int
+    dead_blocks: int
+    death_fault_total: int
+    death_fault_blocks: int
+    stats: ControllerStats
 
     @property
-    def compression_cache_hit_rate(self) -> float:
-        """Cache hits over lookups (0.0 when the cache never ran)."""
-        lookups = self.compression_cache_hits + self.compression_cache_misses
-        if not lookups:
-            return 0.0
-        return self.compression_cache_hits / lookups
+    def dead_fraction(self) -> float:
+        """Dead blocks over the nominal (non-spare) capacity."""
+        return self.dead_blocks / self.capacity_lines if self.capacity_lines else 0.0
 
     @property
-    def batch_wave_width_mean(self) -> float:
-        """Mean scheduled ops per wave (0.0 when nothing was batched)."""
-        if not self.batch_waves:
+    def avg_faults_per_dead_block(self) -> float:
+        """Figure 12: mean stuck cells a block held at its (last) death."""
+        if not self.death_fault_blocks:
             return 0.0
-        return self.batch_wave_ops / self.batch_waves
+        return self.death_fault_total / self.death_fault_blocks
+
+    @property
+    def compressed_write_fraction(self) -> float:
+        """Stored writes that landed compressed."""
+        stored = self.stats.stored_writes
+        return self.stats.compressed_writes / stored if stored else 0.0
 
     @property
     def writes_to_failure(self) -> int | None:
@@ -100,12 +72,14 @@ class LifetimeResult:
     @property
     def flips_per_write(self) -> float:
         """Mean cells programmed per demand write (wear/energy proxy)."""
-        return self.total_flips / self.writes_issued if self.writes_issued else 0.0
+        if not self.writes_issued:
+            return 0.0
+        return self.stats.total_flips / self.writes_issued
 
     def write_energy_pj(self, energy: PCMEnergy | None = None) -> float:
         """Total array programming energy over the run (picojoules)."""
         energy = energy or PCMEnergy()
-        return energy.write_energy_pj(self.set_flips, self.reset_flips)
+        return energy.write_energy_pj(self.stats.set_flips, self.stats.reset_flips)
 
     def write_energy_per_write_pj(self, energy: PCMEnergy | None = None) -> float:
         """Mean array programming energy per demand write (picojoules)."""
@@ -116,30 +90,37 @@ class LifetimeResult:
     def energy_breakdown(self, scheme: str = "ecp6", model=None):
         """Full per-operation energy split (see :mod:`repro.energy`).
 
-        Prices array cells, encoding flag cells, and the correction
-        scheme's write-path logic; ``scheme`` should be the run's
-        ``correction_scheme``.  Returns an
+        Prices ``stats`` per issued write: array cells, encoding flag
+        cells, and the correction scheme's write-path logic; ``scheme``
+        should be the run's ``correction_scheme``.  Returns an
         :class:`~repro.energy.model.EnergyBreakdown`.
         """
         # Deferred import: repro.energy imports this module's package.
         from ..energy.model import EnergyModel
 
         model = model or EnergyModel()
-        return model.breakdown(self, scheme=scheme)
+        return model.breakdown(self.stats, scheme=scheme, writes=self.writes_issued)
+
+
+#: The run-level fields that sum across disjoint shards.
+_ADDITIVE_FIELDS = (
+    "n_lines", "writes_issued", "capacity_lines", "dead_blocks",
+    "death_fault_total", "death_fault_blocks",
+)
 
 
 def merge_results(results) -> LifetimeResult:
     """Exact fleet aggregate of per-shard :class:`LifetimeResult` records.
 
     Shards of one service run are disjoint address slices of one fleet,
-    so every additive counter sums exactly, and the ratio fields are
-    recomputed from the summed numerators/denominators carried in the
-    exact-merge fields -- the merged record is what a single bookkeeper
-    watching all shards at once would have written down.  Requires at
-    least one record, all with the same system and endurance mean; a
-    single record merges to itself unchanged.  The merged ``failed``
-    flag applies the fleet-level criterion: every shard must have
-    reached its own failure threshold.
+    so the run-level counts sum, the counters merge through
+    :meth:`ControllerStats.merge_all`, and the ratio properties follow
+    from the summed numerators and denominators -- the merged record is
+    what a single bookkeeper watching all shards at once would have
+    written down.  Requires at least one record, all with the same
+    system and endurance mean; a single record merges to itself
+    unchanged.  The merged ``failed`` flag applies the fleet-level
+    criterion: every shard must have reached its own failure threshold.
     """
     results = list(results)
     if not results:
@@ -155,87 +136,13 @@ def merge_results(results) -> LifetimeResult:
             f"cannot merge results across endurance means: {sorted(means)}"
         )
     workloads = {r.workload for r in results}
-    workload = results[0].workload if len(workloads) == 1 else "fleet"
-
-    n_lines = sum(r.n_lines for r in results)
-    writes = sum(r.writes_issued for r in results)
-    stored = sum(r.stored_writes for r in results)
-    compressed = sum(r.compressed_writes for r in results)
-    capacity = sum(r.capacity_lines for r in results)
-    dead_blocks = sum(r.dead_blocks for r in results)
-    fault_total = sum(r.death_fault_total for r in results)
-    fault_blocks = sum(r.death_fault_blocks for r in results)
-
-    if capacity:
-        dead_fraction = dead_blocks / capacity
-    else:
-        # Pre-service records lack capacity_lines; weight by n_lines.
-        # Every denominator can legitimately be zero (empty or
-        # early-killed shards reporting no lines/writes at all), so each
-        # weighted fallback degrades to a defined 0.0 rather than raising.
-        dead_fraction = (
-            sum(r.dead_fraction * r.n_lines for r in results) / n_lines
-            if n_lines
-            else 0.0
-        )
-    if fault_blocks:
-        avg_faults = fault_total / fault_blocks
-    else:
-        dead = [r for r in results if r.deaths]
-        avg_faults = (
-            sum(r.avg_faults_per_dead_block * r.deaths for r in dead)
-            / sum(r.deaths for r in dead)
-            if dead
-            else 0.0
-        )
-    if stored:
-        compressed_fraction = compressed / stored
-    else:
-        compressed_fraction = (
-            sum(r.compressed_write_fraction * r.writes_issued for r in results)
-            / writes
-            if writes
-            else 0.0
-        )
-
     return LifetimeResult(
         system=results[0].system,
-        workload=workload,
-        n_lines=n_lines,
+        workload=results[0].workload if len(workloads) == 1 else "fleet",
         endurance_mean=results[0].endurance_mean,
-        writes_issued=writes,
         failed=all(r.failed for r in results),
-        dead_fraction=dead_fraction,
-        total_flips=sum(r.total_flips for r in results),
-        set_flips=sum(r.set_flips for r in results),
-        reset_flips=sum(r.reset_flips for r in results),
-        lost_writes=sum(r.lost_writes for r in results),
-        deaths=sum(r.deaths for r in results),
-        revivals=sum(r.revivals for r in results),
-        avg_faults_per_dead_block=avg_faults,
-        compressed_write_fraction=compressed_fraction,
-        compression_cache_hits=sum(r.compression_cache_hits for r in results),
-        compression_cache_misses=sum(r.compression_cache_misses for r in results),
-        batch_waves=sum(r.batch_waves for r in results),
-        batch_wave_ops=sum(r.batch_wave_ops for r in results),
-        # Same algebra as ControllerStats.merge: the fleet's widest wave
-        # is the max over shards, not a sum.
-        batch_wave_width_max=max(r.batch_wave_width_max for r in results),
-        stored_writes=stored,
-        compressed_writes=compressed,
-        capacity_lines=capacity,
-        dead_blocks=dead_blocks,
-        death_fault_total=fault_total,
-        death_fault_blocks=fault_blocks,
-        encoding_flag_set_flips=sum(
-            r.encoding_flag_set_flips for r in results
-        ),
-        encoding_flag_reset_flips=sum(
-            r.encoding_flag_reset_flips for r in results
-        ),
-        encoded_words=sum(r.encoded_words for r in results),
-        repair_commits=sum(r.repair_commits for r in results),
-        pad_table_writes=sum(r.pad_table_writes for r in results),
+        stats=ControllerStats.merge_all(r.stats for r in results),
+        **{name: sum(getattr(r, name) for r in results) for name in _ADDITIVE_FIELDS},
     )
 
 

@@ -341,15 +341,13 @@ class LifetimeSimulator:
                 now = time.monotonic()
                 elapsed = now - rate_anchor_time
                 self.elapsed_seconds = elapsed_base + (now - started)
-                stats = controller.stats
                 event = HeartbeatEvent(
                     system=self.config.name,
                     workload=self.workload_name,
                     writes_issued=writes,
                     max_writes=max_writes,
                     dead_fraction=controller.dead_fraction,
-                    compression_cache_hits=stats.compression_cache_hits,
-                    compression_cache_misses=stats.compression_cache_misses,
+                    stats=controller.stats.copy(),
                     elapsed_seconds=self.elapsed_seconds,
                     writes_per_second=(
                         (writes - rate_anchor_writes) / elapsed
@@ -361,10 +359,8 @@ class LifetimeSimulator:
                     observer.on_heartbeat(event)
 
         self.elapsed_seconds = elapsed_base + (time.monotonic() - started)
-        stats = controller.stats
-        # Per-stage counters are the single source of truth: derive the
-        # stored-write total rather than re-counting it here.
-        stored = stats.stored_writes
+        engine = controller.engine
+        fault_counts = controller.death_fault_counts
         result = LifetimeResult(
             system=self.config.name,
             workload=self.workload_name,
@@ -372,33 +368,11 @@ class LifetimeSimulator:
             endurance_mean=self.endurance_mean,
             writes_issued=writes,
             failed=failed,
-            dead_fraction=controller.dead_fraction,
-            total_flips=stats.total_flips,
-            set_flips=stats.set_flips,
-            reset_flips=stats.reset_flips,
-            lost_writes=stats.lost_writes,
-            deaths=stats.deaths,
-            revivals=stats.revivals,
-            avg_faults_per_dead_block=controller.average_faults_per_dead_block(),
-            compressed_write_fraction=(
-                stats.compressed_writes / stored if stored else 0.0
-            ),
-            compression_cache_hits=stats.compression_cache_hits,
-            compression_cache_misses=stats.compression_cache_misses,
-            batch_waves=stats.batch_waves,
-            batch_wave_ops=stats.batch_wave_ops,
-            batch_wave_width_max=stats.batch_wave_width_max,
-            stored_writes=stored,
-            compressed_writes=stats.compressed_writes,
-            capacity_lines=controller.engine.capacity_lines,
-            dead_blocks=controller.engine.dead_count,
-            death_fault_total=sum(controller.death_fault_counts.values()),
-            death_fault_blocks=len(controller.death_fault_counts),
-            encoding_flag_set_flips=stats.encoding_flag_set_flips,
-            encoding_flag_reset_flips=stats.encoding_flag_reset_flips,
-            encoded_words=stats.encoded_words,
-            repair_commits=stats.repair_commits,
-            pad_table_writes=getattr(stats, "pad_table_writes", 0),
+            capacity_lines=engine.capacity_lines,
+            dead_blocks=engine.dead_count,
+            death_fault_total=sum(fault_counts.values()),
+            death_fault_blocks=len(fault_counts),
+            stats=controller.stats.copy(),
         )
         for observer in observers:
             observer.on_run_end(result)

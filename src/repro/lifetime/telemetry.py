@@ -22,15 +22,21 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TextIO
+
+from ..engine.context import ControllerStats
 
 #: JSONL event-schema version (see docs/API.md, "Durability & telemetry").
 #: Version 2: ``elapsed_seconds`` became cumulative across resume cuts
 #: (version 1 restarted it at every ``run()`` call, so a resumed run's
 #: stream was non-monotone in it).
-TELEMETRY_VERSION = 2
+#: Version 3: the heartbeat and end events of the lifetime and service
+#: streams carry every counter under one ``stats`` object
+#: (``ControllerStats.to_dict``) instead of hand-picked top-level
+#: counters.
+TELEMETRY_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -42,21 +48,13 @@ class HeartbeatEvent:
     writes_issued: int
     max_writes: int
     dead_fraction: float
-    compression_cache_hits: int
-    compression_cache_misses: int
+    #: A copy of the controller's counters at this write count.
+    stats: ControllerStats
     #: Cumulative simulation wall-clock: the sum over *every* run
     #: segment since write 0, carried through checkpoints, so the field
     #: is strictly monotone along a stream even across resume cuts.
     elapsed_seconds: float
     writes_per_second: float  # mean rate since the previous heartbeat
-
-    @property
-    def compression_cache_hit_rate(self) -> float:
-        """Cache hits over lookups so far (0.0 when the cache is off)."""
-        lookups = self.compression_cache_hits + self.compression_cache_misses
-        if not lookups:
-            return 0.0
-        return self.compression_cache_hits / lookups
 
 
 class RunObserver:
@@ -79,18 +77,20 @@ class RunObserver:
 class JsonlObserver(RunObserver):
     """Appends one JSON object per event to a ``.jsonl`` file.
 
-    Events share a ``{"event": <type>, "time": <unix seconds>, ...}``
-    envelope; each line is flushed as written so a crashed run's stream
-    is readable up to its last event.  The file is opened lazily (on
-    the first event) and appended to, so a resumed run extends the
-    stream of the interrupted one.
+    Events share a ``{"event": <type>, "version": ..., "time": <unix
+    seconds>, ...}`` envelope; each line is flushed as written so a
+    crashed run's stream is readable up to its last event.  The file is
+    opened lazily (on the first event) and appended to, so a resumed
+    run extends the stream of the interrupted one.  The memory service
+    writes its shard and fleet streams through :meth:`emit` too.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._handle: TextIO | None = None
 
-    def _emit(self, event: str, payload: dict) -> None:
+    def emit(self, event: str, payload: dict) -> None:
+        """Append one event with the standard envelope."""
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")
@@ -100,7 +100,7 @@ class JsonlObserver(RunObserver):
         self._handle.flush()
 
     def on_run_start(self, simulator, writes_issued: int) -> None:
-        self._emit("start", {
+        self.emit("start", {
             "system": simulator.config.name,
             "workload": simulator.workload_name,
             "n_lines": simulator.n_lines,
@@ -109,22 +109,23 @@ class JsonlObserver(RunObserver):
         })
 
     def on_heartbeat(self, event: HeartbeatEvent) -> None:
-        payload = asdict(event)
-        payload["compression_cache_hit_rate"] = event.compression_cache_hit_rate
-        self._emit("heartbeat", payload)
+        payload = {f.name: getattr(event, f.name) for f in fields(event)}
+        payload["stats"] = event.stats.to_dict()
+        self.emit("heartbeat", payload)
 
     def on_checkpoint(self, path, writes_issued: int) -> None:
-        self._emit("checkpoint", {
+        self.emit("checkpoint", {
             "path": str(path), "writes_issued": writes_issued,
         })
 
     def on_run_end(self, result) -> None:
-        self._emit("end", {
+        self.emit("end", {
             "system": result.system,
             "workload": result.workload,
             "writes_issued": result.writes_issued,
             "failed": result.failed,
             "dead_fraction": result.dead_fraction,
+            "stats": result.stats.to_dict(),
         })
         self.close()
 
@@ -154,7 +155,7 @@ class ProgressObserver(RunObserver):
             f"[{event.workload}/{event.system}] "
             f"{event.writes_issued:,}/{event.max_writes:,} writes  "
             f"dead={event.dead_fraction:.3f}  "
-            f"cache={event.compression_cache_hit_rate:.0%}  "
+            f"cache={event.stats.compression_cache_hit_rate:.0%}  "
             f"{event.writes_per_second:,.0f} w/s",
             file=self.stream, flush=True,
         )

@@ -4,15 +4,17 @@
 a complete range-aware :class:`~repro.core.CompressedPCMController`
 over its slice of the global address space.  The parent routes an
 incoming request stream by :class:`~repro.engine.address_space.ShardMap`,
-fans per-shard batches out over request queues, and aggregates the
-workers' acknowledgements into one fleet view.
+fans per-shard batches out over request queues, and merges the
+workers' counters into one fleet view.
 
-Telemetry mirrors the lifetime runner's JSONL conventions
-(:mod:`repro.lifetime.telemetry`): each worker appends request-count
-driven ``shard_heartbeat`` events to ``shard-<i>/events.jsonl`` under
-the telemetry directory, and the parent appends ``fleet_heartbeat``
-events -- exact sums of the latest per-shard acknowledgements -- to
-``fleet.jsonl``.
+Telemetry is written by the lifetime runner's JSONL emitter
+(:class:`repro.lifetime.telemetry.JsonlObserver`): each worker appends
+request-count driven ``shard_heartbeat`` events to
+``shard-<i>/events.jsonl`` under the telemetry directory, and the
+parent appends ``fleet_heartbeat`` events -- the exact merge of a
+snapshot of every shard's counters -- to ``fleet.jsonl``.  Every
+heartbeat and end event carries all counters under ``stats``
+(:meth:`ControllerStats.to_dict`).
 
 Fault tolerance reuses the sweep runner's quarantine discipline
 (:func:`repro.engine.sweep.quarantine_run_dir`): when a shard worker
@@ -33,18 +35,18 @@ process) never accumulate stale placement caches.
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import os
 import queue
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..core.config import SystemConfig
+from ..core.window import LINE_BYTES
 from ..engine.address_space import ShardMap, shard_seeds
 from ..engine.context import ControllerStats
 from ..engine.sweep import quarantine_run_dir
-from ..lifetime.telemetry import TELEMETRY_VERSION
+from ..lifetime.telemetry import JsonlObserver
 from ..pcm import FaultMode
 
 #: Default requests between per-shard heartbeat events.
@@ -77,10 +79,6 @@ class ShardSpec:
     cell_type: str
     telemetry_dir: str | None
     heartbeat_interval: int
-    #: Per-shard DRAM front tier capacity (:mod:`repro.tier`); 0 runs
-    #: the bare controller.  Defaulted so specs pickled before the
-    #: hybrid tier existed still rebuild.
-    tier_lines: int = 0
 
 
 @dataclass(frozen=True)
@@ -104,41 +102,10 @@ class ServiceResult:
             "requests_routed": self.requests_routed,
             "recoveries": self.recoveries,
             "dead_fraction": self.dead_fraction,
-            "stats": _stats_dict(self.stats),
-            "shard_stats": [_stats_dict(s) for s in self.shard_stats],
+            "stats": self.stats.to_dict(),
+            "shard_stats": [s.to_dict() for s in self.shard_stats],
             "shard_writes": list(self.shard_writes),
         }
-
-
-def _stats_dict(stats: ControllerStats) -> dict:
-    payload = asdict(stats)
-    # JSON objects key by string; keep the heuristic histogram readable.
-    payload["heuristic_steps"] = {
-        str(step): count for step, count in stats.heuristic_steps.items()
-    }
-    return payload
-
-
-class _JsonlWriter:
-    """Append-only JSONL stream with the repo's standard envelope."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = None
-
-    def emit(self, event: str, payload: dict) -> None:
-        if self._handle is None:
-            os.makedirs(os.path.dirname(self.path), exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        record = {"event": event, "version": TELEMETRY_VERSION,
-                  "time": time.time(), **payload}
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 def _build_controller(spec: ShardSpec):
@@ -161,14 +128,13 @@ def _build_controller(spec: ShardSpec):
         cell_type=spec.cell_type,
         address_range=AddressRange(spec.start, spec.stop),
     )
-    tier_lines = getattr(spec, "tier_lines", 0)
-    if tier_lines:
+    if spec.config.tier_lines:
         from ..tier import HybridController
 
         # The tier is part of the spec, so a recovery respawn rebuilds
         # it too and the history replay reconstructs its residents --
         # exact recovery holds for hybrid shards unchanged.
-        controller = HybridController(controller, tier_lines)
+        controller = HybridController(controller, spec.config.tier_lines)
     return controller
 
 
@@ -178,7 +144,7 @@ def shard_worker(spec: ShardSpec, requests: mp.Queue, replies: mp.Queue) -> None
 
     writer = None
     if spec.telemetry_dir is not None:
-        writer = _JsonlWriter(
+        writer = JsonlObserver(
             os.path.join(
                 spec.telemetry_dir, f"shard-{spec.index}", "events.jsonl"
             )
@@ -209,22 +175,10 @@ def shard_worker(spec: ShardSpec, requests: mp.Queue, replies: mp.Queue) -> None
                         "shard": spec.index,
                         "requests_served": served,
                         "dead_fraction": controller.dead_fraction,
-                        "stored_writes": controller.stats.stored_writes,
-                        "lost_writes": controller.stats.lost_writes,
-                        "batch_waves": controller.stats.batch_waves,
-                        "batch_wave_width_mean":
-                            controller.stats.batch_wave_width_mean,
+                        "stats": controller.stats.to_dict(),
                     })
                 last_beat = served
-                replies.put(("applied", spec.index, served, {
-                    "dead_blocks": controller.engine.dead_count,
-                    "capacity_lines": controller.engine.capacity_lines,
-                    "lost_writes": controller.stats.lost_writes,
-                    "batch_waves": controller.stats.batch_waves,
-                    "batch_wave_ops": controller.stats.batch_wave_ops,
-                    "batch_wave_width_max":
-                        controller.stats.batch_wave_width_max,
-                }))
+                replies.put(("applied", spec.index, served))
             elif kind == "read":
                 replies.put(("data", spec.index, controller.read(command[1])))
             elif kind == "snapshot":
@@ -239,6 +193,7 @@ def shard_worker(spec: ShardSpec, requests: mp.Queue, replies: mp.Queue) -> None
                         "shard": spec.index,
                         "requests_served": served,
                         "dead_fraction": controller.dead_fraction,
+                        "stats": controller.stats.to_dict(),
                     })
                 replies.put(("stopped", spec.index, served))
                 return
@@ -275,8 +230,9 @@ class MemoryService:
         worker_timeout: Seconds without any reply from a live worker
             before it is declared hung and restarted.
         tier_lines: Per-shard content-aware DRAM front tier capacity
-            (:mod:`repro.tier`); 0 (default) runs bare shards,
-            bit-identical to every pre-tier service run.
+            (:mod:`repro.tier`), overriding ``config.tier_lines``;
+            ``None`` (default) keeps the config's value, and 0 runs
+            bare shards.
     """
 
     def __init__(
@@ -295,12 +251,14 @@ class MemoryService:
         fleet_interval: int = DEFAULT_SHARD_HEARTBEAT,
         retries: int = 2,
         worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
-        tier_lines: int = 0,
+        tier_lines: int | None = None,
     ) -> None:
         if heartbeat_interval < 1 or fleet_interval < 1:
             raise ValueError("heartbeat intervals must be >= 1")
         if retries < 0:
             raise ValueError("retries cannot be negative")
+        if tier_lines is not None:
+            config = config.with_overrides(tier_lines=tier_lines)
         self.shard_map = ShardMap(total_lines, shards)
         self.total_lines = total_lines
         self.telemetry_dir = telemetry_dir
@@ -322,7 +280,6 @@ class MemoryService:
                 cell_type=cell_type,
                 telemetry_dir=telemetry_dir,
                 heartbeat_interval=heartbeat_interval,
-                tier_lines=tier_lines,
             )
             for index, (shard_range, shard_seed) in enumerate(
                 zip(self.shard_map.ranges, seeds)
@@ -338,15 +295,11 @@ class MemoryService:
         self._history: list[list[list]] = [[] for _ in range(shards)]
         self._attempts = [0] * shards
         self._served = [0] * shards
-        self._shard_health = [
-            {"dead_blocks": 0, "capacity_lines": 0, "lost_writes": 0}
-            for _ in range(shards)
-        ]
         self.requests_routed = 0
         self.recoveries = 0
         self._last_fleet_beat = 0
         self._fleet_writer = (
-            _JsonlWriter(os.path.join(telemetry_dir, "fleet.jsonl"))
+            JsonlObserver(os.path.join(telemetry_dir, "fleet.jsonl"))
             if telemetry_dir is not None
             else None
         )
@@ -426,8 +379,7 @@ class MemoryService:
                 "requests_routed": self.requests_routed,
                 "recoveries": self.recoveries,
                 "dead_fraction": result.dead_fraction,
-                "stored_writes": result.stats.stored_writes,
-                "lost_writes": result.stats.lost_writes,
+                "stats": result.stats.to_dict(),
             })
             self._fleet_writer.close()
         self._started = False
@@ -441,11 +393,17 @@ class MemoryService:
         Per-shard order follows stream order (all that matters for
         bit-identity across disjoint shards); the call returns once
         every involved worker has applied its sub-batch, so a
-        subsequent :meth:`read` observes the writes.
+        subsequent :meth:`read` observes the writes.  A malformed
+        request (a line outside the address space, a payload that is
+        not one line long) raises before anything is routed.
         """
         self._require_started()
         buckets: list[list] = [[] for _ in range(self.shards)]
         for line, data in requests:
+            # Checked here, not in the worker: a batch that kills its
+            # worker would kill every respawn that replays the history.
+            if len(data) != LINE_BYTES:
+                raise ValueError(f"write data must be {LINE_BYTES} bytes")
             buckets[self.shard_map.shard_of(line)].append((line, data))
         sent = [False] * self.shards
         for index, bucket in enumerate(buckets):
@@ -463,7 +421,6 @@ class MemoryService:
                 else self._resync(index)
             )
             self._served[index] = reply[2]
-            self._shard_health[index] = reply[3]
             self.requests_routed += len(bucket)
         self._maybe_fleet_heartbeat()
 
@@ -532,26 +489,13 @@ class MemoryService:
             self._last_fleet_beat = self.requests_routed
             return
         self._last_fleet_beat = self.requests_routed
-        dead = sum(h["dead_blocks"] for h in self._shard_health)
-        capacity = sum(h["capacity_lines"] for h in self._shard_health)
+        result = self.result()
         self._fleet_writer.emit("fleet_heartbeat", {
             "requests_routed": self.requests_routed,
             "recoveries": self.recoveries,
-            "shard_requests": list(self._served),
-            "dead_fraction": dead / capacity if capacity else 0.0,
-            "lost_writes": sum(h["lost_writes"] for h in self._shard_health),
-            # Scheduler telemetry merges like ControllerStats: waves and
-            # ops sum across shards, wave width takes the fleet max.
-            "batch_waves": sum(
-                h.get("batch_waves", 0) for h in self._shard_health
-            ),
-            "batch_wave_ops": sum(
-                h.get("batch_wave_ops", 0) for h in self._shard_health
-            ),
-            "batch_wave_width_max": max(
-                (h.get("batch_wave_width_max", 0)
-                 for h in self._shard_health), default=0,
-            ),
+            "shard_requests": result.shard_writes,
+            "dead_fraction": result.dead_fraction,
+            "stats": result.stats.to_dict(),
         })
 
     # -- failure handling ------------------------------------------------
@@ -604,15 +548,7 @@ class MemoryService:
     def _resync(self, index: int) -> tuple:
         """Post-recovery ``applied`` acknowledgement from a snapshot."""
         self._send(index, ("snapshot",))
-        _, _, stats, dead, capacity, served = self._await(index, "snapshot")
-        return ("applied", index, served, {
-            "dead_blocks": dead,
-            "capacity_lines": capacity,
-            "lost_writes": stats.lost_writes,
-            "batch_waves": stats.batch_waves,
-            "batch_wave_ops": stats.batch_wave_ops,
-            "batch_wave_width_max": stats.batch_wave_width_max,
-        })
+        return ("applied", index, self._await(index, "snapshot")[-1])
 
     def _ensure_alive(self, index: int) -> None:
         worker = self._workers[index]
@@ -643,9 +579,7 @@ class MemoryService:
         # Drain the replay acknowledgements; the worker is fresh, so
         # these arrive in order with no interleaving.
         for _ in self._history[index]:
-            reply = self._await(index, "applied")
-            self._served[index] = reply[2]
-            self._shard_health[index] = reply[3]
+            self._served[index] = self._await(index, "applied")[2]
         self.recoveries += 1
         if self._fleet_writer is not None:
             self._fleet_writer.emit("shard_recovered", {

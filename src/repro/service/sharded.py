@@ -31,7 +31,11 @@ from ..tier import HybridController
 
 
 class ShardedController:
-    """K range-aware controllers serving one global address space."""
+    """K range-aware controllers serving one global address space.
+
+    Every shard runs ``config``; ``tier_lines``, when given, overrides
+    its ``tier_lines`` knob (per-shard DRAM front tier capacity).
+    """
 
     def __init__(
         self,
@@ -44,8 +48,10 @@ class ShardedController:
         n_banks: int = 8,
         fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
         cell_type: str = "slc",
-        tier_lines: int = 0,
+        tier_lines: int | None = None,
     ) -> None:
+        if tier_lines is not None:
+            config = config.with_overrides(tier_lines=tier_lines)
         self.config = config
         self.shard_map = ShardMap(total_lines, shards)
         self.total_lines = total_lines
@@ -65,13 +71,13 @@ class ShardedController:
                 self.shard_map.ranges, self.shard_map.shard_seeds(seed)
             )
         ]
-        if tier_lines:
+        if config.tier_lines:
             # Per-shard DRAM front tiers (the fleet shape a real
             # deployment runs): each shard's tier sees only its own
             # sub-stream, so fleet bit-identity to independent tiered
             # controllers is preserved.  0 keeps the bare fleet.
             self.controllers = [
-                HybridController(controller, tier_lines)
+                HybridController(controller, config.tier_lines)
                 for controller in self.controllers
             ]
 

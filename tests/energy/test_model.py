@@ -120,20 +120,9 @@ class TestEnergyModelPricing:
         assert b.total_pj == pytest.approx(b.pad_table_pj)
         assert b.to_dict()["pad_table_pj"] == pytest.approx(b.pad_table_pj)
 
-    def test_legacy_lifetime_record_prices_without_pad_field(self):
-        # Records pickled before the WoLFRaM backend lack the
-        # pad_table_writes slot; pricing must read it as 0, and a
-        # pre-PR10 EnergyBreakdown constructed without the new field
-        # must stay buildable (default 0.0 keeps old call sites valid).
-        from repro.lifetime.results import LifetimeResult
-
-        legacy = LifetimeResult.__new__(LifetimeResult)
-        object.__setattr__(legacy, "set_flips", 12)
-        object.__setattr__(legacy, "reset_flips", 6)
-        object.__setattr__(legacy, "writes_issued", 3)
-        b = EnergyModel().breakdown(legacy)
-        assert b.pad_table_pj == 0.0
-        assert b.array_pj > 0.0
+    def test_breakdown_built_without_pad_field_stays_valid(self):
+        # An EnergyBreakdown constructed without the pad-table term
+        # keeps working: the field defaults to 0.0.
         old_style = EnergyBreakdown(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, writes=1)
         assert old_style.pad_table_pj == 0.0
         assert old_style.total_pj == pytest.approx(2.0)

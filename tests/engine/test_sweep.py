@@ -23,9 +23,9 @@ def results_equal(a, b):
         a.writes_issued == b.writes_issued
         and a.failed == b.failed
         and a.dead_fraction == b.dead_fraction
-        and a.deaths == b.deaths
-        and a.revivals == b.revivals
-        and a.total_flips == b.total_flips
+        and a.stats.deaths == b.stats.deaths
+        and a.stats.revivals == b.stats.revivals
+        and a.stats.total_flips == b.stats.total_flips
     )
 
 

@@ -112,9 +112,9 @@ def lifetime_comparison() -> dict:
             "writes_issued": result.writes_issued,
             "failed": result.failed,
             "dead_fraction": result.dead_fraction,
-            "deaths": result.deaths,
-            "revivals": result.revivals,
-            "total_flips": result.total_flips,
+            "deaths": result.stats.deaths,
+            "revivals": result.stats.revivals,
+            "total_flips": result.stats.total_flips,
         }
         for system, result in results.items()
     }

@@ -108,4 +108,4 @@ def test_dead_fraction_monotonically_reaches_threshold():
     result = simulator.run(max_writes=1_000_000)
     assert result.failed
     assert result.dead_fraction >= 0.5
-    assert result.deaths >= result.n_lines // 2
+    assert result.stats.deaths >= result.n_lines // 2

@@ -20,20 +20,14 @@ from tests.engine.helpers import assert_same_state, state_fingerprint
 
 SIM_KWARGS = dict(n_lines=48, endurance_mean=30.0, seed=5)
 
-#: LifetimeResult fields describing *how* the stream was executed
-#: (scheduler wave telemetry) -- legitimately zero on a serial run and
-#: populated on a batched one; every behavioural field must agree.
-SCHEDULER_RESULT_FIELDS = {
-    "batch_waves", "batch_wave_ops", "batch_wave_width_max",
-}
 
-
-def behavioural_dict(result):
-    return {
-        name: value
-        for name, value in dataclasses.asdict(result).items()
-        if name not in SCHEDULER_RESULT_FIELDS
-    }
+def behavioural(result):
+    """The result without the counters describing *how* the stream was
+    executed (scheduler wave telemetry): legitimately zero on a serial
+    run and populated on a batched one; every other field must agree."""
+    return dataclasses.replace(
+        result, stats=result.stats.without_scheduler_telemetry()
+    )
 
 
 def make_sim(system="comp_wf", workload="gcc"):
@@ -70,10 +64,10 @@ def test_batched_run_is_bit_identical(system, batch):
     batched_sim = make_sim(system)
     batched = batched_sim.run(max_writes=20_000, check_interval=64, batch=batch)
 
-    assert behavioural_dict(batched) == behavioural_dict(serial)
-    assert batched.batch_waves > 0  # the scheduler actually ran
-    assert batched.batch_wave_ops >= batched.batch_waves
-    assert serial.batch_waves == 0
+    assert behavioural(batched) == behavioural(serial)
+    assert batched.stats.batch_waves > 0  # the scheduler actually ran
+    assert batched.stats.batch_wave_ops >= batched.stats.batch_waves
+    assert serial.stats.batch_waves == 0
     assert batched_sim.writes_issued == serial_sim.writes_issued
     assert batched_sim.trace_cursor == serial_sim.trace_cursor
     assert_same_state(
@@ -128,7 +122,7 @@ def test_batched_resume_cut_mid_epoch_is_bit_identical(tmp_path):
         resume_from=latest_checkpoint(tmp_path),
     )
 
-    assert behavioural_dict(resumed) == behavioural_dict(serial)
+    assert behavioural(resumed) == behavioural(serial)
     assert_same_state(
         state_fingerprint(resumed_sim.controller),
         state_fingerprint(serial_sim.controller),

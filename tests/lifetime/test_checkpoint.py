@@ -147,7 +147,7 @@ class TestBatchedResume:
 
     def test_batched_resume_preserves_wave_counters(self, tmp_path):
         _, golden = self._batched_run(tmp_path, "golden", BUDGET)
-        assert golden.failed and golden.batch_waves > 0
+        assert golden.failed and golden.stats.batch_waves > 0
         self._batched_run(tmp_path, "interrupted", INTERRUPT_AT)
         resume_point = latest_checkpoint(tmp_path / "interrupted")
         checkpoint = read_checkpoint(resume_point)
@@ -481,5 +481,5 @@ class TestTelemetry:
         assert end["failed"] is result.failed
         heartbeat = next(e for e in events if e["event"] == "heartbeat")
         for key in ("writes_issued", "dead_fraction", "writes_per_second",
-                    "compression_cache_hit_rate"):
+                    "stats"):
             assert key in heartbeat

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import comp_wf
+from repro.engine.context import ControllerStats
 from repro.lifetime import LifetimeSimulator, merge_results
 from repro.lifetime.results import LifetimeResult
 from repro.traces import SyntheticWorkload, get_profile
@@ -42,9 +43,7 @@ def test_merge_requires_compatible_records(shard_results):
 def test_additive_fields_sum_exactly(shard_results):
     merged = merge_results(shard_results)
     for name in (
-        "n_lines", "writes_issued", "total_flips", "set_flips",
-        "reset_flips", "lost_writes", "deaths", "revivals",
-        "stored_writes", "compressed_writes", "capacity_lines",
+        "n_lines", "writes_issued", "capacity_lines",
         "dead_blocks", "death_fault_total", "death_fault_blocks",
     ):
         assert getattr(merged, name) == sum(
@@ -52,11 +51,19 @@ def test_additive_fields_sum_exactly(shard_results):
         ), name
 
 
+def test_counters_merge_through_the_stats_monoid(shard_results):
+    merged = merge_results(shard_results)
+    assert merged.stats == ControllerStats.merge_all(
+        r.stats for r in shard_results
+    )
+    assert merged.stats.deaths == sum(r.stats.deaths for r in shard_results)
+
+
 def test_ratio_fields_recompute_from_exact_numerators(shard_results):
     merged = merge_results(shard_results)
     assert merged.dead_fraction == merged.dead_blocks / merged.capacity_lines
     assert merged.compressed_write_fraction == (
-        merged.compressed_writes / merged.stored_writes
+        merged.stats.compressed_writes / merged.stats.stored_writes
     )
     if merged.death_fault_blocks:
         assert merged.avg_faults_per_dead_block == (
@@ -85,57 +92,31 @@ def test_fleet_failure_requires_every_shard_failed(shard_results):
     assert not merge_results(half).failed
 
 
-def test_pre_service_records_fall_back_to_weighted_ratios():
-    """Records without the exact-merge fields still combine sensibly."""
-    def legacy(lines, writes, dead_fraction, compressed_fraction):
-        return LifetimeResult(
-            system="comp_wf", workload="mcf", n_lines=lines,
-            endurance_mean=24.0, writes_issued=writes, failed=False,
-            dead_fraction=dead_fraction, total_flips=0, set_flips=0,
-            reset_flips=0, lost_writes=0, deaths=0, revivals=0,
-            avg_faults_per_dead_block=0.0,
-            compressed_write_fraction=compressed_fraction,
-        )
-
-    merged = merge_results([legacy(10, 100, 0.5, 0.8), legacy(30, 300, 0.1, 0.4)])
-    assert merged.dead_fraction == pytest.approx((0.5 * 10 + 0.1 * 30) / 40)
-    assert merged.compressed_write_fraction == pytest.approx(
-        (0.8 * 100 + 0.4 * 300) / 400
-    )
-
-
 def test_zero_write_legacy_records_merge_without_dividing_by_zero():
-    """An empty shard (0 lines, 0 writes) used to crash the legacy
-    write-weighted fallback with a ZeroDivisionError; it must merge as
-    plain zeros instead."""
-    def legacy(lines, writes, dead_fraction, compressed_fraction):
+    """An empty shard (0 lines, 0 writes, no capacity) merges as plain
+    zeros: every ratio property guards its zero denominator."""
+    def empty():
         return LifetimeResult(
-            system="comp_wf", workload="mcf", n_lines=lines,
-            endurance_mean=24.0, writes_issued=writes, failed=False,
-            dead_fraction=dead_fraction, total_flips=0, set_flips=0,
-            reset_flips=0, lost_writes=0, deaths=0, revivals=0,
-            avg_faults_per_dead_block=0.0,
-            compressed_write_fraction=compressed_fraction,
+            system="comp_wf", workload="mcf", n_lines=0,
+            endurance_mean=24.0, writes_issued=0, failed=False,
+            capacity_lines=0, dead_blocks=0, death_fault_total=0,
+            death_fault_blocks=0, stats=ControllerStats(),
         )
 
-    empty = legacy(0, 0, 0.0, 0.0)
-    merged = merge_results([empty, empty])
+    merged = merge_results([empty(), empty()])
     assert merged.dead_fraction == 0.0
     assert merged.compressed_write_fraction == 0.0
-
-    populated = legacy(20, 200, 0.3, 0.6)
-    mixed = merge_results([empty, populated])
-    assert mixed.dead_fraction == pytest.approx(0.3)
-    assert mixed.compressed_write_fraction == pytest.approx(0.6)
+    assert merged.avg_faults_per_dead_block == 0.0
+    assert merged.flips_per_write == 0.0
 
 
 def test_simulator_populates_the_exact_merge_fields(shard_results):
     for result in shard_results:
         assert result.capacity_lines >= result.n_lines
-        assert result.stored_writes > 0
+        assert result.stats.stored_writes > 0
         assert result.dead_fraction == (
             result.dead_blocks / result.capacity_lines
         )
         assert result.compressed_write_fraction == (
-            result.compressed_writes / result.stored_writes
+            result.stats.compressed_writes / result.stats.stored_writes
         )

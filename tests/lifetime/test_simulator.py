@@ -27,7 +27,7 @@ def test_runs_to_failure():
     assert result.failed
     assert result.dead_fraction >= DEAD_CAPACITY_THRESHOLD
     assert result.writes_to_failure == result.writes_issued
-    assert result.total_flips > 0
+    assert result.stats.total_flips > 0
 
 
 def test_write_budget_respected():
@@ -41,7 +41,7 @@ def test_deterministic_given_seed():
     a = tiny_simulator(seed=3).run(max_writes=300_000)
     b = tiny_simulator(seed=3).run(max_writes=300_000)
     assert a.writes_issued == b.writes_issued
-    assert a.total_flips == b.total_flips
+    assert a.stats.total_flips == b.stats.total_flips
 
 
 def test_trace_replay_source():

@@ -13,6 +13,7 @@ mid-run, and the final fleet view must equal the never-killed run field
 for field, with the dead worker's telemetry quarantined sweep-style.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import comp_wf
+from repro.engine.context import ControllerStats
 from repro.lifetime.telemetry import TELEMETRY_VERSION
 from repro.service import (
     MemoryService,
@@ -127,6 +129,56 @@ def test_telemetry_streams_follow_the_jsonl_conventions(tmp_path):
         assert shard_kinds[-1] == "shard_end"
         assert "shard_heartbeat" in shard_kinds
         assert all(e["shard"] == shard for e in shard_events)
+
+
+def _events(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_every_counter_reaches_the_service_streams(tmp_path):
+    fields = {f.name for f in dataclasses.fields(ControllerStats)}
+    stream = _stream(400)
+    with MemoryService(
+        comp_wf(), LINES, shards=2, telemetry_dir=str(tmp_path),
+        heartbeat_interval=100, fleet_interval=100, **SERVICE_KWARGS,
+    ) as service:
+        for start in range(0, len(stream), 50):
+            service.submit(stream[start:start + 50])
+        final = service.stats().to_dict()
+        service.stop()
+
+    fleet = _events(tmp_path / "fleet.jsonl")
+    beats = [e for e in fleet if e["event"] == "fleet_heartbeat"]
+    assert beats and fleet[-1]["event"] == "service_end"
+    for event in beats + [fleet[-1]]:
+        assert set(event["stats"]) == fields
+    # The stream ends on a fleet_interval boundary, so the last fleet
+    # heartbeat already shows the final fleet state.
+    assert beats[-1]["requests_routed"] == len(stream)
+    assert beats[-1]["stats"] == final
+    assert fleet[-1]["stats"] == final
+    for shard in range(2):
+        events = _events(tmp_path / f"shard-{shard}" / "events.jsonl")
+        counted = [
+            e for e in events
+            if e["event"] in ("shard_heartbeat", "shard_end")
+        ]
+        assert "shard_heartbeat" in {e["event"] for e in counted}
+        for event in counted:
+            assert set(event["stats"]) == fields
+
+
+def test_malformed_submit_is_rejected_before_it_reaches_a_shard():
+    stream = _stream(200)
+    with MemoryService(comp_wf(), LINES, shards=2, **SERVICE_KWARGS) as service:
+        service.submit(stream[:100])
+        with pytest.raises(ValueError, match="64 bytes"):
+            service.submit(stream[100:110] + [(3, b"short")])
+        service.submit(stream[100:])
+        result = service.stop()
+    assert result.recoveries == 0
+    assert result.requests_routed == len(stream)
+    assert result.stats == _reference(stream, shards=2, chunk=100).stats
 
 
 def _kill_and_wait(service, shard):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import comp_wf
+from repro.engine.registry import resolve_config
 from repro.service import MemoryService, ShardedController, make_stream
 from repro.tier import HybridController
 from repro.validate.fuzz import run_fuzz
@@ -53,6 +54,22 @@ class TestShardedFleet:
         # Post-flush the PCM image alone must hold the full state.
         for line, expected in shadow.items():
             assert fleet.read(line) == expected
+
+    def test_config_tier_lines_fronts_every_shard(self):
+        hybrid = resolve_config("comp_wf_hybrid")
+        fleet = ShardedController(hybrid, LINES, shards=2, **FLEET_KWARGS)
+        assert [c.tier_lines for c in fleet.controllers] == [16, 16]
+        # An explicit capacity overrides the config's, 0 included.
+        small = ShardedController(
+            hybrid, LINES, shards=2, tier_lines=4, **FLEET_KWARGS
+        )
+        assert [c.tier_lines for c in small.controllers] == [4, 4]
+        bare = ShardedController(
+            hybrid, LINES, shards=2, tier_lines=0, **FLEET_KWARGS
+        )
+        assert not any(
+            isinstance(c, HybridController) for c in bare.controllers
+        )
 
     def test_flush_tiers_is_a_noop_on_a_bare_fleet(self):
         fleet = ShardedController(comp_wf(), LINES, shards=2, **FLEET_KWARGS)
@@ -100,6 +117,18 @@ class TestMemoryService:
         assert result.stats == reference.stats
 
 
+    def test_config_tier_lines_reaches_every_worker(self):
+        hybrid = resolve_config("comp_wf_hybrid")
+        stream = _stream(300)
+        reference = ShardedController(hybrid, LINES, shards=2, **FLEET_KWARGS)
+        reference.write_batch(stream)
+        with MemoryService(hybrid, LINES, shards=2, **FLEET_KWARGS) as service:
+            service.submit(stream)
+            result = service.stop()
+        assert result.stats.tier_hits > 0
+        assert result.stats == reference.stats
+
+
 class TestFuzzWithTier:
     def test_lockstep_validates_the_post_tier_stream(self):
         report = run_fuzz(
@@ -133,7 +162,7 @@ class TestLifetimeStudy:
         # Fewer PCM stores per demand write -> the hybrid survives at
         # least as many demand writes as the bare system.
         assert tiered.writes_issued >= bare.writes_issued
-        assert tiered.stored_writes < tiered.writes_issued
+        assert tiered.stats.stored_writes < tiered.writes_issued
 
     def test_tier_requires_the_serial_path(self):
         from repro.lifetime import run_system_comparison
