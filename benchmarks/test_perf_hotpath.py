@@ -272,7 +272,7 @@ def test_batched_throughput(report):
 
     BLOCKING: at ``BATCH_SIZE`` (128) the scheduler must sustain at
     least ``BATCH_SPEEDUP_GATE`` (4x) the serial throughput on the
-    scenario it exists for (the CI perf-smoke gate).  Serial and
+    scenario it exists for (the CI bench-smoke hotpath gate).  Serial and
     batched reps are *interleaved* (a serial/batched pair per rep,
     best-of kept per side) so machine drift hits both sides of the
     ratio equally.  The per-system scheduler telemetry of one replay

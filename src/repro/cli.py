@@ -638,15 +638,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         run_workload(fleet, args.workload, args.requests,
                      batch=args.batch, seed=args.seed)
-        from .service.service import ServiceResult
-
-        result = ServiceResult(
-            shards=fleet.shards, total_lines=fleet.total_lines,
-            requests_routed=args.requests, recoveries=0,
-            dead_fraction=fleet.dead_fraction, stats=fleet.stats,
-            shard_stats=fleet.shard_stats(),
-            shard_writes=[c.stats.demand_writes for c in fleet.controllers],
-        )
+        result = fleet.result()
     else:
         with MemoryService(
             config, args.lines, shards=args.shards,
@@ -693,15 +685,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
     )
     run_workload(fleet, args.profile, args.requests,
                  batch=args.batch, seed=args.seed)
-    from .service.service import ServiceResult
-
-    _print_fleet_summary(ServiceResult(
-        shards=fleet.shards, total_lines=fleet.total_lines,
-        requests_routed=args.requests, recoveries=0,
-        dead_fraction=fleet.dead_fraction, stats=fleet.stats,
-        shard_stats=fleet.shard_stats(),
-        shard_writes=[c.stats.demand_writes for c in fleet.controllers],
-    ), config=config)
+    _print_fleet_summary(fleet.result(), config=config)
     return 0
 
 

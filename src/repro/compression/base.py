@@ -103,10 +103,6 @@ class Compressor(abc.ABC):
         """
         return [self.compress(data) for data in lines]
 
-    def compressed_size_bytes(self, data: bytes) -> int:
-        """Convenience wrapper returning only the byte-rounded size."""
-        return self.compress(data).size_bytes
-
     def _check_input(self, data: bytes) -> None:
         if len(data) != LINE_SIZE_BYTES:
             raise CompressionError(

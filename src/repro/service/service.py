@@ -365,7 +365,7 @@ class MemoryService:
         for index in range(self.shards):
             try:
                 self._send(index, ("stop",))
-                self._await(index, "stopped")
+                self._await(index, "stopped", ("stop",))
             except ServiceError:
                 pass  # already collecting the final state; best effort
             worker = self._workers[index]
@@ -441,8 +441,9 @@ class MemoryService:
         """Read one global line from its owning shard."""
         self._require_started()
         shard = self.shard_map.shard_of(line)
-        self._send(shard, ("read", line))
-        return self._await(shard, "data")[2]
+        command = ("read", line)
+        self._send(shard, command)
+        return self._await(shard, "data", command)[2]
 
     # -- fleet views -----------------------------------------------------
 
@@ -452,7 +453,7 @@ class MemoryService:
         for index in range(self.shards):
             self._send(index, ("snapshot",))
         return [
-            self._await(index, "snapshot")[2:]
+            self._await(index, "snapshot", ("snapshot",))[2:]
             for index in range(self.shards)
         ]
 
@@ -508,13 +509,18 @@ class MemoryService:
         self._ensure_alive(index)
         self._requests[index].put(command)
 
-    def _await(self, index: int, expected: str) -> tuple:
+    def _await(
+        self, index: int, expected: str, command: tuple | None = None
+    ) -> tuple:
         """Wait for one reply, recovering the shard if its worker died.
 
-        On worker death the in-flight command is *not* lost: recovery
-        replays the shard's full history (which includes any pending
-        ``apply``), so the returned reply reflects exactly the state a
-        never-interrupted worker would have reached.
+        On worker death the in-flight command is *not* lost.  Recovery
+        replays the shard's full history, which includes any pending
+        ``apply`` (``command`` is None), so its acknowledgement is
+        resynced; any other in-flight ``command`` (a read, snapshot or
+        stop) is re-sent to the fresh worker.  Either way the returned
+        reply reflects exactly the state a never-interrupted worker
+        would have reached.
         """
         deadline = time.monotonic() + self.worker_timeout
         while True:
@@ -522,21 +528,17 @@ class MemoryService:
                 reply = self._replies[index].get(timeout=_POLL_SECONDS)
             except queue.Empty:
                 worker = self._workers[index]
-                if worker is None or not worker.is_alive():
-                    self._recover(index)
-                    if expected == "applied":
-                        # History replay already applied the in-flight
-                        # batch; synthesize its acknowledgement.
-                        return self._resync(index)
-                    deadline = time.monotonic() + self.worker_timeout
+                alive = worker is not None and worker.is_alive()
+                if alive and time.monotonic() <= deadline:
                     continue
-                if time.monotonic() > deadline:
+                if alive:  # hung: no reply within worker_timeout
                     worker.terminate()
                     worker.join(timeout=10)
-                    self._recover(index)
-                    if expected == "applied":
-                        return self._resync(index)
-                    deadline = time.monotonic() + self.worker_timeout
+                self._recover(index)
+                if command is None:
+                    return self._resync(index)
+                self._requests[index].put(command)
+                deadline = time.monotonic() + self.worker_timeout
                 continue
             if reply[0] != expected:  # pragma: no cover - protocol guard
                 raise ServiceError(
@@ -548,7 +550,10 @@ class MemoryService:
     def _resync(self, index: int) -> tuple:
         """Post-recovery ``applied`` acknowledgement from a snapshot."""
         self._send(index, ("snapshot",))
-        return ("applied", index, self._await(index, "snapshot")[-1])
+        return (
+            "applied", index,
+            self._await(index, "snapshot", ("snapshot",))[-1],
+        )
 
     def _ensure_alive(self, index: int) -> None:
         worker = self._workers[index]

@@ -28,6 +28,7 @@ from ..engine.address_space import ShardMap
 from ..engine.context import ControllerStats
 from ..pcm import EnduranceModel, FaultMode
 from ..tier import HybridController
+from .service import ServiceResult
 
 
 class ShardedController:
@@ -80,6 +81,8 @@ class ShardedController:
                 HybridController(controller, config.tier_lines)
                 for controller in self.controllers
             ]
+        #: Requests routed to each shard so far.
+        self.shard_requests = [0] * len(self.controllers)
 
     @property
     def shards(self) -> int:
@@ -90,7 +93,9 @@ class ShardedController:
 
     def write(self, line: int, data: bytes) -> WriteResult:
         """Route one global-line demand write to its owning shard."""
-        return self.controllers[self.shard_map.shard_of(line)].write(line, data)
+        shard = self.shard_map.shard_of(line)
+        self.shard_requests[shard] += 1
+        return self.controllers[shard].write(line, data)
 
     def write_batch(self, requests) -> list[WriteResult]:
         """Route a batch of ``(line, data)`` requests by shard.
@@ -109,11 +114,12 @@ class ShardedController:
             buckets[shard].append((line, data))
             slots[shard].append(position)
         results: list[WriteResult | None] = [None] * len(requests)
-        for controller, bucket, positions in zip(
-            self.controllers, buckets, slots
+        for shard, (controller, bucket, positions) in enumerate(
+            zip(self.controllers, buckets, slots)
         ):
             if not bucket:
                 continue
+            self.shard_requests[shard] += len(bucket)
             for position, result in zip(
                 positions, controller.write_batch(bucket)
             ):
@@ -155,3 +161,16 @@ class ShardedController:
         dead = sum(c.engine.dead_count for c in self.controllers)
         capacity = sum(c.engine.capacity_lines for c in self.controllers)
         return dead / capacity
+
+    def result(self) -> ServiceResult:
+        """The complete fleet view, shaped like a service run's."""
+        return ServiceResult(
+            shards=self.shards,
+            total_lines=self.total_lines,
+            requests_routed=sum(self.shard_requests),
+            recoveries=0,
+            dead_fraction=self.dead_fraction,
+            stats=self.stats,
+            shard_stats=self.shard_stats(),
+            shard_writes=list(self.shard_requests),
+        )

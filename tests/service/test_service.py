@@ -15,6 +15,7 @@ for field, with the dead worker's telemetry quarantined sweep-style.
 
 import dataclasses
 import json
+import multiprocessing as mp
 import os
 import signal
 import time
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import comp_wf
+from repro.core.controller import CompressedPCMController
 from repro.engine.context import ControllerStats
 from repro.lifetime.telemetry import TELEMETRY_VERSION
 from repro.service import (
@@ -192,12 +194,12 @@ def _kill_and_wait(service, shard):
 
 
 def test_sigterm_kill_recovers_bit_identically(tmp_path):
-    stream = _stream(800)
+    stream = _stream(3_000)
     reference = _reference(stream, shards=4, chunk=50)
     victim = 2
     with MemoryService(
         comp_wf(), LINES, shards=4, telemetry_dir=str(tmp_path),
-        heartbeat_interval=100, fleet_interval=100, **SERVICE_KWARGS,
+        heartbeat_interval=250, fleet_interval=250, **SERVICE_KWARGS,
     ) as service:
         half = len(stream) // 2
         for start in range(0, half, 50):
@@ -208,6 +210,7 @@ def test_sigterm_kill_recovers_bit_identically(tmp_path):
         result = service.stop()
 
     assert result.recoveries == 1
+    assert result.requests_routed == len(stream)
     assert result.stats == reference.stats
     assert result.shard_stats == reference.shard_stats()
     assert result.dead_fraction == reference.dead_fraction
@@ -218,11 +221,13 @@ def test_sigterm_kill_recovers_bit_identically(tmp_path):
     # ...and the respawned worker wrote a fresh stream alongside it.
     fresh = tmp_path / f"shard-{victim}" / "events.jsonl"
     assert fresh.exists()
-    recovered = [
-        json.loads(line)
-        for line in (tmp_path / "fleet.jsonl").read_text().splitlines()
-        if json.loads(line)["event"] == "shard_recovered"
-    ]
+    fleet = _events(tmp_path / "fleet.jsonl")
+    kinds = [event["event"] for event in fleet]
+    assert kinds[0] == "service_start"
+    assert "fleet_heartbeat" in kinds
+    assert kinds[-1] == "service_end"
+    assert fleet[-1]["stats"] == reference.stats.to_dict()
+    recovered = [e for e in fleet if e["event"] == "shard_recovered"]
     assert len(recovered) == 1
     assert recovered[0]["shard"] == victim
     assert recovered[0]["attempt"] == 1
@@ -248,6 +253,58 @@ def test_retry_budget_exhaustion_raises_service_error():
             service.stop()
         except ServiceError:
             pass
+
+
+def _die_once(marker, method):
+    """``method``, except that the first call in any process exits it.
+
+    Creating ``marker`` is atomic, so exactly one call dies even when
+    several forked workers reach it at once; respawns find the marker
+    and run ``method`` normally.
+    """
+    def dying(*args):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return method(*args)
+        os._exit(1)
+
+    return dying
+
+
+@pytest.mark.skipif(
+    mp.get_start_method() != "fork",
+    reason="workers must inherit the patched controller",
+)
+def test_worker_death_mid_read_or_snapshot_re_sends_it(tmp_path, monkeypatch):
+    stream = _stream(200)
+    line = stream[-1][0]
+    reference = _reference(stream, shards=2)
+    expected_stats = reference.stats
+    assert reference.read(line) == stream[-1][1]
+    monkeypatch.setattr(
+        CompressedPCMController, "read",
+        _die_once(tmp_path / "read", CompressedPCMController.read),
+    )
+    monkeypatch.setattr(
+        CompressedPCMController, "stats",
+        property(_die_once(
+            tmp_path / "stats", CompressedPCMController.stats.fget
+        )),
+    )
+    with MemoryService(
+        comp_wf(), LINES, shards=2, worker_timeout=6, **SERVICE_KWARGS,
+    ) as service:
+        service.submit(stream)
+        started = time.monotonic()
+        data = service.read(line)
+        stats = service.stats()
+        elapsed = time.monotonic() - started
+        result = service.stop()
+    assert data == stream[-1][1]
+    assert stats == expected_stats
+    assert result.recoveries == 2
+    assert elapsed < service.worker_timeout / 2
 
 
 def test_run_workload_drives_either_front_end():
@@ -290,8 +347,6 @@ def test_workers_clear_window_caches_across_shard_restarts(tmp_path):
     # The teardown hook itself: a worker loop that exits (stop or
     # crash) must leave the process-global caches empty for whatever
     # runs next in that process.
-    import multiprocessing as mp
-
     from repro.service.service import ShardSpec, shard_worker
 
     def probe(spec, requests, replies, leftovers):

@@ -98,19 +98,26 @@ def test_serve_command_multiprocess_with_telemetry(tmp_path, capsys):
     assert (telemetry / "shard-1" / "events.jsonl").exists()
 
 
-def test_serve_inline_matches_multiprocess(capsys):
+def _serve_json(capsys, *flags):
     import json
 
+    assert main(["serve", *flags, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_serve_inline_matches_multiprocess(capsys):
     flags = ["--shards", "2", "--lines", "32", "--requests", "150",
              "--workload", "memcached", "--endurance", "40",
-             "--banks", "4", "--seed", "3", "--json"]
-    assert main(["serve", "--inline", *flags]) == 0
-    inline = json.loads(capsys.readouterr().out)
-    assert main(["serve", *flags]) == 0
-    service = json.loads(capsys.readouterr().out)
-    assert inline["stats"] == service["stats"]
-    assert inline["shard_stats"] == service["shard_stats"]
-    assert inline["dead_fraction"] == service["dead_fraction"]
+             "--banks", "4", "--seed", "3"]
+    assert _serve_json(capsys, "--inline", *flags) == _serve_json(capsys, *flags)
+
+
+def test_serve_inline_matches_multiprocess_with_tiers(capsys):
+    flags = ["--system", "comp_wf_hybrid", "--shards", "2", "--lines", "64",
+             "--requests", "2000"]
+    inline = _serve_json(capsys, "--inline", *flags)
+    assert inline["stats"]["tier_hits"] > 0
+    assert inline == _serve_json(capsys, *flags)
 
 
 def test_lifetime_command(capsys):

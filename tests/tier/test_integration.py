@@ -43,17 +43,26 @@ class TestShardedFleet:
         fleet = ShardedController(
             comp_wf(), LINES, shards=3, tier_lines=4, **FLEET_KWARGS
         )
-        stream = _stream(400)
+        stream = _stream(1500)
         fleet.write_batch(stream)
+        stats = fleet.stats
+        # Every request reached PCM or was absorbed, net of evictions.
+        assert (
+            stats.demand_writes
+            + stats.tier_pcm_writes_avoided
+            - stats.tier_evictions
+        ) == len(stream)
         shadow = {line: data for line, data in stream}
         for line, expected in shadow.items():
             assert fleet.read(line) == expected
         resident = sum(len(c.tier) for c in fleet.controllers)
         assert fleet.flush_tiers() == resident
         assert sum(len(c.tier) for c in fleet.controllers) == 0
-        # Post-flush the PCM image alone must hold the full state.
+        # Post-flush the PCM image alone must hold the full state, and
+        # the tier never adds PCM traffic.
         for line, expected in shadow.items():
             assert fleet.read(line) == expected
+        assert fleet.stats.demand_writes <= len(stream)
 
     def test_config_tier_lines_fronts_every_shard(self):
         hybrid = resolve_config("comp_wf_hybrid")
@@ -77,7 +86,7 @@ class TestShardedFleet:
         assert fleet.flush_tiers() == 0
 
     def test_capacity_zero_fleet_matches_bare_fleet(self):
-        stream = _stream(300)
+        stream = _stream(1500)
         bare = ShardedController(comp_wf(), LINES, shards=2, **FLEET_KWARGS)
         zero = ShardedController(
             comp_wf(), LINES, shards=2, tier_lines=0, **FLEET_KWARGS

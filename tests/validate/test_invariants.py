@@ -113,16 +113,15 @@ class TestFlipWearConservation:
     def test_holds_with_a_line_encoder_attached(self):
         # Encoder flag cells live outside the array, so attaching one
         # must not perturb the array-side conservation law.
-        config = get_system("comp_wf_wire").configured(
-            correction_scheme="ecp6"
-        )
-        controller = CompressedPCMController(
-            config, 16, EnduranceModel(mean=24.0, cov=0.2),
-            np.random.default_rng(5), n_banks=4,
-            invariants=(FlipWearConservation(),),
-        )
-        _drive(controller, writes=300, seed=13)
-        assert controller.stats.encoding_flag_set_flips > 0
+        for system in ("comp_wf_wire", "comp_coset"):
+            config = get_system(system).configured(correction_scheme="ecp6")
+            controller = CompressedPCMController(
+                config, 16, EnduranceModel(mean=24.0, cov=0.2),
+                np.random.default_rng(5), n_banks=4,
+                invariants=(FlipWearConservation(),),
+            )
+            _drive(controller, writes=1500, seed=13)
+            assert controller.stats.encoding_flag_set_flips > 0
 
     def test_trips_on_double_counted_flip(self):
         controller = _controller(invariants=(FlipWearConservation(),))

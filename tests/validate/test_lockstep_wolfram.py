@@ -9,7 +9,10 @@ schedule, decoder-table permutation, spare remaps, and the priced
 through the out-of-order batch scheduler.
 """
 
+import pytest
+
 from repro.engine.registry import get_system
+from repro.validate.fuzz import run_fuzz
 
 from .test_lockstep import _batched_campaign, _campaign
 
@@ -62,3 +65,19 @@ class TestWolframLockstep:
         )
         controller = _batched_campaign(config)
         assert controller.fast.stats.remaps > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fuzz_campaigns_agree_on_the_pad_backend(seed):
+    """The full design, the spare-pool variant (PAD remap traffic) and
+    the plain baseline, each forced onto the PAD backend, agree with
+    the reference model under every default correction scheme."""
+    report = run_fuzz(
+        systems=("comp_wf", "comp_wf_freep", "baseline"),
+        writes=2000,
+        seed=seed,
+        wl_backend="wolfram",
+    )
+    assert not report.failures, [c.divergence for c in report.failures]
+    assert len([c for c in report.campaigns if not c.skipped]) == 9
