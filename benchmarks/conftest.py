@@ -23,8 +23,8 @@ raise them for tighter confidence intervals.  Figure 10's lifetime study
 is the expensive piece and is shared with Figure 12 and Table IV through
 the ``shared_cache`` fixture; set ``REPRO_BENCH_WORKERS`` to fan its
 (workload x system) grid across processes via
-:class:`repro.engine.SweepRunner` -- results are identical to the
-serial run (shared-seed mode), only wall-clock changes.
+:class:`repro.engine.SweepRunner` -- every run keeps the same seed, so
+results are identical to the serial run; only wall-clock changes.
 """
 
 from __future__ import annotations

@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core import EVALUATED_SYSTEMS
-from ..lifetime import (
-    LifetimeResult,
-    lifetime_months,
-    normalized_against_baseline,
-    run_system_comparison,
-)
+from ..engine.sweep import SweepRunner, check_names
+from ..lifetime import LifetimeResult, lifetime_months, normalized_against_baseline
 from ..pcm import HIGH_VARIATION_COV, PAPER_ENDURANCE_COV
 from ..traces import WORKLOAD_ORDER, get_profile
 
@@ -44,8 +40,13 @@ class WorkloadStudy:
         return self.results[system].avg_faults_per_dead_block
 
 
-def run_workload_study(
-    workload: str,
+def run_workload_study(workload: str, **kwargs) -> WorkloadStudy:
+    """One Figure 10 column group: :func:`run_full_study` on one workload."""
+    return run_full_study((workload,), **kwargs)[workload]
+
+
+def run_full_study(
+    workloads: tuple[str, ...] = WORKLOAD_ORDER,
     systems: tuple[str, ...] = EVALUATED_SYSTEMS,
     n_lines: int = 96,
     endurance_mean: float = 60.0,
@@ -59,88 +60,43 @@ def run_workload_study(
     progress: bool = False,
     batch: int = 1,
     tier_lines: int = 0,
-) -> WorkloadStudy:
-    """One Figure 10 column group (all systems, one workload).
-
-    ``workers > 1`` parallelizes the per-system runs through
-    :class:`~repro.engine.SweepRunner` with identical results.  The
-    durability knobs (``checkpoint_dir``, ``checkpoint_interval``,
-    ``resume``, ``progress``) pass straight through to
-    :func:`repro.lifetime.run_system_comparison`; none of them affect
-    the simulated results.  ``tier_lines > 0`` fronts every system
-    with the content-aware DRAM tier (:mod:`repro.tier`; serial path
-    only) -- that one *does* change results, by design.
-    """
-    results = run_system_comparison(
-        workload,
-        systems=systems,
-        n_lines=n_lines,
-        endurance_mean=endurance_mean,
-        endurance_cov=endurance_cov,
-        seed=seed,
-        max_writes=max_writes,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        resume=resume,
-        progress=progress,
-        batch=batch,
-        tier_lines=tier_lines,
-    )
-    unfinished = [name for name, result in results.items() if not result.failed]
-    if unfinished:
-        raise RuntimeError(
-            f"runs did not reach the failure criterion: {unfinished}; "
-            "raise max_writes or shrink the memory"
-        )
-    return WorkloadStudy(workload=workload, results=results)
-
-
-def run_full_study(
-    workloads: tuple[str, ...] = WORKLOAD_ORDER,
-    systems: tuple[str, ...] = EVALUATED_SYSTEMS,
-    endurance_cov: float = PAPER_ENDURANCE_COV,
-    workers: int = 1,
-    **kwargs,
 ) -> dict[str, WorkloadStudy]:
     """Figure 10 (cov=0.15) or Figure 13 (cov=0.25) across workloads.
 
-    With ``workers > 1`` the whole (workload x system) grid is fanned
-    out at once through :class:`~repro.engine.SweepRunner` -- the grid
-    (not each column group) is the right parallelism unit, since every
-    run is independent.  Results are identical to the serial path.
+    The whole (workload x system) grid is one
+    :class:`~repro.engine.SweepRunner` call -- in-process with
+    ``workers=1``, fanned out across processes otherwise, with
+    identical results.  The options mean what they mean for
+    :func:`repro.lifetime.run_system_comparison`: only ``tier_lines >
+    0`` (the content-aware DRAM tier, :mod:`repro.tier`) changes the
+    simulated results, by design.  Unknown names raise ``ValueError``
+    before any run starts; a run that does not reach the failure
+    criterion raises ``RuntimeError``.
     """
-    if workers != 1:
-        from ..engine.sweep import SweepRunner
-
-        runner = SweepRunner(
-            systems=tuple(systems),
-            workers=workers,
-            n_lines=kwargs.get("n_lines", 96),
-            endurance_mean=kwargs.get("endurance_mean", 60.0),
-            endurance_cov=endurance_cov,
-            max_writes=kwargs.get("max_writes", 4_000_000),
-            checkpoint_dir=kwargs.get("checkpoint_dir"),
-            checkpoint_interval=kwargs.get("checkpoint_interval", 0),
-            resume=kwargs.get("resume", False),
-        )
-        grid = runner.run(workloads, seed=kwargs.get("seed", 0))
-        studies = {}
-        for workload, results in grid.items():
-            unfinished = [n for n, r in results.items() if not r.failed]
-            if unfinished:
-                raise RuntimeError(
-                    f"runs did not reach the failure criterion: {unfinished}; "
-                    "raise max_writes or shrink the memory"
-                )
-            studies[workload] = WorkloadStudy(workload=workload, results=results)
-        return studies
-    return {
-        workload: run_workload_study(
-            workload, systems=systems, endurance_cov=endurance_cov, **kwargs
-        )
-        for workload in workloads
-    }
+    check_names(workloads, systems)
+    runner = SweepRunner(
+        systems=tuple(systems),
+        workers=workers,
+        n_lines=n_lines,
+        endurance_mean=endurance_mean,
+        endurance_cov=endurance_cov,
+        max_writes=max_writes,
+        config_overrides={"tier_lines": tier_lines} if tier_lines else {},
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval,
+        resume=resume,
+    )
+    grid = runner.run(workloads, seed, batch, progress)
+    studies = {}
+    for workload, results in grid.items():
+        unfinished = [name for name, result in results.items() if not result.failed]
+        if unfinished:
+            raise RuntimeError(
+                f"runs did not reach the failure criterion: {unfinished}; "
+                "raise max_writes or shrink the memory"
+            )
+        studies[workload] = WorkloadStudy(workload=workload, results=results)
+    return studies
 
 
 def geometric_mean_normalized(

@@ -29,7 +29,7 @@ from .analysis import (
     fig3_compressed_sizes,
     fig6_size_change_probability,
     fig11_max_size_cdf,
-    run_workload_study,
+    run_full_study,
 )
 from .core import EVALUATED_SYSTEMS, ControllerStats
 from .correction import PAPER_SCHEMES, make_scheme
@@ -59,6 +59,27 @@ def _nonnegative_int(value: str) -> int:
     parsed = int(value)
     if parsed < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
+    return parsed
+
+
+def _positive_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed > 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return parsed
+
+
+def _nonnegative_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed >= 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return parsed
+
+
+def _data_size(value: str) -> int:
+    parsed = int(value)
+    if not 1 <= parsed <= 64:
+        raise argparse.ArgumentTypeError("must be in 1..64")
     return parsed
 
 
@@ -94,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=system_names(), metavar="SYSTEM",
                           help="registered systems (see `repro systems`)")
     lifetime.add_argument("--lines", type=_positive_int, default=96)
-    lifetime.add_argument("--endurance", type=float, default=60.0)
-    lifetime.add_argument("--cov", type=float, default=0.15)
+    lifetime.add_argument("--endurance", type=_positive_float, default=60.0)
+    lifetime.add_argument("--cov", type=_nonnegative_float, default=0.15)
     lifetime.add_argument("--seed", type=int, default=0)
     lifetime.add_argument("--workers", type=_positive_int, default=1,
                           help="worker processes for the (workload x system) "
@@ -103,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     lifetime.add_argument("--batch", type=_positive_int, default=1,
                           help="write-backs per controller call; > 1 drains "
                           "each run through the out-of-order batch scheduler "
-                          "(bit-identical results; requires --workers 1)")
+                          "(bit-identical results)")
     lifetime.add_argument("--profile", metavar="FILE", default=None,
                           help="dump a cProfile of the run to FILE and print "
                           "the top functions by cumulative time")
@@ -129,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tier_option(lifetime)
 
     montecarlo = subparsers.add_parser("montecarlo", help="Figure 9 crossings")
-    montecarlo.add_argument("--sizes", nargs="+", type=int, default=[16, 32, 64])
+    montecarlo.add_argument("--sizes", nargs="+", type=_data_size, default=[16, 32, 64])
     montecarlo.add_argument("--trials", type=_positive_int, default=150)
     montecarlo.add_argument("--schemes", nargs="+", default=list(PAPER_SCHEMES))
     montecarlo.add_argument("--seed", type=int, default=0)
@@ -157,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="systems to sweep (default: the evaluated four "
                         "plus the energy-encoding variants)")
     energy.add_argument("--lines", type=_positive_int, default=96)
-    energy.add_argument("--endurance", type=float, default=60.0)
+    energy.add_argument("--endurance", type=_positive_float, default=60.0)
     energy.add_argument("--max-writes", type=_positive_int, default=2_000_000,
                         help="per-run write budget (runs stop early at the "
                         "failure criterion)")
@@ -211,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--lines", type=_positive_int, default=24,
                       help="logical lines per campaign memory")
     fuzz.add_argument("--banks", type=_positive_int, default=4)
-    fuzz.add_argument("--endurance", type=float, default=32.0,
+    fuzz.add_argument("--endurance", type=_positive_float, default=32.0,
                       help="mean cell endurance (small = wear fast, so "
                       "fault paths are exercised within the campaign)")
-    fuzz.add_argument("--cov", type=float, default=0.2)
+    fuzz.add_argument("--cov", type=_nonnegative_float, default=0.2)
     fuzz.add_argument("--corpus", metavar="DIR", default=None,
                       help="write failing repro seeds (JSON) under DIR")
     fuzz.add_argument("--time-budget", type=float, default=None,
@@ -266,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch", type=_positive_int, default=64,
                        help="requests routed per submit round")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--endurance", type=float, default=100.0)
-    serve.add_argument("--cov", type=float, default=0.15)
+    serve.add_argument("--endurance", type=_positive_float, default=100.0)
+    serve.add_argument("--cov", type=_nonnegative_float, default=0.15)
     serve.add_argument("--banks", type=_positive_int, default=8)
     serve.add_argument("--telemetry-dir", metavar="DIR", default=None,
                        help="write shard-<i>/events.jsonl streams and the "
@@ -278,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fleet-interval", type=_positive_int,
                        default=1000, metavar="REQUESTS",
                        help="routed requests between fleet heartbeats")
-    serve.add_argument("--retries", type=int, default=2,
+    serve.add_argument("--retries", type=_nonnegative_int, default=2,
                        help="worker deaths absorbed per shard before the "
                        "service fails (recovery is exact replay)")
     serve.add_argument("--inline", action="store_true",
@@ -305,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "and print the merged statistics")
     workload.add_argument("--system", default="comp_wf",
                           choices=system_names(), metavar="SYSTEM")
-    workload.add_argument("--endurance", type=float, default=100.0)
-    workload.add_argument("--cov", type=float, default=0.15)
+    workload.add_argument("--endurance", type=_positive_float, default=100.0)
+    workload.add_argument("--cov", type=_nonnegative_float, default=0.15)
     workload.add_argument("--batch", type=_positive_int, default=64)
     _add_tier_option(workload)
 
@@ -339,16 +360,16 @@ def _run_lifetime(args: argparse.Namespace) -> None:
           + f"{'base months':>13}{'WF months':>11}")
     run_stats: list[ControllerStats] = []
     energy_rows: list[tuple[str, str, object]] = []
-    for workload in args.workloads:
-        study = run_workload_study(
-            workload, systems=systems, n_lines=args.lines,
-            endurance_mean=args.endurance, endurance_cov=args.cov,
-            seed=args.seed, workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval or 0,
-            resume=args.resume, progress=args.progress,
-            batch=args.batch, tier_lines=args.tier_lines or 0,
-        )
+    studies = run_full_study(
+        tuple(args.workloads), systems=systems, n_lines=args.lines,
+        endurance_mean=args.endurance, endurance_cov=args.cov,
+        seed=args.seed, workers=args.workers,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_interval=args.checkpoint_interval or 0,
+        resume=args.resume, progress=args.progress,
+        batch=args.batch, tier_lines=args.tier_lines or 0,
+    )
+    for workload, study in studies.items():
         row = f"{workload:12}"
         for system in systems:
             if system != "baseline":

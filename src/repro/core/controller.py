@@ -41,7 +41,6 @@ from ..engine.address_space import AddressRange
 from ..engine.context import ControllerStats, EngineState, WriteResult
 from ..engine.pipeline import WritePipeline
 from ..engine.scheduler import BatchScheduler
-from ..engine.stages import WolframPlacementStage, WolframRemapStage
 from ..pcm import PCMBankArray, EnduranceModel, FaultMode
 from ..pcm.mlc import MLCBankArray
 from ..wearleveling import (
@@ -185,18 +184,7 @@ class CompressedPCMController:
                 remapper.bind_stats(self.engine.stats)
         # Debug-mode invariant checkers (repro.validate.invariants),
         # run by the pipeline after every write; empty by default.
-        self.pipeline = WritePipeline(
-            self.engine,
-            placement=(
-                WolframPlacementStage(self.engine)
-                if wl_backend == "wolfram" else None
-            ),
-            remap=(
-                WolframRemapStage(self.engine)
-                if wl_backend == "wolfram" else None
-            ),
-            invariants=invariants,
-        )
+        self.pipeline = WritePipeline(self.engine, invariants=invariants)
         self._shadow: dict[int, bytes] = {}
         # Out-of-order batch scheduler (stateless between calls; shares
         # the pipeline and the shadow store).

@@ -46,13 +46,18 @@ def run_energy_sweep(
     # building encoders, so pulling the simulator stack in at module
     # scope would cycle through repro.core.
     from ..engine.registry import get_system, system_names
-    from ..lifetime.systems import build_simulator
+    from ..engine.sweep import SweepRunner, check_names
     from ..perf.overhead import PerformanceModel, ReadMix, measure_read_mix
     from ..traces import get_profile
 
     names = tuple(systems) if systems else system_names()
+    check_names(workloads, names)
     model = model or EnergyModel()
     perf = perf or PerformanceModel()
+    grid = SweepRunner(
+        systems=names, workers=1, n_lines=n_lines,
+        endurance_mean=endurance_mean, max_writes=max_writes,
+    ).run(workloads, seed)
     points: list[dict] = []
     for workload in workloads:
         mix = measure_read_mix(
@@ -60,15 +65,8 @@ def run_energy_sweep(
         )
         group: list[dict] = []
         for name in names:
-            spec = get_system(name)
-            config = spec.config
-            simulator = build_simulator(
-                name, workload,
-                n_lines=n_lines,
-                endurance_mean=endurance_mean,
-                seed=seed,
-            )
-            result = simulator.run(max_writes=max_writes)
+            config = get_system(name).config
+            result = grid[workload][name]
             breakdown = result.energy_breakdown(
                 scheme=config.correction_scheme, model=model
             )

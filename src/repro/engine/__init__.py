@@ -11,8 +11,8 @@ Three layers:
   the paper's evaluated systems and the repo's ablation/extension
   variants, consumed uniformly by ``lifetime``, the CLI, benchmarks
   and examples.
-* **SweepRunner** -- fans independent (profile x system) lifetime runs
-  out across processes with per-run seeded generators.
+* **SweepRunner** -- the one driver of (profile x system) lifetime
+  grids, in-process or fanned out across worker processes.
 """
 
 from .address_space import AddressRange, ShardMap, shard_seeds
@@ -37,8 +37,6 @@ from .stages import (
     Stage,
 )
 from .sweep import (
-    FAILURE_MODES,
-    SEED_MODES,
     SweepError,
     SweepReport,
     SweepRunner,
@@ -50,9 +48,7 @@ from .sweep import (
 )
 
 __all__ = [
-    "FAILURE_MODES",
     "PAPER_SYSTEMS",
-    "SEED_MODES",
     "AddressRange",
     "CompressStage",
     "ControllerStats",

@@ -136,8 +136,9 @@ def resolve_config(system: str | SystemConfig, **overrides) -> SystemConfig:
 
 # -- the registry table ----------------------------------------------------
 
-#: The four evaluated systems in the paper's presentation order.
-PAPER_SYSTEMS = ("baseline", "comp", "comp_w", "comp_wf")
+#: The four evaluated systems in the paper's presentation order (the
+#: registry's name for :data:`repro.core.config.EVALUATED_SYSTEMS`).
+PAPER_SYSTEMS = _config.EVALUATED_SYSTEMS
 
 register_system(SystemSpec(
     name="baseline",

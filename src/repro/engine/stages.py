@@ -27,9 +27,9 @@ stage               mechanism
 ==================  ====================================================
 
 The stage boundaries are exactly the seams the related designs swap:
-WoLFRaM replaces the remap/correction pair (see
-:class:`WolframPlacementStage` / :class:`WolframRemapStage`, selected
-by ``config.wl_backend``), CARAM the compress stage.
+WoLFRaM replaces the remap/correction pair (the PAD drives
+:class:`RemapStage` through the Start-Gap surface; the stage
+descriptions follow ``config.wl_backend``), CARAM the compress stage.
 """
 
 from __future__ import annotations
@@ -57,6 +57,17 @@ class Stage:
     def describe(self) -> str:
         """One-line human description for the ``systems`` listing."""
         return self.name
+
+    def _slice(self) -> str:
+        """Shard-slice label when the engine owns a range (else empty)."""
+        rng = self.state.address_range
+        if rng is None:
+            return ""
+        return f", slice [{rng.start}, {rng.stop})"
+
+    def _wolfram(self) -> bool:
+        """Whether the engine runs the WoLFRaM PAD backend."""
+        return getattr(self.state.config, "wl_backend", "startgap_freep") == "wolfram"
 
 
 class CompressStage(Stage):
@@ -284,14 +295,10 @@ class PlacementStage(Stage):
             if config.use_intra_wear_leveling
             else "pointer-stable windows"
         )
-        return f"placement: circular window fit/slide, {intra}{self._slice()}"
-
-    def _slice(self) -> str:
-        """Shard-slice label when the engine owns a range (else empty)."""
-        rng = self.state.address_range
-        if rng is None:
-            return ""
-        return f", slice [{rng.start}, {rng.stop})"
+        # The PAD only permutes which physical slot a line occupies, so
+        # window search and rotation are the same under either backend.
+        pad = ", PAD-permuted rows" if self._wolfram() else ""
+        return f"placement: circular window fit/slide, {intra}{self._slice()}{pad}"
 
 
 class EncodingStage(Stage):
@@ -539,11 +546,10 @@ class CorrectionStage(Stage):
     def describe(self) -> str:
         config = self.state.config
         # Under the WoLFRaM backend the spare pool is a PAD mechanism
-        # (named by WolframRemapStage.describe), not FREE-p.
+        # (named by RemapStage.describe), not FREE-p.
         freep = (
             f" + FREE-p spares ({config.spare_line_fraction:.0%})"
-            if config.spare_line_fraction
-            and getattr(config, "wl_backend", "startgap_freep") != "wolfram"
+            if config.spare_line_fraction and not self._wolfram()
             else ""
         )
         return f"correction: {self.state.scheme.name}{freep}"
@@ -557,6 +563,15 @@ class RemapStage(Stage):
     only allowed at gap-move checkpoints under Comp+WF), performs the
     fallback-to-compressed rescue, and marks/revives dead blocks.  Owns
     ``deaths`` and ``revivals``.
+
+    Under ``wl_backend="wolfram"`` a
+    :class:`~repro.wearleveling.wolfram.WolframPAD` takes Start-Gap's
+    place through the same surface (``map`` / ``on_write`` /
+    ``logical_of``); a reported
+    :class:`~repro.wearleveling.wolfram.PadSwap` carries *two*
+    relocation destinations where a gap move carries one, which the
+    facade's ``movement.destinations`` loop absorbs.  Revival then
+    happens at swap checkpoints.
     """
 
     name = "remap"
@@ -627,6 +642,21 @@ class RemapStage(Stage):
 
     def describe(self) -> str:
         config = self.state.config
+        if self._wolfram():
+            spares = (
+                f", PAD spare remap ({config.spare_line_fraction:.0%})"
+                if self.state.remapper is not None
+                else ""
+            )
+            revival = (
+                "revival at swap checkpoints"
+                if config.use_dead_block_revival
+                else "no revival"
+            )
+            return (
+                f"remap: WoLFRaM PAD (swap period={config.start_gap_psi}), "
+                f"{revival}{spares}{self._slice()}"
+            )
         gap = (
             f"{config.start_gap_regions}-region Start-Gap"
             if config.start_gap_regions > 1
@@ -637,60 +667,4 @@ class RemapStage(Stage):
             if config.use_dead_block_revival
             else "no revival"
         )
-        rng = self.state.address_range
-        shard = "" if rng is None else f", slice [{rng.start}, {rng.stop})"
-        return f"remap: {gap} (psi={config.start_gap_psi}), {revival}{shard}"
-
-
-class WolframPlacementStage(PlacementStage):
-    """Placement under the WoLFRaM PAD backend.
-
-    Window search and intra-line rotation are physical-slot mechanisms,
-    so they carry over from :class:`PlacementStage` unchanged -- the PAD
-    only permutes *which* slot a logical line occupies, exactly as
-    Start-Gap does.  The subclass exists so the stage listing names the
-    backend and so backend-specific placement policy has a seam to land
-    in without touching the Start-Gap path.
-    """
-
-    name = "placement"
-
-    def describe(self) -> str:
-        return f"{super().describe()}, PAD-permuted rows"
-
-
-class WolframRemapStage(RemapStage):
-    """WoLFRaM PAD address permutation and the dead-block life cycle.
-
-    Drives a :class:`~repro.wearleveling.wolfram.WolframPAD` through the
-    same duck-typed surface :class:`RemapStage` uses for Start-Gap
-    (``map`` / ``on_write`` / ``logical_of``); a reported
-    :class:`~repro.wearleveling.wolfram.PadSwap` carries *two*
-    relocation destinations where a gap move carries one, which the
-    facade's ``movement.destinations`` loop absorbs.  Dead-block
-    gating, revival (at swap checkpoints -- the backend's analogue of
-    gap-move checkpoints), and the fallback-to-compressed rescue are
-    mapping-independent and inherited unchanged.
-    """
-
-    name = "remap"
-
-    def describe(self) -> str:
-        config = self.state.config
-        state = self.state
-        spares = (
-            f", PAD spare remap ({config.spare_line_fraction:.0%})"
-            if state.remapper is not None
-            else ""
-        )
-        revival = (
-            "revival at swap checkpoints"
-            if config.use_dead_block_revival
-            else "no revival"
-        )
-        rng = state.address_range
-        shard = "" if rng is None else f", slice [{rng.start}, {rng.stop})"
-        return (
-            f"remap: WoLFRaM PAD (swap period={config.start_gap_psi}), "
-            f"{revival}{spares}{shard}"
-        )
+        return f"remap: {gap} (psi={config.start_gap_psi}), {revival}{self._slice()}"

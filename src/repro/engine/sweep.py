@@ -1,20 +1,21 @@
 """Parallel, fault-tolerant (profile x system) lifetime sweep runner.
 
 A full Figure 10/13 study is dozens of completely independent lifetime
-simulations -- one per (workload profile, system) pair -- that the old
-code ran strictly serially.  :class:`SweepRunner` fans them out across
-worker processes and merges the per-run
-:class:`~repro.lifetime.results.LifetimeResult`\\ s back into the same
-``{workload: {system: result}}`` shape the serial helpers produce.
+simulations -- one per (workload profile, system) pair.
+:class:`SweepRunner` is the one driver every study goes through
+(:func:`repro.lifetime.run_system_comparison`,
+:func:`repro.analysis.run_full_study`, the energy sweep): it runs the
+grid in-process with ``workers=1`` or fans it out across worker
+processes, and merges the per-run
+:class:`~repro.lifetime.results.LifetimeResult`\\ s back into one
+``{workload: {system: result}}`` grid.  :func:`run_task` is the only
+code that builds and runs one lifetime run, so every option (batch
+size, DRAM tier, checkpoints, progress lines) works at every worker
+count.
 
 Determinism: each run builds its own simulator from ``(system,
-workload, seed)`` exactly as :func:`repro.lifetime.run_system_comparison`
-does, so for the default ``seed_mode="shared"`` the parallel results are
-bit-for-bit identical to the serial ones regardless of worker count or
-scheduling (verified by ``tests/engine/test_sweep.py``).  With
-``seed_mode="spawned"`` each run instead gets an independent seed
-derived via :func:`repro.rng.spawn_seeds`, which is what you want when
-averaging over many sweeps rather than comparing against a serial run.
+workload, seed)``, so the results are bit-for-bit identical regardless
+of worker count or scheduling (verified by ``tests/engine/test_sweep.py``).
 
 Fault tolerance: tasks run as individual futures, never ``pool.map``
 (whose iteration rethrows the first worker exception and discards every
@@ -36,14 +37,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from ..rng import spawn_seeds
-from .registry import PAPER_SYSTEMS
-
-#: Recognized per-run seeding policies.
-SEED_MODES = ("shared", "spawned")
-
-#: Recognized failure-handling policies for :meth:`SweepRunner.run`.
-FAILURE_MODES = ("raise", "collect")
+from .registry import PAPER_SYSTEMS, get_system
 
 #: Manifest JSON schema version.
 MANIFEST_VERSION = 1
@@ -71,6 +65,11 @@ class SweepTask:
     checkpoint_interval: int = 0
     #: Resume from the run directory's latest checkpoint if one exists.
     resume: bool = False
+    #: Write-backs per controller call (``LifetimeSimulator.run``'s
+    #: ``batch``; results are identical at every size).
+    batch: int = 1
+    #: Print per-heartbeat ``[workload/system]`` progress lines to stderr.
+    progress: bool = False
 
     @property
     def run_dir(self) -> str | None:
@@ -100,7 +99,7 @@ class TaskFailure:
 
 
 class SweepError(RuntimeError):
-    """A sweep had failing tasks under ``failure_mode="raise"``.
+    """A sweep had failing tasks; raised by :meth:`SweepRunner.run`.
 
     The partial results are not lost: :attr:`report` carries every
     completed sibling result plus the structured failures.
@@ -210,15 +209,34 @@ def quarantine_attempt(task: SweepTask, attempt: int) -> str | None:
     return quarantine_run_dir(task.run_dir, attempt)
 
 
+def check_names(workloads, systems) -> None:
+    """Raise ``ValueError`` for an unknown workload or system name.
+
+    The study drivers call this before a grid starts, so a typo fails
+    at once rather than as a task failure after the rest of the grid
+    has run.
+    """
+    from ..traces import get_profile
+
+    for system in systems:
+        get_system(system)
+    for workload in workloads:
+        get_profile(workload)
+
+
 def run_task(task: SweepTask):
-    """Execute one sweep task; the worker-process entry point."""
+    """Build and run one lifetime simulation; the worker entry point.
+
+    The only code that builds a study run: ``workers=1`` calls it
+    in-process, pool workers call it in their own process.
+    """
     # Imported here (not at module top) so the engine package can be
     # imported without pulling the whole lifetime stack, and so forked
     # workers resolve it against their own interpreter state.
     from ..lifetime.checkpoint import latest_checkpoint
     from ..lifetime.simulator import DEFAULT_CHECKPOINT_INTERVAL
     from ..lifetime.systems import build_simulator
-    from ..lifetime.telemetry import JsonlObserver
+    from ..lifetime.telemetry import JsonlObserver, ProgressObserver
 
     simulator = build_simulator(
         task.system,
@@ -230,32 +248,35 @@ def run_task(task: SweepTask):
         cell_type=task.cell_type,
         **dict(task.config_overrides),
     )
-    run_kwargs: dict = {"max_writes": task.max_writes}
+    run_kwargs: dict = {"max_writes": task.max_writes, "batch": task.batch}
+    observers: list = []
     run_dir = task.run_dir
     if run_dir is not None:
         run_kwargs["checkpoint_dir"] = run_dir
         run_kwargs["checkpoint_interval"] = (
             task.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
         )
-        run_kwargs["observers"] = (
-            JsonlObserver(os.path.join(run_dir, "events.jsonl")),
-        )
+        observers.append(JsonlObserver(os.path.join(run_dir, "events.jsonl")))
         if task.resume:
             run_kwargs["resume_from"] = latest_checkpoint(run_dir)
-    return simulator.run(**run_kwargs)
+    if task.progress:
+        observers.append(ProgressObserver())
+    return simulator.run(observers=tuple(observers), **run_kwargs)
 
 
 @dataclass
 class SweepRunner:
-    """Fans independent (profile x system) lifetime runs across processes.
+    """Runs a (profile x system) grid of lifetime runs, in-process or
+    across worker processes.
 
     Args:
         systems: System names (registry specs) to run per workload.
         workers: Worker processes; ``None`` uses the CPU count, ``1``
             runs serially in-process (no pool, handy for debugging).
-        seed_mode: ``"shared"`` gives every run the same base seed
-            (matching ``run_system_comparison``); ``"spawned"`` derives
-            an independent seed per run via ``SeedSequence.spawn``.
+            Every run gets the same base seed, so the worker count
+            never changes a result.
+        config_overrides: Config knobs applied to every run (the study
+            drivers put the DRAM tier's ``tier_lines`` here).
         retries: How often a failing task is re-executed before being
             recorded as a :class:`TaskFailure` (0 = no retries).  Every
             retry starts from a *clean* run directory: whatever the
@@ -263,11 +284,6 @@ class SweepRunner:
             is first moved into an ``attempt-<N>/`` subdirectory by
             :func:`quarantine_attempt`, so a ``resume`` sweep never
             silently resumes a failed attempt's stale state.
-        failure_mode: What :meth:`run` does about failures --
-            ``"raise"`` raises a :class:`SweepError` carrying the full
-            report (completed sibling results included), ``"collect"``
-            returns the partial grid silently.  :meth:`run_report`
-            always returns the structured report regardless.
         checkpoint_dir: Root directory for per-run checkpoints and
             JSONL telemetry (``<workload>-<system>/`` per task) and the
             sweep's ``manifest.json``.  None disables all of it.
@@ -279,7 +295,6 @@ class SweepRunner:
 
     systems: tuple[str, ...] = PAPER_SYSTEMS
     workers: int | None = None
-    seed_mode: str = "shared"
     n_lines: int = 256
     endurance_mean: float = 100.0
     endurance_cov: float = 0.15
@@ -287,37 +302,24 @@ class SweepRunner:
     cell_type: str = "slc"
     config_overrides: dict = field(default_factory=dict)
     retries: int = 0
-    failure_mode: str = "raise"
     checkpoint_dir: str | None = None
     checkpoint_interval: int = 0
     resume: bool = False
 
     def __post_init__(self) -> None:
-        if self.seed_mode not in SEED_MODES:
-            raise ValueError(
-                f"seed_mode must be one of {SEED_MODES}, got {self.seed_mode!r}"
-            )
-        if self.failure_mode not in FAILURE_MODES:
-            raise ValueError(
-                f"failure_mode must be one of {FAILURE_MODES}, "
-                f"got {self.failure_mode!r}"
-            )
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
         if self.retries < 0:
             raise ValueError("retries cannot be negative")
 
-    def tasks(self, workloads, seed: int = 0) -> list[SweepTask]:
-        """The task grid for a sweep, in (workload, system) order."""
-        pairs = [
-            (workload, system)
-            for workload in workloads
-            for system in self.systems
-        ]
-        if self.seed_mode == "spawned":
-            seeds = spawn_seeds(seed, len(pairs))
-        else:
-            seeds = [seed] * len(pairs)
+    def tasks(
+        self, workloads, seed: int = 0, batch: int = 1, progress: bool = False
+    ) -> list[SweepTask]:
+        """The task grid for a sweep, in (workload, system) order.
+
+        ``batch`` and ``progress`` say how each run executes (see
+        :class:`SweepTask`); neither changes a result.
+        """
         return [
             SweepTask(
                 system=system,
@@ -325,20 +327,25 @@ class SweepRunner:
                 n_lines=self.n_lines,
                 endurance_mean=self.endurance_mean,
                 endurance_cov=self.endurance_cov,
-                seed=run_seed,
+                seed=seed,
                 max_writes=self.max_writes,
                 cell_type=self.cell_type,
                 config_overrides=tuple(sorted(self.config_overrides.items())),
                 checkpoint_dir=self.checkpoint_dir,
                 checkpoint_interval=self.checkpoint_interval,
                 resume=self.resume,
+                batch=batch,
+                progress=progress,
             )
-            for (workload, system), run_seed in zip(pairs, seeds)
+            for workload in workloads
+            for system in self.systems
         ]
 
     # -- execution -------------------------------------------------------
 
-    def run_report(self, workloads, seed: int = 0) -> SweepReport:
+    def run_report(
+        self, workloads, seed: int = 0, batch: int = 1, progress: bool = False
+    ) -> SweepReport:
         """Run the full grid, capturing failures instead of aborting.
 
         Every task is attempted (and retried up to ``retries`` times);
@@ -350,7 +357,7 @@ class SweepRunner:
         from ..core.window import clear_window_caches
 
         workloads = tuple(workloads)
-        tasks = self.tasks(workloads, seed=seed)
+        tasks = self.tasks(workloads, seed=seed, batch=batch, progress=progress)
         workers = self.workers if self.workers is not None else os.cpu_count() or 1
         workers = min(workers, len(tasks)) or 1
         try:
@@ -379,24 +386,25 @@ class SweepRunner:
             self.write_manifest(report, seed=seed)
         return report
 
-    def run(self, workloads, seed: int = 0) -> dict[str, dict[str, object]]:
+    def run(
+        self, workloads, seed: int = 0, batch: int = 1, progress: bool = False
+    ) -> dict[str, dict[str, object]]:
         """Run the full grid; returns ``{workload: {system: result}}``.
 
-        Under the default ``failure_mode="raise"`` a failing task
-        raises :class:`SweepError` *after* the rest of the grid
-        finished (the exception's ``report`` holds the partial
-        results); ``failure_mode="collect"`` returns the partial grid
-        without raising.  Use :meth:`run_report` to always get the
-        structured report.
+        A failing task raises :class:`SweepError` *after* the rest of
+        the grid finished (the exception's ``report`` holds the partial
+        results).  Use :meth:`run_report` to get the partial grid
+        without raising.
         """
-        report = self.run_report(workloads, seed=seed)
-        if self.failure_mode == "raise":
-            report.raise_if_failed()
+        report = self.run_report(workloads, seed, batch, progress)
+        report.raise_if_failed()
         return report.results
 
-    def run_comparison(self, workload: str, seed: int = 0) -> dict[str, object]:
+    def run_comparison(
+        self, workload: str, seed: int = 0, batch: int = 1, progress: bool = False
+    ) -> dict[str, object]:
         """One workload across all systems (a Figure 10 column group)."""
-        return self.run((workload,), seed=seed)[workload]
+        return self.run((workload,), seed, batch, progress)[workload]
 
     def write_manifest(self, report: SweepReport, seed: int | None = None) -> str:
         """Write the sweep run-manifest JSON; returns its path."""

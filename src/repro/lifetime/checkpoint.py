@@ -49,6 +49,17 @@ CHECKPOINT_VERSION = 3
 #: into the column table as it unpickles.
 SUPPORTED_VERSIONS = frozenset({1, 2, 3})
 
+#: Classes older checkpoints pickled that were since folded into
+#: another, mapped to their replacement.  The WoLFRaM stage subclasses
+#: differed from their bases only in ``describe()``, which now keys on
+#: ``config.wl_backend``.
+_RETIRED_CLASSES = {
+    ("repro.engine.stages", "WolframPlacementStage"):
+        ("repro.engine.stages", "PlacementStage"),
+    ("repro.engine.stages", "WolframRemapStage"):
+        ("repro.engine.stages", "RemapStage"),
+}
+
 #: ``checkpoint-<writes, zero-padded>.pkl`` -- zero-padding keeps
 #: lexicographic and numeric order identical.
 _CHECKPOINT_NAME = re.compile(r"^checkpoint-(\d{12})\.pkl$")
@@ -144,6 +155,13 @@ def write_checkpoint(
     return final
 
 
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Unpickler that resolves :data:`_RETIRED_CLASSES`."""
+
+    def find_class(self, module: str, name: str):
+        return super().find_class(*_RETIRED_CLASSES.get((module, name), (module, name)))
+
+
 def read_checkpoint(path: str | Path) -> Checkpoint:
     """Load one checkpoint file, validating the format version.
 
@@ -152,7 +170,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     """
     with open(path, "rb") as handle:
         try:
-            checkpoint = pickle.load(handle)
+            checkpoint = _CheckpointUnpickler(handle).load()
         except Exception as error:
             raise ValueError(
                 f"checkpoint {path} is corrupt or truncated: {error}"

@@ -8,10 +8,9 @@ parameters together so benchmarks and examples can run one-liners like::
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..core import EVALUATED_SYSTEMS, SystemConfig
 from ..engine.registry import resolve_config
+from ..engine.sweep import SweepRunner, check_names
 from ..traces import SyntheticWorkload, get_profile
 from .results import LifetimeResult, normalized_lifetime
 from .simulator import LifetimeSimulator
@@ -94,84 +93,45 @@ def run_system_comparison(
 ) -> dict[str, LifetimeResult]:
     """Run every system on one workload (one Figure 10 column group).
 
+    One :class:`~repro.engine.SweepRunner` call: ``workers=1`` runs the
+    systems in-process, ``workers > 1`` fans them out across processes
+    with bit-for-bit the same results.  Every option below works at
+    every worker count.  Unknown system or workload names raise
+    ``ValueError`` before any run starts.
+
     ``batch > 1`` drains each run's write stream in batched epochs
     through the out-of-order scheduler (bit-identical results; the
     scheduler's wave telemetry lands in each
-    :class:`~repro.lifetime.results.LifetimeResult`).  Serial path
-    only: combine it with ``workers=1``.
+    :class:`~repro.lifetime.results.LifetimeResult`).
 
     ``tier_lines > 0`` fronts every system with a content-aware DRAM
     tier of that capacity (:mod:`repro.tier`) by overriding the
-    config's ``tier_lines`` knob; serial path only.
-
-    ``workers > 1`` fans the runs out across processes through
-    :class:`~repro.engine.SweepRunner`; each run is seeded identically
-    to the serial path, so the results are bit-for-bit the same.
+    config's ``tier_lines`` knob.
 
     Durability knobs (see :mod:`repro.lifetime.checkpoint` and
     :mod:`repro.lifetime.telemetry`): ``checkpoint_dir`` gives each run
     a ``<workload>-<system>/`` subdirectory with durable checkpoints
     (every ``checkpoint_interval`` writes; 0 = the simulator default)
-    plus a JSONL heartbeat stream; ``resume=True`` continues each run
-    from its latest checkpoint when one exists; ``progress=True``
-    prints per-heartbeat progress lines to stderr (serial path only --
-    parallel workers stay quiet and rely on the JSONL streams).
-    Checkpoints and heartbeats never change results.
+    plus a JSONL heartbeat stream, and the sweep's ``manifest.json``;
+    ``resume=True`` continues each run from its latest checkpoint when
+    one exists; ``progress=True`` prints per-heartbeat
+    ``[workload/system]`` progress lines to stderr.  Checkpoints and
+    heartbeats never change results.
     """
-    if workers != 1:
-        if batch != 1:
-            raise ValueError("batch > 1 requires workers=1")
-        if tier_lines:
-            raise ValueError("tier_lines > 0 requires workers=1")
-        from ..engine.sweep import SweepRunner
-
-        runner = SweepRunner(
-            systems=tuple(systems),
-            workers=workers,
-            n_lines=n_lines,
-            endurance_mean=endurance_mean,
-            endurance_cov=endurance_cov,
-            max_writes=max_writes,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_interval=checkpoint_interval,
-            resume=resume,
-        )
-        return runner.run_comparison(workload, seed=seed)
-    from .checkpoint import latest_checkpoint
-    from .simulator import DEFAULT_CHECKPOINT_INTERVAL
-    from .telemetry import JsonlObserver, ProgressObserver
-
-    results = {}
-    for system in systems:
-        overrides: dict = {"tier_lines": tier_lines} if tier_lines else {}
-        simulator = build_simulator(
-            system,
-            workload,
-            n_lines=n_lines,
-            endurance_mean=endurance_mean,
-            endurance_cov=endurance_cov,
-            seed=seed,
-            **overrides,
-        )
-        run_kwargs: dict = {"max_writes": max_writes}
-        if batch != 1:
-            run_kwargs["batch"] = batch
-        observers: list = []
-        if checkpoint_dir is not None:
-            run_dir = Path(checkpoint_dir) / f"{workload}-{system}"
-            run_kwargs["checkpoint_dir"] = run_dir
-            run_kwargs["checkpoint_interval"] = (
-                checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
-            )
-            observers.append(JsonlObserver(run_dir / "events.jsonl"))
-            if resume:
-                run_kwargs["resume_from"] = latest_checkpoint(run_dir)
-        if progress:
-            observers.append(ProgressObserver())
-        if observers:
-            run_kwargs["observers"] = tuple(observers)
-        results[system] = simulator.run(**run_kwargs)
-    return results
+    check_names((workload,), systems)
+    runner = SweepRunner(
+        systems=tuple(systems),
+        workers=workers,
+        n_lines=n_lines,
+        endurance_mean=endurance_mean,
+        endurance_cov=endurance_cov,
+        max_writes=max_writes,
+        config_overrides={"tier_lines": tier_lines} if tier_lines else {},
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_interval=checkpoint_interval,
+        resume=resume,
+    )
+    return runner.run_comparison(workload, seed, batch, progress)
 
 
 def normalized_against_baseline(

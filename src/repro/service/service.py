@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 from ..core.config import SystemConfig
 from ..core.window import LINE_BYTES
-from ..engine.address_space import ShardMap, shard_seeds
+from ..engine.address_space import ShardMap
 from ..engine.context import ControllerStats
 from ..engine.sweep import quarantine_run_dir
 from ..lifetime.telemetry import JsonlObserver
@@ -77,8 +77,29 @@ class ShardSpec:
     n_banks: int
     fault_mode: FaultMode
     cell_type: str
-    telemetry_dir: str | None
-    heartbeat_interval: int
+    telemetry_dir: str | None = None
+    heartbeat_interval: int = DEFAULT_SHARD_HEARTBEAT
+
+
+def shard_specs(shard_map: ShardMap, seed: int, **fields) -> list[ShardSpec]:
+    """One :class:`ShardSpec` per shard of ``shard_map``.
+
+    Each spec gets its shard's slice and derived seed
+    (:meth:`~repro.engine.address_space.ShardMap.shard_seeds`); the
+    remaining :class:`ShardSpec` fields come from ``fields``.  Both
+    fleets -- :class:`MemoryService` and the in-process
+    :class:`~repro.service.sharded.ShardedController` -- build their
+    shards from these specs through :func:`_build_controller`.
+    """
+    return [
+        ShardSpec(
+            index=index, start=shard_range.start, stop=shard_range.stop,
+            seed=shard_seed, **fields,
+        )
+        for index, (shard_range, shard_seed) in enumerate(
+            zip(shard_map.ranges, shard_map.shard_seeds(seed))
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -265,26 +286,12 @@ class MemoryService:
         self.fleet_interval = fleet_interval
         self.retries = retries
         self.worker_timeout = worker_timeout
-        seeds = shard_seeds(seed, shards)
-        self.specs = [
-            ShardSpec(
-                index=index,
-                config=config,
-                start=shard_range.start,
-                stop=shard_range.stop,
-                endurance_mean=endurance_mean,
-                endurance_cov=endurance_cov,
-                seed=shard_seed,
-                n_banks=n_banks,
-                fault_mode=fault_mode,
-                cell_type=cell_type,
-                telemetry_dir=telemetry_dir,
-                heartbeat_interval=heartbeat_interval,
-            )
-            for index, (shard_range, shard_seed) in enumerate(
-                zip(self.shard_map.ranges, seeds)
-            )
-        ]
+        self.specs = shard_specs(
+            self.shard_map, seed, config=config,
+            endurance_mean=endurance_mean, endurance_cov=endurance_cov,
+            n_banks=n_banks, fault_mode=fault_mode, cell_type=cell_type,
+            telemetry_dir=telemetry_dir, heartbeat_interval=heartbeat_interval,
+        )
         self._ctx = mp.get_context()
         self._workers: list[mp.Process | None] = [None] * shards
         self._requests: list[mp.Queue | None] = [None] * shards

@@ -20,15 +20,13 @@ bit for bit.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.config import SystemConfig
-from ..core.controller import CompressedPCMController, WriteResult
+from ..core.controller import WriteResult
 from ..engine.address_space import ShardMap
 from ..engine.context import ControllerStats
-from ..pcm import EnduranceModel, FaultMode
+from ..pcm import FaultMode
 from ..tier import HybridController
-from .service import ServiceResult
+from .service import ServiceResult, _build_controller, shard_specs
 
 
 class ShardedController:
@@ -56,31 +54,19 @@ class ShardedController:
         self.config = config
         self.shard_map = ShardMap(total_lines, shards)
         self.total_lines = total_lines
-        model = EnduranceModel(mean=endurance_mean, cov=endurance_cov)
+        # The same specs and builder as the service's shard workers, so
+        # the two fleets cannot drift apart.  Each shard's DRAM front
+        # tier (when ``config.tier_lines``) sees only its own
+        # sub-stream, which keeps fleet bit-identity to independent
+        # tiered controllers.
         self.controllers = [
-            CompressedPCMController(
-                config=config,
-                n_lines=len(shard_range),
-                endurance_model=model,
-                rng=np.random.default_rng(shard_seed),
-                n_banks=n_banks,
-                fault_mode=fault_mode,
-                cell_type=cell_type,
-                address_range=shard_range,
-            )
-            for shard_range, shard_seed in zip(
-                self.shard_map.ranges, self.shard_map.shard_seeds(seed)
+            _build_controller(spec)
+            for spec in shard_specs(
+                self.shard_map, seed, config=config,
+                endurance_mean=endurance_mean, endurance_cov=endurance_cov,
+                n_banks=n_banks, fault_mode=fault_mode, cell_type=cell_type,
             )
         ]
-        if config.tier_lines:
-            # Per-shard DRAM front tiers (the fleet shape a real
-            # deployment runs): each shard's tier sees only its own
-            # sub-stream, so fleet bit-identity to independent tiered
-            # controllers is preserved.  0 keeps the bare fleet.
-            self.controllers = [
-                HybridController(controller, config.tier_lines)
-                for controller in self.controllers
-            ]
         #: Requests routed to each shard so far.
         self.shard_requests = [0] * len(self.controllers)
 

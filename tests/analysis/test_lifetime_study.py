@@ -61,3 +61,17 @@ def test_high_variation_study_uses_cov_025():
         max_writes=800_000,
     )
     assert studies["milc"].normalized["comp_wf"] > 0.8
+
+
+def test_full_study_workers_match_serial_with_tier():
+    settings = dict(
+        workloads=("milc", "gcc"), systems=("baseline", "comp_wf"),
+        n_lines=16, endurance_mean=12, seed=0, max_writes=400_000,
+        tier_lines=4,
+    )
+    serial = run_full_study(**settings)
+    parallel = run_full_study(workers=2, **settings)
+    assert set(parallel) == set(serial) == {"milc", "gcc"}
+    for workload, study in serial.items():
+        assert parallel[workload].results == study.results, workload
+        assert study.results["comp_wf"].stats.tier_hits > 0

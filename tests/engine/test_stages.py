@@ -1,5 +1,8 @@
 """Unit tests for the composable write-path stages and pipeline."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -188,3 +191,40 @@ class TestFacadeEquivalence:
     def test_write_rejects_short_data(self):
         with pytest.raises(ValueError, match="64 bytes"):
             build_controller().write(0, b"short")
+
+
+#: ``stage_summary()`` of every registered system under both
+#: wear-leveling backends (multi-region Start-Gap systems cannot take
+#: the region-free WoLFRaM PAD), plus one sharded controller per
+#: backend, keyed ``system/backend[/slice]``.  Recorded when the
+#: WoLFRaM descriptions still lived in stage subclasses.
+STAGE_SUMMARIES = Path(__file__).with_name("stage_summaries.json")
+
+
+def _summary(key):
+    from repro.engine import AddressRange, SystemSpec, get_system
+
+    system, backend, *sliced = key.split("/")
+    config = get_system(system).configured(wl_backend=backend)
+    if not sliced:
+        return SystemSpec(name=system, description="", config=config).stage_summary()
+    controller = CompressedPCMController(
+        config=config, n_lines=8, endurance_model=EnduranceModel(mean=10**7),
+        rng=np.random.default_rng(0), address_range=AddressRange(8, 16),
+    )
+    return controller.pipeline.describe()
+
+
+class TestStageSummaries:
+    def test_every_system_is_pinned_on_every_backend_it_takes(self):
+        from repro.engine import get_system, system_names
+
+        pinned = set(json.loads(STAGE_SUMMARIES.read_text()))
+        for system in system_names():
+            regions = get_system(system).config.start_gap_regions
+            assert f"{system}/startgap_freep" in pinned
+            assert (f"{system}/wolfram" in pinned) == (regions == 1)
+
+    @pytest.mark.parametrize("key", sorted(json.loads(STAGE_SUMMARIES.read_text())))
+    def test_stage_summary_is_unchanged(self, key):
+        assert _summary(key) == json.loads(STAGE_SUMMARIES.read_text())[key]

@@ -1,10 +1,10 @@
 """Tests for the parallel (profile x system) sweep runner.
 
-The load-bearing property is determinism: with the default
-``seed_mode="shared"`` a parallel sweep must reproduce the serial
-``run_system_comparison`` results bit-for-bit, regardless of worker
-count or OS scheduling.  The runs here are deliberately tiny so the
-process-pool tests stay fast.
+The load-bearing property is determinism: a parallel sweep must
+reproduce the serial ``run_system_comparison`` results bit-for-bit,
+regardless of worker count or OS scheduling, with every option the
+drivers take.  The runs here are deliberately tiny so the process-pool
+tests stay fast.
 """
 
 import dataclasses
@@ -39,14 +39,6 @@ class TestTaskGrid:
         ]
         assert all(t.seed == 5 for t in tasks)
 
-    def test_spawned_mode_gives_each_run_its_own_seed(self):
-        runner = SweepRunner(systems=SYSTEMS, seed_mode="spawned", **SMALL)
-        tasks = runner.tasks(("milc", "gcc"), seed=5)
-        seeds = [t.seed for t in tasks]
-        assert len(set(seeds)) == len(seeds)
-        # Deterministic derivation: the same root reproduces the grid.
-        assert seeds == [t.seed for t in runner.tasks(("milc", "gcc"), seed=5)]
-
     def test_tasks_are_pickleable_frozen_records(self):
         import pickle
 
@@ -56,8 +48,6 @@ class TestTaskGrid:
             task.seed = 1
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError, match="seed_mode"):
-            SweepRunner(seed_mode="lockstep")
         with pytest.raises(ValueError, match="workers"):
             SweepRunner(workers=0)
 
@@ -92,14 +82,6 @@ class TestDeterminism:
         )["comp_wf"]
         assert results_equal(run_task(task), serial)
 
-    def test_spawned_seeds_change_the_outcome(self):
-        shared = SweepRunner(systems=("comp_wf",), **SMALL)
-        spawned = SweepRunner(systems=("comp_wf",), seed_mode="spawned", **SMALL)
-        a = shared.run_comparison("milc", seed=3)["comp_wf"]
-        b = spawned.run_comparison("milc", seed=3)["comp_wf"]
-        # Independent endurance draws essentially never agree exactly.
-        assert not results_equal(a, b)
-
 
 class TestWorkersPlumbing:
     def test_run_system_comparison_workers_flag_delegates(self):
@@ -119,3 +101,47 @@ class TestWorkersPlumbing:
         changed = runner.run_comparison("milc", seed=3)["comp_wf"]
         default = plain.run_comparison("milc", seed=3)["comp_wf"]
         assert not results_equal(changed, default)
+
+
+class TestOneDriver:
+    """Every option of the study drivers works at every worker count."""
+
+    def test_workers_match_serial_with_batch(self):
+        serial = run_system_comparison(
+            "milc", systems=SYSTEMS, seed=3, batch=8, **SMALL
+        )
+        parallel = run_system_comparison(
+            "milc", systems=SYSTEMS, seed=3, batch=8, workers=2, **SMALL
+        )
+        assert parallel == serial
+        assert serial["comp_wf"].stats.batch_waves > 0
+        unbatched = run_system_comparison("milc", systems=SYSTEMS, seed=3, **SMALL)
+        for system in SYSTEMS:
+            assert results_equal(parallel[system], unbatched[system]), system
+
+    def test_progress_lines_appear_with_workers(self, capfd):
+        run_system_comparison(
+            "milc", systems=SYSTEMS, seed=3, workers=2, progress=True, **SMALL
+        )
+        err = capfd.readouterr().err
+        for system in SYSTEMS:
+            assert f"[milc/{system}] run started (fresh)" in err
+            assert f"[milc/{system}] done after" in err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_names_raise_before_any_run(self, workers, monkeypatch):
+        from repro.lifetime import LifetimeSimulator
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a lifetime run started")
+
+        monkeypatch.setattr(LifetimeSimulator, "run", no_runs)
+        with pytest.raises(ValueError, match="no_such_system"):
+            run_system_comparison(
+                "milc", systems=("baseline", "no_such_system"),
+                workers=workers, **SMALL,
+            )
+        with pytest.raises(ValueError, match="no_such_workload"):
+            run_system_comparison(
+                "no_such_workload", systems=SYSTEMS, workers=workers, **SMALL
+            )

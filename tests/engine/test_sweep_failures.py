@@ -38,7 +38,7 @@ def poisoned_runner(**kwargs):
 
 class TestPartialResults:
     def test_siblings_survive_a_poisoned_task(self):
-        report = poisoned_runner(failure_mode="collect").run_report(
+        report = poisoned_runner().run_report(
             ("milc",), seed=3
         )
         assert not report.ok
@@ -54,12 +54,10 @@ class TestPartialResults:
         assert failure.attempts == 1
 
     def test_parallel_pool_matches_serial_partial_results(self):
-        serial = poisoned_runner(failure_mode="collect").run_report(
+        serial = poisoned_runner().run_report(
             ("milc",), seed=3
         )
-        parallel = poisoned_runner(
-            failure_mode="collect", workers=3
-        ).run_report(("milc",), seed=3)
+        parallel = poisoned_runner(workers=3).run_report(("milc",), seed=3)
         assert parallel.results["milc"] == serial.results["milc"]
         assert [f.task for f in parallel.failures] == [
             f.task for f in serial.failures
@@ -69,13 +67,13 @@ class TestPartialResults:
         clean = run_system_comparison(
             "milc", systems=("baseline", "comp_wf"), seed=3, **SMALL
         )
-        report = poisoned_runner(failure_mode="collect").run_report(
+        report = poisoned_runner().run_report(
             ("milc",), seed=3
         )
         assert report.results["milc"] == clean
 
     def test_multi_workload_grid_completes_around_failures(self):
-        report = poisoned_runner(failure_mode="collect", workers=2).run_report(
+        report = poisoned_runner(workers=2).run_report(
             ("milc", "gcc"), seed=3
         )
         for workload in ("milc", "gcc"):
@@ -91,29 +89,19 @@ class TestFailureModes:
         assert set(report.results["milc"]) == {"baseline", "comp_wf"}
         assert POISON in str(excinfo.value)
 
-    def test_collect_mode_returns_the_partial_grid(self):
-        grid = poisoned_runner(failure_mode="collect").run(("milc",), seed=3)
-        assert set(grid["milc"]) == {"baseline", "comp_wf"}
-
-    def test_invalid_failure_mode_rejected(self):
-        with pytest.raises(ValueError, match="failure_mode"):
-            SweepRunner(failure_mode="ignore")
+    def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
             SweepRunner(retries=-1)
 
 
 class TestRetries:
     def test_retry_budget_is_spent_and_recorded(self):
-        report = poisoned_runner(
-            failure_mode="collect", retries=2
-        ).run_report(("milc",), seed=3)
+        report = poisoned_runner(retries=2).run_report(("milc",), seed=3)
         [failure] = report.failures
         assert failure.attempts == 3  # 1 initial + 2 retries
 
     def test_parallel_retries_match(self):
-        report = poisoned_runner(
-            failure_mode="collect", retries=1, workers=2
-        ).run_report(("milc",), seed=3)
+        report = poisoned_runner(retries=1, workers=2).run_report(("milc",), seed=3)
         [failure] = report.failures
         assert failure.attempts == 2
 
@@ -241,9 +229,7 @@ class TestRetryQuarantine:
 
 class TestManifestAndCheckpoints:
     def test_manifest_records_completions_and_failures(self, tmp_path):
-        runner = poisoned_runner(
-            failure_mode="collect", checkpoint_dir=str(tmp_path)
-        )
+        runner = poisoned_runner(checkpoint_dir=str(tmp_path))
         runner.run_report(("milc",), seed=3)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["n_tasks"] == 3

@@ -262,6 +262,39 @@ class TestVersion2Checkpoints:
             wolfram.restore(checkpoint)
 
 
+#: A WoLFRaM checkpoint written while the backend still had its own
+#: stage subclasses, so it pickles ``WolframPlacementStage`` and
+#: ``WolframRemapStage`` by name: ``build_simulator("comp_wf", "milc",
+#: n_lines=8, endurance_mean=12.0, seed=3, wl_backend="wolfram")
+#: .run(max_writes=600, checkpoint_dir=..., checkpoint_interval=250)``,
+#: newest checkpoint (500 writes), gzipped.
+RETIRED_STAGES_FIXTURE = Path(__file__).parent / "fixtures" / (
+    "checkpoint-v3-comp_wf-wolfram-milc-8lines.pkl.gz"
+)
+
+
+class TestRetiredStageClasses:
+    def test_checkpoint_naming_retired_stage_classes_resumes(self, tmp_path):
+        raw = gzip.decompress(RETIRED_STAGES_FIXTURE.read_bytes())
+        assert b"WolframPlacementStage" in raw and b"WolframRemapStage" in raw
+        path = tmp_path / "checkpoint-000000000500.pkl"
+        path.write_bytes(raw)
+        stages = read_checkpoint(path).controller.pipeline.stages
+        assert [type(stage).__name__ for stage in stages] == [
+            "CompressStage", "PlacementStage", "EncodingStage",
+            "ProgramStage", "CorrectionStage", "RemapStage",
+        ]
+        settings = dict(wl_backend="wolfram", **V2_SETTINGS)
+        golden = build_simulator("comp_wf", "milc", **settings).run(
+            max_writes=BUDGET
+        )
+        resumed = build_simulator("comp_wf", "milc", **settings).run(
+            max_writes=BUDGET, resume_from=path
+        )
+        assert golden.failed
+        assert resumed == golden
+
+
 class TestBackendIdentity:
     def test_checkpoints_record_the_backend(self, tmp_path):
         simulator = build_simulator("comp_wf", "milc", wl_backend="wolfram", **SMALL)

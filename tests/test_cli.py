@@ -139,6 +139,19 @@ def test_lifetime_command_with_workers(capsys):
     assert "milc" in capsys.readouterr().out
 
 
+def test_lifetime_workers_batch_and_tier_print_the_serial_table(capsys):
+    argv = [
+        "lifetime", "--workloads", "milc", "gcc", "--lines", "16",
+        "--endurance", "12", "--systems", "baseline", "comp_wf",
+        "--batch", "4", "--tier-lines", "4",
+    ]
+    assert main(argv + ["--workers", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert "batch scheduler:" in serial
+
+
 def test_systems_command(capsys):
     assert main(["systems"]) == 0
     out = capsys.readouterr().out
@@ -198,6 +211,29 @@ def test_nonpositive_counts_rejected(argv, capsys):
         build_parser().parse_args(argv)
     assert excinfo.value.code == 2  # clean usage error, not a traceback
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lifetime", "--endurance", "0"], "must be > 0"),
+    (["energy", "--endurance", "-5"], "must be > 0"),
+    (["fuzz", "--endurance", "0"], "must be > 0"),
+    (["serve", "--endurance", "-1"], "must be > 0"),
+    (["workload", "memcached", "--endurance", "nan"], "must be > 0"),
+    (["lifetime", "--cov", "-0.1"], "must be >= 0"),
+    (["fuzz", "--cov", "-1"], "must be >= 0"),
+    (["serve", "--cov", "-0.5"], "must be >= 0"),
+    (["workload", "memcached", "--cov", "-2"], "must be >= 0"),
+    (["serve", "--inline", "--retries", "-1"], "must be >= 0"),
+    (["montecarlo", "--sizes", "0"], "must be in 1..64"),
+    (["montecarlo", "--sizes", "16", "65"], "must be in 1..64"),
+])
+def test_bad_numeric_arguments_rejected(argv, message, capsys):
+    """Out-of-range endurance, CoV, retries and data sizes die in
+    argparse with a usage error, not a traceback (or silently)."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_resume_requires_checkpoint_dir(capsys):

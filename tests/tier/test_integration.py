@@ -173,11 +173,14 @@ class TestLifetimeStudy:
         assert tiered.writes_issued >= bare.writes_issued
         assert tiered.stats.stored_writes < tiered.writes_issued
 
-    def test_tier_requires_the_serial_path(self):
+    def test_tier_runs_on_the_parallel_path(self):
         from repro.lifetime import run_system_comparison
 
-        with pytest.raises(ValueError, match="workers=1"):
-            run_system_comparison(
-                "mcf", systems=("comp_wf",), n_lines=16,
-                max_writes=10, workers=2, tier_lines=4,
-            )
+        settings = dict(
+            systems=("baseline", "comp_wf"), n_lines=16,
+            endurance_mean=12.0, seed=3, max_writes=400_000, tier_lines=4,
+        )
+        serial = run_system_comparison("mcf", **settings)
+        parallel = run_system_comparison("mcf", workers=2, **settings)
+        assert parallel == serial
+        assert serial["comp_wf"].stats.tier_hits > 0
