@@ -59,7 +59,7 @@ def run_full_study(
     resume: bool = False,
     progress: bool = False,
     batch: int = 1,
-    tier_lines: int = 0,
+    tier_lines: int | None = None,
 ) -> dict[str, WorkloadStudy]:
     """Figure 10 (cov=0.15) or Figure 13 (cov=0.25) across workloads.
 
@@ -67,11 +67,11 @@ def run_full_study(
     :class:`~repro.engine.SweepRunner` call -- in-process with
     ``workers=1``, fanned out across processes otherwise, with
     identical results.  The options mean what they mean for
-    :func:`repro.lifetime.run_system_comparison`: only ``tier_lines >
-    0`` (the content-aware DRAM tier, :mod:`repro.tier`) changes the
-    simulated results, by design.  Unknown names raise ``ValueError``
-    before any run starts; a run that does not reach the failure
-    criterion raises ``RuntimeError``.
+    :func:`repro.lifetime.run_system_comparison`: only ``tier_lines``
+    (the content-aware DRAM tier, :mod:`repro.tier`; ``None`` keeps
+    each system's own) changes the simulated results, by design.
+    Unknown names raise ``ValueError`` before any run starts; a run
+    that does not reach the failure criterion raises ``RuntimeError``.
     """
     check_names(workloads, systems)
     runner = SweepRunner(
@@ -81,7 +81,9 @@ def run_full_study(
         endurance_mean=endurance_mean,
         endurance_cov=endurance_cov,
         max_writes=max_writes,
-        config_overrides={"tier_lines": tier_lines} if tier_lines else {},
+        config_overrides=(
+            {} if tier_lines is None else {"tier_lines": tier_lines}
+        ),
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
         resume=resume,

@@ -367,7 +367,7 @@ def _run_lifetime(args: argparse.Namespace) -> None:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval or 0,
         resume=args.resume, progress=args.progress,
-        batch=args.batch, tier_lines=args.tier_lines or 0,
+        batch=args.batch, tier_lines=args.tier_lines,
     )
     for workload, study in studies.items():
         row = f"{workload:12}"

@@ -50,8 +50,12 @@ _TRANSFORMS = {
     "alt01": lambda n: np.arange(n, dtype=np.uint8) % 2,
 }
 
-#: Word sizes the packed kernel supports: one unsigned integer per word.
+#: Word sizes the kernel supports: whole bytes, so a word's selector
+#: mask is a byte string and a line mask is a join of them.
 _WORD_BITS = (8, 16, 32, 64)
+
+#: All 512 cells set: the line as one Python int.
+_LINE_ONES = (1 << LINE_BITS) - 1
 
 
 class EncodeOutcome(NamedTuple):
@@ -63,6 +67,19 @@ class EncodeOutcome(NamedTuple):
     encoded_words: int
 
 
+def _line_int(bits: np.ndarray) -> int:
+    """Cell bits -> one 512-bit int (cell ``i`` is bit ``i``)."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _line_bits(line: int) -> np.ndarray:
+    """512-bit int -> cell bits (inverse of :func:`_line_int`)."""
+    return np.unpackbits(
+        np.frombuffer(line.to_bytes(LINE_BYTES, "little"), dtype=np.uint8),
+        bitorder="little",
+    )
+
+
 class LineEncoder:
     """Per-word XOR-family encoder with per-line selector state.
 
@@ -70,12 +87,12 @@ class LineEncoder:
     base owns the mechanics: mask tables, selector storage, the
     energy-weighted per-word choice, and the involution decode.
 
-    The kernel works on packed words: the line's 64 bytes are viewed as
-    ``n_words`` unsigned integers (one ``uint32`` per 32-bit word), so a
-    candidate cell image is one XOR with a packed mask and its SET and
-    RESET cell counts are ``np.bitwise_count`` of two masked words --
+    The kernel works on Python ints: the line's 512 cells are one int
+    (cell ``i`` is bit ``i``), a selector image is a join of per-word
+    mask bytes, and a word is a shift and a mask, so a candidate's SET
+    and RESET cell counts are ``int.bit_count`` of two masked words --
     exact integer counts.  Only ``flags`` and the defining parameters
-    are pickled; the packed tables are rebuilt on unpickle.
+    are pickled; the derived tables are rebuilt on unpickle.
     """
 
     #: Registry name of the encoding family (``SystemConfig.encoding``).
@@ -86,7 +103,7 @@ class LineEncoder:
 
     #: Attributes :meth:`_build_tables` derives; never pickled.
     _DERIVED = (
-        "masks", "_word_dtype", "_masks", "_set_pj", "_reset_pj",
+        "masks", "_word_masks", "_mask_bytes", "_set_pj", "_reset_pj",
         "_flag_set", "_flag_reset", "_flag_cost", "_window_words",
     )
 
@@ -106,8 +123,8 @@ class LineEncoder:
             )
         if word_bits not in _WORD_BITS:
             raise ValueError(
-                f"word size must be one of {_WORD_BITS} bits (one packed "
-                f"unsigned integer per word), got {word_bits}"
+                f"word size must be one of {_WORD_BITS} bits (a whole "
+                f"number of bytes up to 64 bits), got {word_bits}"
             )
         if not transforms or transforms[0] != "identity":
             raise ValueError(
@@ -143,53 +160,55 @@ class LineEncoder:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        """Derive the packed masks, selector tables and window cache."""
+        """Derive the mask, selector and price tables and the window cache."""
         n_transforms = len(self.transforms)
         #: (n_transforms, word_bits) mask table, row t = transform t.
         self.masks = np.stack(
             [_TRANSFORMS[t](self.word_bits) for t in self.transforms]
         )
-        # (n_transforms, flag_bits) binary selector patterns, MSB first.
-        flag_patterns = np.array(
-            [
-                [(t >> bit) & 1 for bit in range(self.flag_bits - 1, -1, -1)]
-                for t in range(n_transforms)
-            ],
-            dtype=np.uint8,
-        ).reshape(n_transforms, self.flag_bits)
-        self._word_dtype = np.dtype(f"<u{self.word_bits // 8}")
-        #: (n_transforms,) packed masks, entry t = transform t.
-        self._masks = np.concatenate([self._pack(mask) for mask in self.masks])
-        # Python floats, so the uint8 counts widen to float64 and each
-        # product equals the per-bit reference's (an int or float32
-        # price would keep a narrow dtype and could wrap or round).
+        #: Entry t = transform t's word mask as bytes (cell order) and
+        #: as an int.
+        self._mask_bytes = tuple(
+            np.packbits(mask, bitorder="little").tobytes() for mask in self.masks
+        )
+        self._word_masks = tuple(
+            int.from_bytes(mask, "little") for mask in self._mask_bytes
+        )
+        # Python floats, so each int count times a price is the float64
+        # product the per-bit reference forms (an int or float32 price
+        # would otherwise keep its own type).
         self._set_pj = float(self.energy.set_pj_per_bit)
         self._reset_pj = float(self.energy.reset_pj_per_bit)
-        # (old, new) selector tables: flag-cell SET flips, RESET flips,
-        # and their energy at the data cells' pulse prices.
-        old_bits = flag_patterns[:, None, :]
-        new_bits = flag_patterns[None, :, :]
-        self._flag_set = ((new_bits == 1) & (old_bits == 0)).sum(axis=2)
-        self._flag_reset = ((new_bits == 0) & (old_bits == 1)).sum(axis=2)
-        self._flag_cost = (
-            self._flag_set * self._set_pj + self._flag_reset * self._reset_pj
+        # [old][new] selector tables: flag-cell SET flips, RESET flips,
+        # and their energy at the data cells' pulse prices.  Selector
+        # patterns are the binary numbers 0..n_transforms-1.
+        self._flag_set = tuple(
+            tuple((new & ~old).bit_count() for new in range(n_transforms))
+            for old in range(n_transforms)
+        )
+        self._flag_reset = tuple(
+            tuple((old & ~new).bit_count() for new in range(n_transforms))
+            for old in range(n_transforms)
+        )
+        self._flag_cost = tuple(
+            tuple(
+                sets * self._set_pj + resets * self._reset_pj
+                for sets, resets in zip(set_row, reset_row)
+            )
+            for set_row, reset_row in zip(self._flag_set, self._flag_reset)
         )
         #: ``(start, size)`` -> indices of the words the window fully
         #: covers, filled on demand.
-        self._window_words: dict[tuple[int, int], np.ndarray] = {}
+        self._window_words: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    # -- packed representation -------------------------------------------
+    def _line_mask(self, flags: list[int]) -> int:
+        """The selector image of a line: word ``w`` holds ``flags[w]``'s mask."""
+        mask_bytes = self._mask_bytes
+        return int.from_bytes(
+            b"".join([mask_bytes[flag] for flag in flags]), "little"
+        )
 
-    def _pack(self, bits: np.ndarray) -> np.ndarray:
-        """Cell bits -> packed words (bit ``i`` of byte ``i // 8``)."""
-        return np.packbits(bits, bitorder="little").view(self._word_dtype)
-
-    @staticmethod
-    def _unpack(words: np.ndarray) -> np.ndarray:
-        """Packed words -> cell bits (inverse of :meth:`_pack`)."""
-        return np.unpackbits(words.view(np.uint8), bitorder="little")
-
-    def _covered_words(self, start: int, size: int) -> np.ndarray:
+    def _covered_words(self, start: int, size: int) -> tuple[int, ...]:
         """Indices of the words the ``[start, start+size)`` window covers."""
         key = (start, size)
         words = self._window_words.get(key)
@@ -197,7 +216,7 @@ class LineEncoder:
             in_window = window_mask(start, size).reshape(
                 self.n_words, self.word_bits
             )
-            words = np.flatnonzero(in_window.all(axis=1))
+            words = tuple(np.flatnonzero(in_window.all(axis=1)).tolist())
             self._window_words[key] = words
         return words
 
@@ -206,8 +225,8 @@ class LineEncoder:
     def decode(self, physical: int, stored: np.ndarray) -> np.ndarray:
         """Stored cell image -> logical bits (XOR is its own inverse).
 
-        Per-bit rather than packed: a lone decode is one gather and one
-        XOR either way, and the bit form skips the pack and unpack.
+        Per-bit rather than on ints: a lone decode is one gather and
+        one XOR, and the bit form skips the pack and unpack.
         """
         words = stored.reshape(self.n_words, self.word_bits)
         return (words ^ self.masks[self.flags[physical]]).reshape(-1)
@@ -231,9 +250,10 @@ class LineEncoder:
         the logical bits are unchanged -- which is everywhere outside
         the window, keeping the differential write's update mask exact.
         """
-        return self._encode_words(
-            physical, self._pack(stored), self._pack(logical),
-            start, size, compressed,
+        flags = self.flags[physical].tolist()
+        return self._encode_line(
+            physical, _line_int(stored), _line_int(logical),
+            self._line_mask(flags), flags, start, size, compressed,
         )
 
     def encode_payload(
@@ -247,55 +267,74 @@ class LineEncoder:
     ) -> EncodeOutcome:
         """:meth:`encode` of ``payload`` laid at byte ``start`` (wrapping)
         into the decoded line -- decode, placement and encoding in one
-        pass over the packed words."""
-        stored_words = self._pack(stored)
-        logical = stored_words ^ self._masks[self.flags[physical]]
-        line = logical.view(np.uint8)
-        data = np.frombuffer(payload, dtype=np.uint8)
-        head = min(len(data), LINE_BYTES - start)
-        line[start:start + head] = data[:head]
-        line[: len(data) - head] = data[head:]
-        return self._encode_words(
-            physical, stored_words, logical, start, size, compressed
+        pass over the line int."""
+        stored_line = _line_int(stored)
+        flags = self.flags[physical].tolist()
+        shift = 8 * start
+        placed = int.from_bytes(payload, "little") << shift
+        window = ((1 << 8 * len(payload)) - 1) << shift
+        if start + len(payload) > LINE_BYTES:  # wraps past byte 63
+            placed = (placed | placed >> LINE_BITS) & _LINE_ONES
+            window = (window | window >> LINE_BITS) & _LINE_ONES
+        mask = self._line_mask(flags)
+        logical = stored_line ^ mask
+        logical ^= (logical ^ placed) & window
+        return self._encode_line(
+            physical, stored_line, logical, mask, flags, start, size,
+            compressed,
         )
 
-    def _encode_words(
+    def _encode_line(
         self,
         physical: int,
-        stored: np.ndarray,
-        logical: np.ndarray,
+        stored: int,
+        logical: int,
+        mask: int,
+        flags: list[int],
         start: int,
         size: int,
         compressed: bool,
     ) -> EncodeOutcome:
-        """The kernel behind :meth:`encode` and :meth:`encode_payload`."""
-        flags = self.flags[physical]
+        """The kernel behind :meth:`encode` and :meth:`encode_payload`.
+
+        ``flags`` is the line's selector row as a list and ``mask`` its
+        selector image; each re-chosen selector is written back to
+        :attr:`flags` and its word's mask swapped in ``mask``.
+        """
         chosen = self._covered_words(start, size)
-        if chosen.size and self.flag_bits:
-            old = flags[chosen]
+        set_flips = reset_flips = encoded_words = 0
+        if chosen and self.flag_bits:
+            old = [flags[word] for word in chosen]
             if self.restricted and not compressed:
                 # No compression slack -> no selector storage: the
                 # re-written words fall back to the identity coset.
-                new = np.zeros(chosen.size, dtype=np.uint8)
+                new = [0] * len(chosen)
             else:
-                new = self._choose(logical[chosen], stored[chosen], old)
-            set_flips = int(self._flag_set[old, new].sum())
-            reset_flips = int(self._flag_reset[old, new].sum())
-            flags[chosen] = new
-            encoded_words = int(np.count_nonzero(new))
-        else:
-            set_flips = reset_flips = encoded_words = 0
-        target = self._unpack(logical ^ self._masks[flags])
-        return EncodeOutcome(target, set_flips, reset_flips, encoded_words)
+                new = self._choose(stored, logical, chosen, old)
+            row = self.flags[physical]
+            word_masks = self._word_masks
+            for word, was, now in zip(chosen, old, new):
+                if now != was:
+                    row[word] = now
+                    set_flips += self._flag_set[was][now]
+                    reset_flips += self._flag_reset[was][now]
+                    mask ^= (word_masks[was] ^ word_masks[now]) << (
+                        word * self.word_bits
+                    )
+            encoded_words = len(new) - new.count(0)
+        return EncodeOutcome(
+            _line_bits(logical ^ mask), set_flips, reset_flips, encoded_words
+        )
 
     # -- selector choice -------------------------------------------------
 
     def _choose(
         self,
-        logical_words: np.ndarray,
-        stored_words: np.ndarray,
-        old_flags: np.ndarray,
-    ) -> np.ndarray:
+        stored: int,
+        logical: int,
+        words: tuple[int, ...],
+        old_flags: list[int],
+    ) -> list[int]:
         """Energy-minimizing transform per word, deterministic ties.
 
         Cost of transform ``t`` for a word = SET energy x (stored 0
@@ -304,18 +343,33 @@ class LineEncoder:
         same float expression, term for term, as the per-bit reference
         (``tests/energy/reference_encoder.py``): float sums depend on
         their grouping, and a regrouped sum can break or make a tie.
-        ``np.argmin`` returns the first minimum, so ties break toward
-        the lowest selector (identity first) -- the property the
-        identity-parameter bit-identity tests rely on.
+        Only a strictly lower cost replaces the best so far, so ties
+        break toward the lowest selector (identity first) -- the
+        property the identity-parameter bit-identity tests rely on.
         """
-        # (words, transforms) candidate cell images.
-        candidates = logical_words[:, None] ^ self._masks
-        stored = stored_words[:, None]
-        sets = np.bitwise_count(candidates & ~stored)
-        resets = np.bitwise_count(stored & ~candidates)
-        cost = sets * self._set_pj + resets * self._reset_pj
-        cost += self._flag_cost[old_flags]
-        return cost.argmin(axis=1).astype(np.uint8)
+        word_bits = self.word_bits
+        ones = (1 << word_bits) - 1
+        set_pj = self._set_pj
+        reset_pj = self._reset_pj
+        masks = tuple(enumerate(self._word_masks))
+        choices = []
+        for word, old in zip(words, old_flags):
+            shift = word * word_bits
+            cells = (stored >> shift) & ones
+            data = (logical >> shift) & ones
+            flag_cost = self._flag_cost[old]
+            best = best_cost = 0
+            for t, mask in masks:
+                candidate = data ^ mask
+                cost = (
+                    (candidate & ~cells).bit_count() * set_pj
+                    + (cells & ~candidate).bit_count() * reset_pj
+                    + flag_cost[t]
+                )
+                if t == 0 or cost < best_cost:
+                    best, best_cost = t, cost
+            choices.append(best)
+        return choices
 
     # -- reporting -------------------------------------------------------
 

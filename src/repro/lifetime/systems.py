@@ -89,7 +89,7 @@ def run_system_comparison(
     resume: bool = False,
     progress: bool = False,
     batch: int = 1,
-    tier_lines: int = 0,
+    tier_lines: int | None = None,
 ) -> dict[str, LifetimeResult]:
     """Run every system on one workload (one Figure 10 column group).
 
@@ -104,9 +104,10 @@ def run_system_comparison(
     scheduler's wave telemetry lands in each
     :class:`~repro.lifetime.results.LifetimeResult`).
 
-    ``tier_lines > 0`` fronts every system with a content-aware DRAM
-    tier of that capacity (:mod:`repro.tier`) by overriding the
-    config's ``tier_lines`` knob.
+    ``tier_lines`` overrides every system's content-aware DRAM tier
+    capacity (:mod:`repro.tier`, the config's ``tier_lines`` knob):
+    ``None`` keeps each system's own tier, and any int, 0 included,
+    replaces it -- 0 runs every system bare.
 
     Durability knobs (see :mod:`repro.lifetime.checkpoint` and
     :mod:`repro.lifetime.telemetry`): ``checkpoint_dir`` gives each run
@@ -126,7 +127,9 @@ def run_system_comparison(
         endurance_mean=endurance_mean,
         endurance_cov=endurance_cov,
         max_writes=max_writes,
-        config_overrides={"tier_lines": tier_lines} if tier_lines else {},
+        config_overrides=(
+            {} if tier_lines is None else {"tier_lines": tier_lines}
+        ),
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
         resume=resume,

@@ -4,8 +4,14 @@
 a complete range-aware :class:`~repro.core.CompressedPCMController`
 over its slice of the global address space.  The parent routes an
 incoming request stream by :class:`~repro.engine.address_space.ShardMap`,
-fans per-shard batches out over request queues, and merges the
-workers' counters into one fleet view.
+fans per-shard batches out over one-way pipes, and merges the workers'
+counters into one fleet view.
+
+Each shard has two ``multiprocessing.Pipe(duplex=False)`` connections:
+the parent sends commands down one and receives replies up the other,
+one reply per command.  The parent closes its copies of the worker's
+ends, so a dead worker shows up at once: a send raises
+``BrokenPipeError`` and a receive raises ``EOFError``.
 
 Telemetry is written by the lifetime runner's JSONL emitter
 (:class:`repro.lifetime.telemetry.JsonlObserver`): each worker appends
@@ -21,11 +27,12 @@ Fault tolerance reuses the sweep runner's quarantine discipline
 dies mid-run (crash or SIGTERM), its telemetry directory is quarantined
 into ``attempt-<N>/``, a fresh worker is spawned from the same spec
 (same seed, so the same endurance draws), and the shard's complete
-routed request history is re-fed.  Because every component is
-deterministic, the recovered shard's state is *bit-identical* to one
-that never died -- recovery is recomputation, not approximation.  The
-retry budget bounds how many deaths per shard are absorbed before
-:class:`ServiceError` is raised.
+routed request history is re-fed one batch at a time, each awaited
+before the next is sent, so neither pipe ever fills.  Because every
+component is deterministic, the recovered shard's state is
+*bit-identical* to one that never died -- recovery is recomputation,
+not approximation.  The retry budget bounds how many deaths per shard
+are absorbed before :class:`ServiceError` is raised.
 
 Workers call :func:`repro.core.window.clear_window_caches` on teardown
 -- the same lifecycle hole PR 3 closed for sweep workers -- so shard
@@ -37,8 +44,8 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue
 import time
+from multiprocessing.connection import Connection
 from dataclasses import dataclass, field
 
 from ..core.config import SystemConfig
@@ -159,8 +166,15 @@ def _build_controller(spec: ShardSpec):
     return controller
 
 
-def shard_worker(spec: ShardSpec, requests: mp.Queue, replies: mp.Queue) -> None:
-    """Worker-process entry point: one shard's serve loop."""
+def shard_worker(
+    spec: ShardSpec, requests: Connection, replies: Connection
+) -> None:
+    """Worker-process entry point: one shard's serve loop.
+
+    ``requests`` is the receiving end of the command pipe and
+    ``replies`` the sending end of the reply pipe.  The loop answers
+    every command with one reply and returns on ``stop``.
+    """
     from ..core.window import clear_window_caches
 
     writer = None
@@ -182,7 +196,7 @@ def shard_worker(spec: ShardSpec, requests: mp.Queue, replies: mp.Queue) -> None
         served = 0
         last_beat = 0
         while True:
-            command = requests.get()
+            command = requests.recv()
             kind = command[0]
             if kind == "apply":
                 batch = command[1]
@@ -199,11 +213,11 @@ def shard_worker(spec: ShardSpec, requests: mp.Queue, replies: mp.Queue) -> None
                         "stats": controller.stats.to_dict(),
                     })
                 last_beat = served
-                replies.put(("applied", spec.index, served))
+                replies.send(("applied", spec.index, served))
             elif kind == "read":
-                replies.put(("data", spec.index, controller.read(command[1])))
+                replies.send(("data", spec.index, controller.read(command[1])))
             elif kind == "snapshot":
-                replies.put((
+                replies.send((
                     "snapshot", spec.index, controller.stats,
                     controller.engine.dead_count,
                     controller.engine.capacity_lines, served,
@@ -216,7 +230,7 @@ def shard_worker(spec: ShardSpec, requests: mp.Queue, replies: mp.Queue) -> None
                         "dead_fraction": controller.dead_fraction,
                         "stats": controller.stats.to_dict(),
                     })
-                replies.put(("stopped", spec.index, served))
+                replies.send(("stopped", spec.index, served))
                 return
             else:  # pragma: no cover - protocol misuse guard
                 raise ValueError(f"unknown service command {kind!r}")
@@ -294,8 +308,9 @@ class MemoryService:
         )
         self._ctx = mp.get_context()
         self._workers: list[mp.Process | None] = [None] * shards
-        self._requests: list[mp.Queue | None] = [None] * shards
-        self._replies: list[mp.Queue | None] = [None] * shards
+        #: Parent ends of each shard's pipes: commands out, replies in.
+        self._requests: list[Connection | None] = [None] * shards
+        self._replies: list[Connection | None] = [None] * shards
         #: Complete routed request history per shard -- the exact-recovery
         #: source: a respawned worker replays it to reconstruct, bit for
         #: bit, the state the dead worker held.
@@ -344,18 +359,29 @@ class MemoryService:
             })
 
     def _spawn(self, index: int) -> None:
-        requests: mp.Queue = self._ctx.Queue()
-        replies: mp.Queue = self._ctx.Queue()
+        self._close_pipes(index)
+        command_out, command_in = self._ctx.Pipe(duplex=False)
+        reply_out, reply_in = self._ctx.Pipe(duplex=False)
         worker = self._ctx.Process(
             target=shard_worker,
-            args=(self.specs[index], requests, replies),
+            args=(self.specs[index], command_out, reply_in),
             daemon=True,
             name=f"repro-shard-{index}",
         )
         worker.start()
+        # Only the worker may hold its ends: then its death is an EOF
+        # on the replies and a broken pipe on the commands.
+        command_out.close()
+        reply_in.close()
         self._workers[index] = worker
-        self._requests[index] = requests
-        self._replies[index] = replies
+        self._requests[index] = command_in
+        self._replies[index] = reply_out
+
+    def _close_pipes(self, index: int) -> None:
+        for pipes in (self._requests, self._replies):
+            if pipes[index] is not None:
+                pipes[index].close()
+                pipes[index] = None
 
     def worker_pid(self, shard: int) -> int:
         """The shard worker's current OS pid (for external kill tests)."""
@@ -381,6 +407,7 @@ class MemoryService:
                 if worker.is_alive():  # pragma: no cover - hung worker
                     worker.terminate()
                 self._workers[index] = None
+            self._close_pipes(index)
         if self._fleet_writer is not None:
             self._fleet_writer.emit("service_end", {
                 "requests_routed": self.requests_routed,
@@ -434,15 +461,18 @@ class MemoryService:
     def _dispatch_apply(self, index: int, bucket: list) -> bool:
         """Record and send one shard batch; False when a recovery
         triggered at dispatch time already replayed it (the batch joins
-        the history *before* the liveness check precisely so the replay
-        covers it exactly once)."""
+        the history *before* the liveness check and the send precisely
+        so the replay covers it exactly once)."""
         self._history[index].append(bucket)
         worker = self._workers[index]
-        if worker is None or not worker.is_alive():
-            self._recover(index)
-            return False
-        self._requests[index].put(("apply", bucket))
-        return True
+        if worker is not None and worker.is_alive():
+            try:
+                self._requests[index].send(("apply", bucket))
+                return True
+            except OSError:  # the worker died after the liveness check
+                pass
+        self._recover(index)
+        return False
 
     def read(self, line: int) -> bytes | None:
         """Read one global line from its owning shard."""
@@ -513,8 +543,14 @@ class MemoryService:
             raise RuntimeError("service not started (use start() or `with`)")
 
     def _send(self, index: int, command: tuple) -> None:
+        """Send ``command``, to a fresh worker if the current one died."""
         self._ensure_alive(index)
-        self._requests[index].put(command)
+        while True:
+            try:
+                self._requests[index].send(command)
+                return
+            except OSError:  # the worker died after the liveness check
+                self._recover(index)
 
     def _await(
         self, index: int, expected: str, command: tuple | None = None
@@ -529,30 +565,42 @@ class MemoryService:
         reply reflects exactly the state a never-interrupted worker
         would have reached.
         """
+        while True:
+            reply = self._receive(index)
+            if reply is not None:
+                break
+            self._recover(index)
+            if command is None:
+                return self._resync(index)
+            self._send(index, command)
+        if reply[0] != expected:  # pragma: no cover - protocol guard
+            raise ServiceError(
+                f"shard {index}: expected {expected!r} reply, got {reply[0]!r}"
+            )
+        return reply
+
+    def _receive(self, index: int) -> tuple | None:
+        """The worker's next reply, or None once it is dead or hung.
+
+        A dead worker's reply pipe reads as end of file (``EOFError``,
+        or ``OSError`` if the pipe broke); a live worker that sends
+        nothing for ``worker_timeout`` seconds is terminated.
+        """
+        replies = self._replies[index]
         deadline = time.monotonic() + self.worker_timeout
         while True:
             try:
-                reply = self._replies[index].get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                worker = self._workers[index]
-                alive = worker is not None and worker.is_alive()
-                if alive and time.monotonic() <= deadline:
-                    continue
-                if alive:  # hung: no reply within worker_timeout
-                    worker.terminate()
-                    worker.join(timeout=10)
-                self._recover(index)
-                if command is None:
-                    return self._resync(index)
-                self._requests[index].put(command)
-                deadline = time.monotonic() + self.worker_timeout
-                continue
-            if reply[0] != expected:  # pragma: no cover - protocol guard
-                raise ServiceError(
-                    f"shard {index}: expected {expected!r} reply, "
-                    f"got {reply[0]!r}"
-                )
-            return reply
+                if replies.poll(_POLL_SECONDS):
+                    return replies.recv()
+            except (EOFError, OSError):
+                return None
+            worker = self._workers[index]
+            if worker is None or not worker.is_alive():
+                return None
+            if time.monotonic() > deadline:  # hung: no reply in time
+                worker.terminate()
+                worker.join(timeout=10)
+                return None
 
     def _resync(self, index: int) -> tuple:
         """Post-recovery ``applied`` acknowledgement from a snapshot."""
@@ -568,30 +616,35 @@ class MemoryService:
             self._recover(index)
 
     def _recover(self, index: int) -> None:
-        """Quarantine, respawn, and replay a dead shard worker."""
-        self._attempts[index] += 1
-        if self._attempts[index] > self.retries:
-            raise ServiceError(
-                f"shard {index} worker died {self._attempts[index]} time(s); "
-                f"retry budget of {self.retries} exhausted"
-            )
-        worker = self._workers[index]
-        exitcode = worker.exitcode if worker is not None else None
-        if worker is not None:
-            worker.join(timeout=10)
-        quarantine = None
-        if self.telemetry_dir is not None:
-            quarantine = quarantine_run_dir(
-                os.path.join(self.telemetry_dir, f"shard-{index}"),
-                self._attempts[index],
-            )
-        self._spawn(index)
-        for batch in self._history[index]:
-            self._requests[index].put(("apply", batch))
-        # Drain the replay acknowledgements; the worker is fresh, so
-        # these arrive in order with no interleaving.
-        for _ in self._history[index]:
-            self._served[index] = self._await(index, "applied")[2]
+        """Quarantine, respawn, and replay a dead shard worker.
+
+        A worker that dies during the replay is replaced in turn, each
+        death counting against the shard's retry budget.
+        """
+        while True:
+            self._attempts[index] += 1
+            if self._attempts[index] > self.retries:
+                raise ServiceError(
+                    f"shard {index} worker died {self._attempts[index]} "
+                    f"time(s); retry budget of {self.retries} exhausted"
+                )
+            worker = self._workers[index]
+            exitcode = None
+            if worker is not None:
+                worker.join(timeout=10)
+                if worker.is_alive():  # pragma: no cover - stuck on exit
+                    worker.terminate()
+                    worker.join(timeout=10)
+                exitcode = worker.exitcode
+            quarantine = None
+            if self.telemetry_dir is not None:
+                quarantine = quarantine_run_dir(
+                    os.path.join(self.telemetry_dir, f"shard-{index}"),
+                    self._attempts[index],
+                )
+            self._spawn(index)
+            if self._replay(index):
+                break
         self.recoveries += 1
         if self._fleet_writer is not None:
             self._fleet_writer.emit("shard_recovered", {
@@ -602,3 +655,23 @@ class MemoryService:
                 "requests_served": self._served[index],
                 "quarantine": quarantine,
             })
+
+    def _replay(self, index: int) -> bool:
+        """Re-feed a fresh worker the shard's history; False if it died.
+
+        One batch at a time: each ``apply`` is acknowledged before the
+        next is sent, so a long history never fills either pipe (a
+        worker blocked on a full reply pipe while the parent blocks on
+        a full command pipe would deadlock both).
+        """
+        requests = self._requests[index]
+        for batch in self._history[index]:
+            try:
+                requests.send(("apply", batch))
+            except OSError:
+                return False
+            reply = self._receive(index)
+            if reply is None:
+                return False
+            self._served[index] = reply[2]
+        return True

@@ -18,6 +18,7 @@ import json
 import multiprocessing as mp
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -183,9 +184,9 @@ def test_malformed_submit_is_rejected_before_it_reaches_a_shard():
     assert result.stats == _reference(stream, shards=2, chunk=100).stats
 
 
-def _kill_and_wait(service, shard):
+def _kill_and_wait(service, shard, signum=signal.SIGTERM):
     pid = service.worker_pid(shard)
-    os.kill(pid, signal.SIGTERM)
+    os.kill(pid, signum)
     deadline = time.monotonic() + 10
     while service._workers[shard].is_alive():
         if time.monotonic() > deadline:  # pragma: no cover - hung kill
@@ -234,6 +235,70 @@ def test_sigterm_kill_recovers_bit_identically(tmp_path):
     assert recovered[0]["quarantine"] == str(
         Path(tmp_path) / f"shard-{victim}" / "attempt-1"
     )
+
+
+def test_long_history_replays_one_batch_at_a_time(tmp_path):
+    """A recovery replays thousands of tiny batches without a deadlock.
+
+    Each single-request submit is one history entry.  Sent all at once,
+    3,200 of them overfill the reply pipe with unread acknowledgements
+    (about 2,000 fit in its 64 KiB) while the parent still blocks on a
+    full command pipe (about 640 more), and parent and worker wait on
+    each other for good; awaited one by one, they cannot.
+    """
+    stream = _stream(3_200)
+    reference = _reference(stream, shards=1, chunk=1)
+    service = MemoryService(comp_wf(), LINES, shards=1, **SERVICE_KWARGS)
+    service.start()
+    outcome = {}
+
+    def finish():
+        for request in stream[-20:]:
+            service.submit([request])
+        outcome["result"] = service.stop()
+
+    try:
+        for request in stream[:-20]:
+            service.submit([request])
+        _kill_and_wait(service, 0)
+        finisher = threading.Thread(target=finish, daemon=True)
+        finisher.start()
+        finisher.join(timeout=120)
+        hung = finisher.is_alive()
+    finally:
+        if "result" not in outcome:
+            # Unblock a stuck send, and let no respawn replace the worker.
+            service.retries = 0
+            os.kill(service.worker_pid(0), signal.SIGKILL)
+    assert not hung, "the recovery replay deadlocked"
+    result = outcome["result"]
+    assert result.recoveries == 1
+    assert result.requests_routed == len(stream)
+    assert result.stats == reference.stats
+    assert result.shard_stats == reference.shard_stats()
+
+
+def test_submit_right_after_a_sigkill_recovers(monkeypatch):
+    """A send that meets a dead worker recovers instead of raising.
+
+    The liveness check is patched to keep reporting the killed worker
+    alive, so the submit's own send is the first to find it gone: the
+    broken pipe must lead to a recovery, not a ``BrokenPipeError``.
+    """
+    stream = _stream(200)
+    reference = _reference(stream, shards=2, chunk=100)
+    with MemoryService(comp_wf(), LINES, shards=2, **SERVICE_KWARGS) as service:
+        service.submit(stream[:100])
+        _kill_and_wait(service, 1, signal.SIGKILL)
+        monkeypatch.setattr(service._workers[1], "is_alive", lambda: True)
+        started = time.monotonic()
+        service.submit(stream[100:])
+        elapsed = time.monotonic() - started
+        result = service.stop()
+    assert result.recoveries == 1
+    assert result.stats == reference.stats
+    assert result.shard_stats == reference.shard_stats()
+    assert elapsed < service.worker_timeout / 2
 
 
 def test_retry_budget_exhaustion_raises_service_error():
@@ -351,12 +416,14 @@ def test_workers_clear_window_caches_across_shard_restarts(tmp_path):
 
     def probe(spec, requests, replies, leftovers):
         shard_worker(spec, requests, replies)
-        leftovers.put(
+        leftovers.send(
             len(window._MASK_CACHE) + len(window._PAYLOAD_BITS_CACHE)
         )
 
     ctx = mp.get_context()
-    requests, replies, leftovers = ctx.Queue(), ctx.Queue(), ctx.Queue()
+    requests, commands = ctx.Pipe(duplex=False)
+    replies_in, replies = ctx.Pipe(duplex=False)
+    leftovers_in, leftovers = ctx.Pipe(duplex=False)
     spec = ShardSpec(
         index=0, config=comp_wf(), start=0, stop=16,
         endurance_mean=40.0, endurance_cov=0.2, seed=3, n_banks=4,
@@ -364,9 +431,10 @@ def test_workers_clear_window_caches_across_shard_restarts(tmp_path):
         telemetry_dir=None, heartbeat_interval=100,
     )
     in_range = [(line, data) for line, data in stream if line < 16]
-    requests.put(("apply", in_range[:50]))
-    requests.put(("stop",))
+    commands.send(("apply", in_range[:50]))
+    commands.send(("stop",))
     worker = ctx.Process(target=probe, args=(spec, requests, replies, leftovers))
     worker.start()
     worker.join(timeout=60)
-    assert leftovers.get(timeout=10) == 0
+    assert leftovers_in.poll(10)
+    assert leftovers_in.recv() == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.traces import load_trace
 
@@ -150,6 +151,27 @@ def test_lifetime_workers_batch_and_tier_print_the_serial_table(capsys):
     assert main(argv + ["--workers", "2"]) == 0
     assert capsys.readouterr().out == serial
     assert "batch scheduler:" in serial
+
+
+@pytest.mark.parametrize(
+    ("flag", "expected"), [([], None), (["--tier-lines", "0"], 0)]
+)
+def test_lifetime_tier_lines_reaches_the_study_as_given(
+    monkeypatch, flag, expected
+):
+    """No flag keeps each system's own tier (None); 0 turns it off."""
+    seen = {}
+
+    def study(workloads, **kwargs):
+        seen.update(kwargs)
+        return {}
+
+    monkeypatch.setattr(cli, "run_full_study", study)
+    main([
+        "lifetime", "--workloads", "milc", "--systems", "comp_wf_hybrid",
+        *flag,
+    ])
+    assert seen["tier_lines"] == expected
 
 
 def test_systems_command(capsys):

@@ -173,6 +173,20 @@ class TestLifetimeStudy:
         assert tiered.writes_issued >= bare.writes_issued
         assert tiered.stats.stored_writes < tiered.writes_issued
 
+    def test_tier_lines_zero_turns_a_systems_own_tier_off(self):
+        """Any int is an override, 0 included; only None keeps the
+        system's own tier (comp_wf_hybrid's 16 lines)."""
+        from repro.lifetime import run_system_comparison
+
+        settings = dict(
+            systems=("comp_wf_hybrid",), n_lines=16, endurance_mean=12,
+            max_writes=5000,
+        )
+        bare = run_system_comparison("milc", tier_lines=0, **settings)
+        own = run_system_comparison("milc", **settings)
+        assert bare["comp_wf_hybrid"].stats.tier_hits == 0
+        assert own["comp_wf_hybrid"].stats.tier_hits > 0
+
     def test_tier_runs_on_the_parallel_path(self):
         from repro.lifetime import run_system_comparison
 
