@@ -38,6 +38,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import comp_wf
+from repro.engine.registry import resolve_config
 from repro.lifetime import run_system_comparison
 from repro.service import ShardedController, make_stream
 
@@ -70,8 +71,8 @@ def _stream(workload):
 
 def _fleet(tier_lines):
     return ShardedController(
-        comp_wf(), LINES, shards=SHARDS, endurance_mean=ENDURANCE_MEAN,
-        seed=SEED, n_banks=8, tier_lines=tier_lines,
+        comp_wf(tier_lines=tier_lines), LINES, shards=SHARDS,
+        endurance_mean=ENDURANCE_MEAN, seed=SEED, n_banks=8,
     )
 
 
@@ -169,11 +170,13 @@ def test_write_traffic_reduction(report, workload):
 
 
 def test_capacity_zero_is_bit_identical_to_bare(report):
-    """The safety rail the whole subsystem hangs on, at fleet scale."""
+    """The safety rail the whole subsystem hangs on, at fleet scale:
+    comp_wf_hybrid (comp_wf plus a 16-line tier) overridden to 0 lines
+    runs exactly the bare comp_wf fleet."""
     stream = _stream("memcached")
     bare, zero = _fleet(0), ShardedController(
-        comp_wf(), LINES, shards=SHARDS, endurance_mean=ENDURANCE_MEAN,
-        seed=SEED, n_banks=8,
+        resolve_config("comp_wf_hybrid", tier_lines=0), LINES,
+        shards=SHARDS, endurance_mean=ENDURANCE_MEAN, seed=SEED, n_banks=8,
     )
     _drive(bare, stream)
     _drive(zero, stream)
@@ -189,7 +192,8 @@ def test_lifetime_with_and_without_tier(report):
         results = run_system_comparison(
             LIFETIME_WORKLOAD, systems=LIFETIME_SYSTEMS,
             n_lines=LIFETIME_LINES, endurance_mean=LIFETIME_ENDURANCE,
-            seed=3, max_writes=MAX_WRITES, tier_lines=capacity,
+            seed=3, max_writes=MAX_WRITES,
+            config_overrides={"tier_lines": capacity},
         )
         for system, result in results.items():
             report["lifetime"]["writes_to_failure"].setdefault(

@@ -59,7 +59,7 @@ def run_full_study(
     resume: bool = False,
     progress: bool = False,
     batch: int = 1,
-    tier_lines: int | None = None,
+    config_overrides: dict[str, object] | None = None,
 ) -> dict[str, WorkloadStudy]:
     """Figure 10 (cov=0.15) or Figure 13 (cov=0.25) across workloads.
 
@@ -67,9 +67,10 @@ def run_full_study(
     :class:`~repro.engine.SweepRunner` call -- in-process with
     ``workers=1``, fanned out across processes otherwise, with
     identical results.  The options mean what they mean for
-    :func:`repro.lifetime.run_system_comparison`: only ``tier_lines``
-    (the content-aware DRAM tier, :mod:`repro.tier`; ``None`` keeps
-    each system's own) changes the simulated results, by design.
+    :func:`repro.lifetime.run_system_comparison`: only
+    ``config_overrides`` (knobs replaced in every system, e.g. the
+    DRAM tier's ``tier_lines``) changes the simulated results, by
+    design.
     Unknown names raise ``ValueError`` before any run starts; a run
     that does not reach the failure criterion raises ``RuntimeError``.
     """
@@ -81,9 +82,7 @@ def run_full_study(
         endurance_mean=endurance_mean,
         endurance_cov=endurance_cov,
         max_writes=max_writes,
-        config_overrides=(
-            {} if tier_lines is None else {"tier_lines": tier_lines}
-        ),
+        config_overrides=dict(config_overrides or {}),
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
         resume=resume,

@@ -92,6 +92,14 @@ def _add_tier_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _config_overrides(args: argparse.Namespace) -> dict[str, object]:
+    """Knobs set by ``--tier-lines``/``--tier`` and ``--wl-backend``
+    (an unset option keeps each system's own value; 0 means 0)."""
+    options = vars(args)
+    knobs = ("tier_lines", "wl_backend")
+    return {knob: options[knob] for knob in knobs if options.get(knob) is not None}
+
+
 def _add_workloads_option(parser: argparse.ArgumentParser, default: list[str]) -> None:
     parser.add_argument(
         "--workloads", nargs="+", default=default,
@@ -258,10 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
                       "call per shard, driving the out-of-order scheduler "
                       "under the oracle (default: 1 = serial writes)")
     fuzz.add_argument("--tier", dest="tier_lines", type=_nonnegative_int,
-                      default=0, metavar="LINES",
+                      default=None, metavar="LINES",
                       help="front each lockstep pair with a DRAM tier of "
                       "this capacity, validating the post-tier PCM stream "
-                      "(default: 0 = no tier)")
+                      "(default: each system's own, which is 0 = no tier "
+                      "for every system but comp_wf_hybrid)")
     fuzz.add_argument("--wl-backend", dest="wl_backend", default=None,
                       choices=("startgap_freep", "wolfram"),
                       help="force every campaign onto this wear-leveling "
@@ -367,7 +376,7 @@ def _run_lifetime(args: argparse.Namespace) -> None:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval or 0,
         resume=args.resume, progress=args.progress,
-        batch=args.batch, tier_lines=args.tier_lines,
+        batch=args.batch, config_overrides=_config_overrides(args),
     )
     for workload, study in studies.items():
         row = f"{workload:12}"
@@ -583,8 +592,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         check_state_every=args.check_state_every,
         shrink=not args.no_shrink, progress=progress,
         shards=args.shards, batch=args.batch,
-        tier_lines=args.tier_lines,
-        wl_backend=args.wl_backend,
+        config_overrides=_config_overrides(args),
     )
     ran = [c for c in report.campaigns if not c.skipped]
     print(f"\n{len(ran)} campaigns, {sum(c.writes_run for c in ran)} writes, "
@@ -598,7 +606,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             "shards": args.shards, "batch": args.batch,
             "tier_lines": args.tier_lines,
             "wl_backend": args.wl_backend,
-            "systems": list(args.systems or system_names()),
+            "systems": list(dict.fromkeys(c.system for c in report.campaigns)),
             "schemes": [normalize_scheme(s) for s in args.schemes],
         })
         print(f"manifest: {manifest}")
@@ -649,13 +657,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import MemoryService, ShardedController, run_workload
 
-    config = resolve_config(args.system)
+    config = resolve_config(args.system, **_config_overrides(args))
     if args.inline:
         fleet = ShardedController(
             config, args.lines, shards=args.shards,
             endurance_mean=args.endurance, endurance_cov=args.cov,
             seed=args.seed, n_banks=args.banks,
-            tier_lines=args.tier_lines,
         )
         run_workload(fleet, args.workload, args.requests,
                      batch=args.batch, seed=args.seed)
@@ -665,7 +672,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             config, args.lines, shards=args.shards,
             endurance_mean=args.endurance, endurance_cov=args.cov,
             seed=args.seed, n_banks=args.banks,
-            tier_lines=args.tier_lines,
             telemetry_dir=args.telemetry_dir,
             heartbeat_interval=args.heartbeat_interval,
             fleet_interval=args.fleet_interval,
@@ -698,11 +704,11 @@ def cmd_workload(args: argparse.Namespace) -> int:
         print(f"wrote {len(trace)} {args.profile} requests over "
               f"{args.lines} lines to {args.out}")
         return 0
-    config = resolve_config(args.system)
+    config = resolve_config(args.system, **_config_overrides(args))
     fleet = ShardedController(
         config, args.lines, shards=args.shards,
         endurance_mean=args.endurance, endurance_cov=args.cov,
-        seed=args.seed, tier_lines=args.tier_lines,
+        seed=args.seed,
     )
     run_workload(fleet, args.profile, args.requests,
                  batch=args.batch, seed=args.seed)

@@ -76,6 +76,9 @@ class SystemConfig:
     #: Every other stage (compress / encoding / program / correction)
     #: is backend-agnostic and unchanged.
     wl_backend: str = "startgap_freep"
+    #: Bank cells: ``"slc"`` (the paper's) or ``"mlc"`` (2-bit cells,
+    #: footnote 1, :mod:`repro.pcm.mlc`).
+    cell_type: str = "slc"
 
     def __post_init__(self) -> None:
         if self.threshold1 < 1 or self.threshold1 > 64:
@@ -104,6 +107,8 @@ class SystemConfig:
                 f"wl_backend must be 'startgap_freep' or 'wolfram', "
                 f"got {self.wl_backend!r}"
             )
+        if self.cell_type not in ("slc", "mlc"):
+            raise ValueError(f"cell_type must be 'slc' or 'mlc', got {self.cell_type!r}")
         if self.wl_backend == "wolfram" and self.start_gap_regions > 1:
             raise ValueError(
                 "start_gap_regions is a Start-Gap scaling mechanism; the "

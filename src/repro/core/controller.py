@@ -41,7 +41,7 @@ from ..engine.address_space import AddressRange
 from ..engine.context import ControllerStats, EngineState, WriteResult
 from ..engine.pipeline import WritePipeline
 from ..engine.scheduler import BatchScheduler
-from ..pcm import PCMBankArray, EnduranceModel, FaultMode
+from ..pcm import PCMBankArray, EnduranceModel
 from ..pcm.mlc import MLCBankArray
 from ..wearleveling import (
     IntraLineWearLeveler,
@@ -68,16 +68,12 @@ class CompressedPCMController:
         endurance_model: EnduranceModel,
         rng: np.random.Generator,
         n_banks: int = 8,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
         compressor: BestOfCompressor | None = None,
-        cell_type: str = "slc",
         invariants: tuple = (),
         address_range: AddressRange | None = None,
     ) -> None:
         if n_lines < 1:
             raise ValueError("need at least one logical line")
-        if cell_type not in ("slc", "mlc"):
-            raise ValueError(f"cell type must be 'slc' or 'mlc', got {cell_type!r}")
         if address_range is not None and len(address_range) != n_lines:
             raise ValueError(
                 f"address range of {len(address_range)} lines does not match "
@@ -86,7 +82,6 @@ class CompressedPCMController:
         self.config = config
         self.n_lines = n_lines
         self.n_banks = n_banks
-        self.cell_type = cell_type
         #: The global slice of a sharded address space this controller
         #: owns; ``None`` (the default) means it owns the whole space.
         #: When set, the public API (:meth:`write`, :meth:`write_batch`,
@@ -98,9 +93,8 @@ class CompressedPCMController:
 
         # The wear-leveling / fault-remap backend (``wl_backend``):
         # Start-Gap + FREE-p (the paper's substrate, default) or the
-        # WoLFRaM programmable address decoder.  ``getattr`` keeps
-        # configs pickled before the knob existed loading cleanly.
-        wl_backend = getattr(config, "wl_backend", "startgap_freep")
+        # WoLFRaM programmable address decoder.
+        wl_backend = config.wl_backend
         if wl_backend == "wolfram":
             start_gap = WolframPAD(n_lines, period=config.start_gap_psi)
         elif config.start_gap_regions > 1:
@@ -127,7 +121,7 @@ class CompressedPCMController:
                 spare_lines=list(range(base_physical, physical)),
                 pointer_bits=max(1, (physical - 1).bit_length()),
             )
-        array_cls = PCMBankArray if cell_type == "slc" else MLCBankArray
+        array_cls = PCMBankArray if config.cell_type == "slc" else MLCBankArray
         engine_compressor = compressor or BestOfCompressor()
         if config.use_compression and config.compression_cache_lines:
             # Content-addressed memoization; transparent (the cached
@@ -143,7 +137,6 @@ class CompressedPCMController:
                 physical,
                 endurance_model,
                 rng,
-                fault_mode,
                 base_line=address_range.start if address_range else 0,
             ),
             start_gap=start_gap,

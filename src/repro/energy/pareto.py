@@ -73,7 +73,7 @@ def run_energy_sweep(
             read_ns = perf.average_read_latency_ns(
                 mix if config.use_compression else ReadMix(1.0, 0.0, 0.0)
             )
-            encoding = getattr(config, "encoding", "none")
+            encoding = config.encoding
             if encoding != "none":
                 read_ns += ENCODING_DECODE_CYCLES * perf.latency.cpu_cycle_ns
             group.append({

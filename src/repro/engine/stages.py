@@ -67,7 +67,7 @@ class Stage:
 
     def _wolfram(self) -> bool:
         """Whether the engine runs the WoLFRaM PAD backend."""
-        return getattr(self.state.config, "wl_backend", "startgap_freep") == "wolfram"
+        return self.state.config.wl_backend == "wolfram"
 
 
 class CompressStage(Stage):

@@ -54,7 +54,6 @@ class SweepTask:
     endurance_cov: float
     seed: int
     max_writes: int
-    cell_type: str = "slc"
     config_overrides: tuple[tuple[str, object], ...] = ()
     #: Root checkpoint directory of the sweep; each task checkpoints
     #: into a ``<workload>-<system>`` subdirectory.  None disables
@@ -245,7 +244,6 @@ def run_task(task: SweepTask):
         endurance_mean=task.endurance_mean,
         endurance_cov=task.endurance_cov,
         seed=task.seed,
-        cell_type=task.cell_type,
         **dict(task.config_overrides),
     )
     run_kwargs: dict = {"max_writes": task.max_writes, "batch": task.batch}
@@ -275,8 +273,9 @@ class SweepRunner:
             runs serially in-process (no pool, handy for debugging).
             Every run gets the same base seed, so the worker count
             never changes a result.
-        config_overrides: Config knobs applied to every run (the study
-            drivers put the DRAM tier's ``tier_lines`` here).
+        config_overrides: Config knobs replaced in every run's system
+            (``tier_lines``, ``wl_backend``, ...); an absent knob keeps
+            each system's own value.
         retries: How often a failing task is re-executed before being
             recorded as a :class:`TaskFailure` (0 = no retries).  Every
             retry starts from a *clean* run directory: whatever the
@@ -299,7 +298,6 @@ class SweepRunner:
     endurance_mean: float = 100.0
     endurance_cov: float = 0.15
     max_writes: int = 2_000_000
-    cell_type: str = "slc"
     config_overrides: dict = field(default_factory=dict)
     retries: int = 0
     checkpoint_dir: str | None = None
@@ -329,7 +327,6 @@ class SweepRunner:
                 endurance_cov=self.endurance_cov,
                 seed=seed,
                 max_writes=self.max_writes,
-                cell_type=self.cell_type,
                 config_overrides=tuple(sorted(self.config_overrides.items())),
                 checkpoint_dir=self.checkpoint_dir,
                 checkpoint_interval=self.checkpoint_interval,

@@ -43,7 +43,7 @@ from pathlib import Path
 CHECKPOINT_VERSION = 3
 
 #: Versions :func:`read_checkpoint` accepts.  Version-1 checkpoints
-#: predate the tier knob; missing fields read back via ``getattr``
+#: predate the tier knob; missing fields read back as the dataclass
 #: defaults, so old snapshots resume as tier-less runs.  Versions 1-2
 #: pickled the metadata as a record list, which the engine state turns
 #: into the column table as it unpickles.
@@ -87,30 +87,17 @@ class Checkpoint:
     trace_cursor: int = 0
     #: Cumulative wall-clock seconds spent simulating across every
     #: run segment up to this checkpoint, so resumed runs report
-    #: monotone ``elapsed_seconds`` telemetry.  Defaulted (and read
-    #: back with ``getattr``) so checkpoints pickled before the field
-    #: existed still load, reporting 0.0.
+    #: monotone ``elapsed_seconds`` telemetry.  Defaulted, so
+    #: checkpoints pickled before the field existed read the class
+    #: default and report 0.0.
     elapsed_seconds: float = 0.0
-    #: DRAM front-tier capacity (version >= 2).  Part of the experiment
-    #: identity -- a tiered run and a bare run of the same system are
-    #: different experiments -- so ``restore`` refuses a mismatch.
-    #: Defaulted (and read back with ``getattr``) so version-1
-    #: checkpoints load as the tier-less runs they were.
+    #: Copies of the run's ``config.tier_lines`` (version >= 2) and
+    #: ``config.wl_backend`` (version >= 3), kept so the format stays
+    #: put.  ``restore`` reads both knobs from ``controller.config``,
+    #: which every version pickles; knobs an old config predates read
+    #: as the :class:`~repro.core.SystemConfig` class defaults.
     tier_lines: int = 0
-    #: Wear-leveling backend (version >= 3).  Part of the experiment
-    #: identity: a WoLFRaM run and a Start-Gap run of the same system
-    #: are different experiments.  Older checkpoints lack the field;
-    #: :func:`checkpoint_wl_backend` reads it from their controller.
     wl_backend: str | None = None
-
-
-def checkpoint_wl_backend(checkpoint: Checkpoint) -> str:
-    """The wear-leveling backend a checkpoint's run used."""
-    backend = getattr(checkpoint, "wl_backend", None)
-    if backend is None:
-        config = getattr(checkpoint.controller, "config", None)
-        backend = getattr(config, "wl_backend", "startgap_freep")
-    return backend
 
 
 def checkpoint_path(directory: str | Path, writes_issued: int) -> Path:

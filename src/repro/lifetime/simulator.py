@@ -25,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from ..core import CompressedPCMController, SystemConfig
-from ..pcm import EnduranceModel, FaultMode
+from ..pcm import EnduranceModel
 from ..tier import HybridController
 from ..traces import SyntheticWorkload, Trace, WriteBack, WorkloadProfile
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
-    checkpoint_wl_backend,
     read_checkpoint,
     write_checkpoint,
 )
@@ -60,9 +59,7 @@ class LifetimeSimulator:
         endurance_cov: float = 0.15,
         seed: int = 0,
         n_banks: int = 8,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
         dead_threshold: float = DEAD_CAPACITY_THRESHOLD,
-        cell_type: str = "slc",
         rng: np.random.Generator | None = None,
         invariants: tuple = (),
     ) -> None:
@@ -96,8 +93,6 @@ class LifetimeSimulator:
             endurance_model=model,
             rng=rng if rng is not None else np.random.default_rng(seed),
             n_banks=n_banks,
-            fault_mode=fault_mode,
-            cell_type=cell_type,
             # Debug-mode checkers (repro.validate.invariants); pure
             # observers, so enabling them never changes the result.
             invariants=invariants,
@@ -172,35 +167,36 @@ class LifetimeSimulator:
 
         The checkpoint must come from the same experiment (system,
         workload, memory size, failure threshold, tier capacity,
-        wear-leveling backend) -- a mismatch raises ``ValueError``
-        before any state is replaced.
+        wear-leveling backend, cell type) -- a mismatch raises
+        ``ValueError`` before any state is replaced.  The knobs come from
+        the pickled controller's config; knobs a checkpoint predates read
+        as their dataclass defaults.
         """
         if not isinstance(checkpoint, Checkpoint):
             checkpoint = read_checkpoint(checkpoint)
+        config = self.config
+        pickled = checkpoint.controller.config
         expected = (
-            self.config.name, self.workload_name, self.n_lines,
-            self.dead_threshold, self.config.tier_lines,
-            self.config.wl_backend,
+            config.name, self.workload_name, self.n_lines,
+            self.dead_threshold, config.tier_lines, config.wl_backend,
+            config.cell_type,
         )
         found = (
             checkpoint.system, checkpoint.workload, checkpoint.n_lines,
-            checkpoint.dead_threshold,
-            # getattr: version-1 checkpoints predate the tier knob.
-            getattr(checkpoint, "tier_lines", 0),
-            checkpoint_wl_backend(checkpoint),
+            checkpoint.dead_threshold, pickled.tier_lines,
+            pickled.wl_backend, pickled.cell_type,
         )
         if expected != found:
             raise ValueError(
                 "checkpoint belongs to a different run: expected "
                 "(system, workload, n_lines, dead_threshold, tier_lines, "
-                f"wl_backend)={expected}, checkpoint has {found}"
+                f"wl_backend, cell_type)={expected}, checkpoint has {found}"
             )
         self.controller = checkpoint.controller
         self.source = checkpoint.source
         self.trace_cursor = checkpoint.trace_cursor
         self.writes_issued = checkpoint.writes_issued
-        # getattr: checkpoints pickled before the field existed.
-        self.elapsed_seconds = getattr(checkpoint, "elapsed_seconds", 0.0)
+        self.elapsed_seconds = checkpoint.elapsed_seconds
 
     # -- the run loop ----------------------------------------------------
 

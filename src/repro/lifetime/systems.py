@@ -45,24 +45,21 @@ def build_simulator(
     endurance_mean: float = 100.0,
     endurance_cov: float = 0.15,
     seed: int = 0,
-    cell_type: str = "slc",
     **config_overrides,
 ) -> LifetimeSimulator:
     """A ready-to-run simulator for one (system, workload) pair.
 
     ``system`` may be any registered :class:`~repro.engine.SystemSpec`
     name (the four paper systems plus ablation/extension variants) or
-    an explicit :class:`~repro.core.SystemConfig`.
+    an explicit :class:`~repro.core.SystemConfig`.  ``config_overrides``
+    replace config knobs (``tier_lines=8``, ``encoding="wire"``, ...).
     """
-    if isinstance(system, SystemConfig):
-        config = resolve_config(system, **config_overrides)
-    else:
-        overrides = dict(config_overrides)
-        overrides.setdefault(
+    if not isinstance(system, SystemConfig):
+        config_overrides.setdefault(
             "intra_counter_limit",
             scaled_intra_counter_limit(endurance_mean, lines_per_bank=max(1, n_lines // 8)),
         )
-        config = resolve_config(system, **overrides)
+    config = resolve_config(system, **config_overrides)
     source = SyntheticWorkload(get_profile(workload), n_lines=n_lines, seed=seed)
     return LifetimeSimulator(
         config=config,
@@ -71,7 +68,6 @@ def build_simulator(
         endurance_mean=endurance_mean,
         endurance_cov=endurance_cov,
         seed=seed + 1,
-        cell_type=cell_type,
     )
 
 
@@ -89,7 +85,7 @@ def run_system_comparison(
     resume: bool = False,
     progress: bool = False,
     batch: int = 1,
-    tier_lines: int | None = None,
+    config_overrides: dict[str, object] | None = None,
 ) -> dict[str, LifetimeResult]:
     """Run every system on one workload (one Figure 10 column group).
 
@@ -104,10 +100,10 @@ def run_system_comparison(
     scheduler's wave telemetry lands in each
     :class:`~repro.lifetime.results.LifetimeResult`).
 
-    ``tier_lines`` overrides every system's content-aware DRAM tier
-    capacity (:mod:`repro.tier`, the config's ``tier_lines`` knob):
-    ``None`` keeps each system's own tier, and any int, 0 included,
-    replaces it -- 0 runs every system bare.
+    ``config_overrides`` replaces config knobs in every system: an
+    absent knob keeps each system's own value, a present one applies
+    as given -- ``{"tier_lines": 0}`` runs every system bare, even
+    ``comp_wf_hybrid``.
 
     Durability knobs (see :mod:`repro.lifetime.checkpoint` and
     :mod:`repro.lifetime.telemetry`): ``checkpoint_dir`` gives each run
@@ -127,9 +123,7 @@ def run_system_comparison(
         endurance_mean=endurance_mean,
         endurance_cov=endurance_cov,
         max_writes=max_writes,
-        config_overrides=(
-            {} if tier_lines is None else {"tier_lines": tier_lines}
-        ),
+        config_overrides=dict(config_overrides or {}),
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
         resume=resume,

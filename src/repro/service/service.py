@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import threading
 import time
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 from dataclasses import dataclass, field
 
 from ..core.config import SystemConfig
@@ -54,7 +55,6 @@ from ..engine.address_space import ShardMap
 from ..engine.context import ControllerStats
 from ..engine.sweep import quarantine_run_dir
 from ..lifetime.telemetry import JsonlObserver
-from ..pcm import FaultMode
 
 #: Default requests between per-shard heartbeat events.
 DEFAULT_SHARD_HEARTBEAT = 1_000
@@ -82,8 +82,6 @@ class ShardSpec:
     endurance_cov: float
     seed: int
     n_banks: int
-    fault_mode: FaultMode
-    cell_type: str
     telemetry_dir: str | None = None
     heartbeat_interval: int = DEFAULT_SHARD_HEARTBEAT
 
@@ -152,8 +150,6 @@ def _build_controller(spec: ShardSpec):
         ),
         rng=np.random.default_rng(spec.seed),
         n_banks=spec.n_banks,
-        fault_mode=spec.fault_mode,
-        cell_type=spec.cell_type,
         address_range=AddressRange(spec.start, spec.stop),
     )
     if spec.config.tier_lines:
@@ -166,6 +162,23 @@ def _build_controller(spec: ShardSpec):
     return controller
 
 
+def _exit_with_parent() -> None:
+    """End this worker process once its parent process is gone.
+
+    A forked worker inherits the parent's end of its own command pipe
+    (and of earlier shards'), so a killed parent never shows up as end
+    of file on ``requests``; the parent sentinel does.  A daemon thread
+    waits on it, so the serve loop pays nothing per command.
+    """
+    parent = mp.parent_process()
+    if parent is not None:  # None when called in-process
+        def watch() -> None:
+            wait([parent.sentinel])
+            os._exit(1)
+
+        threading.Thread(target=watch, daemon=True).start()
+
+
 def shard_worker(
     spec: ShardSpec, requests: Connection, replies: Connection
 ) -> None:
@@ -173,10 +186,12 @@ def shard_worker(
 
     ``requests`` is the receiving end of the command pipe and
     ``replies`` the sending end of the reply pipe.  The loop answers
-    every command with one reply and returns on ``stop``.
+    every command with one reply and returns on ``stop``, or exits
+    with its parent process (:func:`_exit_with_parent`).
     """
     from ..core.window import clear_window_caches
 
+    _exit_with_parent()
     writer = None
     if spec.telemetry_dir is not None:
         writer = JsonlObserver(
@@ -264,10 +279,8 @@ class MemoryService:
             :class:`ServiceError`.
         worker_timeout: Seconds without any reply from a live worker
             before it is declared hung and restarted.
-        tier_lines: Per-shard content-aware DRAM front tier capacity
-            (:mod:`repro.tier`), overriding ``config.tier_lines``;
-            ``None`` (default) keeps the config's value, and 0 runs
-            bare shards.
+        tier_lines: Overrides ``config.tier_lines`` (per-shard DRAM
+            tier, :mod:`repro.tier`) when not ``None``; 0 runs bare.
     """
 
     def __init__(
@@ -279,8 +292,6 @@ class MemoryService:
         endurance_cov: float = 0.15,
         seed: int = 0,
         n_banks: int = 8,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
-        cell_type: str = "slc",
         telemetry_dir: str | None = None,
         heartbeat_interval: int = DEFAULT_SHARD_HEARTBEAT,
         fleet_interval: int = DEFAULT_SHARD_HEARTBEAT,
@@ -293,6 +304,8 @@ class MemoryService:
         if retries < 0:
             raise ValueError("retries cannot be negative")
         if tier_lines is not None:
+            # The only knob with its own keyword, kept because
+            # perfbench/workloads.py passes it; set it in the config.
             config = config.with_overrides(tier_lines=tier_lines)
         self.shard_map = ShardMap(total_lines, shards)
         self.total_lines = total_lines
@@ -303,7 +316,7 @@ class MemoryService:
         self.specs = shard_specs(
             self.shard_map, seed, config=config,
             endurance_mean=endurance_mean, endurance_cov=endurance_cov,
-            n_banks=n_banks, fault_mode=fault_mode, cell_type=cell_type,
+            n_banks=n_banks,
             telemetry_dir=telemetry_dir, heartbeat_interval=heartbeat_interval,
         )
         self._ctx = mp.get_context()

@@ -24,7 +24,6 @@ from ..core.config import SystemConfig
 from ..core.controller import WriteResult
 from ..engine.address_space import ShardMap
 from ..engine.context import ControllerStats
-from ..pcm import FaultMode
 from ..tier import HybridController
 from .service import ServiceResult, _build_controller, shard_specs
 
@@ -32,8 +31,8 @@ from .service import ServiceResult, _build_controller, shard_specs
 class ShardedController:
     """K range-aware controllers serving one global address space.
 
-    Every shard runs ``config``; ``tier_lines``, when given, overrides
-    its ``tier_lines`` knob (per-shard DRAM front tier capacity).
+    Every shard runs ``config``, its DRAM front tier included
+    (``config.tier_lines`` lines per shard).
     """
 
     def __init__(
@@ -45,12 +44,7 @@ class ShardedController:
         endurance_cov: float = 0.15,
         seed: int = 0,
         n_banks: int = 8,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
-        cell_type: str = "slc",
-        tier_lines: int | None = None,
     ) -> None:
-        if tier_lines is not None:
-            config = config.with_overrides(tier_lines=tier_lines)
         self.config = config
         self.shard_map = ShardMap(total_lines, shards)
         self.total_lines = total_lines
@@ -64,7 +58,7 @@ class ShardedController:
             for spec in shard_specs(
                 self.shard_map, seed, config=config,
                 endurance_mean=endurance_mean, endurance_cov=endurance_cov,
-                n_banks=n_banks, fault_mode=fault_mode, cell_type=cell_type,
+                n_banks=n_banks,
             )
         ]
         #: Requests routed to each shard so far.

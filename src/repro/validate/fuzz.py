@@ -28,7 +28,6 @@ import numpy as np
 from ..engine.address_space import ShardMap, shard_seeds
 from ..engine.context import ControllerStats
 from ..engine.registry import get_system, system_names
-from ..pcm import FaultMode
 from .lockstep import DivergenceError, ValidatingController, replay_recipe
 
 #: The paper's three fine-grained correction schemes (acceptance set).
@@ -281,6 +280,15 @@ def assert_fleet_view(shard_stats: list[ControllerStats]) -> ControllerStats:
     return merged
 
 
+def _accepts(system: str, overrides: dict) -> bool:
+    """Whether ``system``'s config takes ``overrides`` without error."""
+    try:
+        get_system(system).configured(**overrides)
+    except ValueError:
+        return False
+    return True
+
+
 def run_fuzz(
     systems: tuple[str, ...] | None = None,
     schemes: tuple[str, ...] = DEFAULT_SCHEMES,
@@ -290,7 +298,6 @@ def run_fuzz(
     banks: int = 4,
     endurance_mean: float = 32.0,
     endurance_cov: float = 0.2,
-    fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
     corpus_dir: str | Path | None = None,
     time_budget: float | None = None,
     check_state_every: int = 64,
@@ -298,8 +305,7 @@ def run_fuzz(
     progress=None,
     shards: int = 1,
     batch: int = 1,
-    tier_lines: int = 0,
-    wl_backend: str | None = None,
+    config_overrides: dict[str, object] | None = None,
 ) -> FuzzReport:
     """Differential campaigns over ``systems`` x ``schemes``.
 
@@ -328,30 +334,23 @@ def run_fuzz(
     reproduce under the (serial) recipe replay used for shrinking --
     in that case the unshrunk recipe is kept.
 
-    ``tier_lines > 0`` fronts every shard's lockstep pair with a
-    content-aware DRAM tier (:mod:`repro.tier`), so the oracle
-    validates exactly the *post-tier* PCM write stream -- coalesced
-    writes never reach either controller, eviction flushes reach both.
-    End-of-campaign verification flushes each tier first (through the
-    validated write path) so the full-state sweep covers every line
-    the stream touched.  ``tier_lines=0`` is the historical campaign,
-    bit for bit.
-
-    ``wl_backend`` overrides every campaign config's wear-leveling /
-    remap backend (``"startgap_freep"`` or ``"wolfram"``), so one flag
-    re-runs a whole campaign matrix against the WoLFRaM PAD path and
-    its independent reference model.  ``None`` (the default) keeps each
-    system's own configured backend.  When the default system set is
-    used with ``wl_backend="wolfram"``, multi-region Start-Gap systems
-    are dropped from it (the config layer rejects that combination);
-    explicitly listed systems are not filtered.
+    ``config_overrides`` replaces config knobs in every campaign's
+    system (an absent knob keeps the system's own value), e.g.
+    ``{"wl_backend": "wolfram"}`` re-runs the matrix against the PAD
+    path and its reference model.  A config with ``tier_lines > 0``
+    (``comp_wf_hybrid``'s own, or overridden) fronts every shard's
+    lockstep pair with a DRAM tier (:mod:`repro.tier`), so the oracle
+    validates exactly the *post-tier* PCM stream; verification flushes
+    each tier first, so the full-state sweep covers every line.  The
+    default system set drops systems whose config rejects the
+    overrides (multi-region Start-Gap under ``wolfram``); listed
+    systems are not filtered, so a rejection raises.
     """
     if shards < 1:
         raise ValueError("need at least one shard")
     if batch < 1:
         raise ValueError("batch must be positive")
-    if tier_lines < 0:
-        raise ValueError("tier_lines must be >= 0")
+    overrides = dict(config_overrides or {})
     report = FuzzReport()
     started = time.monotonic()
     if systems:
@@ -363,14 +362,12 @@ def run_fuzz(
         # read-back correctness is pinned by tests/energy instead.
         names = tuple(
             name for name in system_names()
-            if getattr(get_system(name).config, "encoding", "none") == "none"
+            if get_system(name).config.encoding == "none"
+            and _accepts(name, overrides)
         )
-        if wl_backend == "wolfram":
-            # The PAD table is region-free; multi-region Start-Gap
-            # configs cannot take the override.
-            names = tuple(
-                name for name in names
-                if get_system(name).config.start_gap_regions == 1
+        if not names:
+            raise ValueError(
+                f"no registered system accepts the overrides {overrides}"
             )
     schemes = tuple(normalize_scheme(scheme) for scheme in schemes)
     shard_map = ShardMap(lines, shards)
@@ -388,10 +385,9 @@ def run_fuzz(
                 campaign.skipped = True
                 continue
 
-            overrides = {"correction_scheme": scheme}
-            if wl_backend is not None:
-                overrides["wl_backend"] = wl_backend
-            config = get_system(system).configured(**overrides)
+            config = get_system(system).configured(
+                **{**overrides, "correction_scheme": scheme}
+            )
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, campaign_index])
             )
@@ -403,18 +399,17 @@ def run_fuzz(
                     endurance_mean=endurance_mean,
                     endurance_cov=endurance_cov,
                     seed=shard_seed, n_banks=banks,
-                    fault_mode=fault_mode,
                     check_state_every=check_state_every,
                 )
                 for shard, shard_seed in enumerate(
                     shard_seeds(seed + campaign_index, shards)
                 )
             ]
-            if tier_lines:
+            if config.tier_lines:
                 from ..tier import HybridController
 
                 controllers = [
-                    HybridController(controller, tier_lines)
+                    HybridController(controller, config.tier_lines)
                     for controller in controllers
                 ]
             palette = _PayloadPalette(rng, lines)
@@ -447,7 +442,7 @@ def run_fuzz(
                         # tier first, so pending residents are diffed.
                         controller.verify_state()
                     assert_fleet_view([
-                        (controller.inner if tier_lines else controller)
+                        (controller.inner if config.tier_lines else controller)
                         .fast.stats
                         for controller in controllers
                     ])

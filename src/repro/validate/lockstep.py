@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.config import SystemConfig
 from ..core.controller import CompressedPCMController
-from ..pcm import EnduranceModel, FaultMode
+from ..pcm import EnduranceModel
 from .reference import STAT_FIELDS, ReferenceModel
 
 #: Default full-memory sweep period (every write still gets the cheap
@@ -59,13 +59,11 @@ class ValidatingController:
         endurance_cov: float = 0.2,
         seed: int = 0,
         n_banks: int = 8,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
         check_state_every: int = DEFAULT_CHECK_STATE_EVERY,
     ) -> None:
         self.config = config
         self.n_lines = n_lines
         self.n_banks = n_banks
-        self.fault_mode = fault_mode
         self.endurance_mean = endurance_mean
         self.endurance_cov = endurance_cov
         self.seed = seed
@@ -77,7 +75,6 @@ class ValidatingController:
             model,
             np.random.default_rng(seed),
             n_banks=n_banks,
-            fault_mode=fault_mode,
         )
         self.oracle = ReferenceModel.from_controller(self.fast)
         self.ops: list[tuple[int, bytes]] = []
@@ -371,7 +368,6 @@ class ValidatingController:
             "config": dataclasses.asdict(self.config),
             "n_lines": self.n_lines,
             "n_banks": self.n_banks,
-            "fault_mode": self.fault_mode.value,
             "endurance_mean": self.endurance_mean,
             "endurance_cov": self.endurance_cov,
             "seed": self.seed,
@@ -393,7 +389,6 @@ def controller_from_recipe(recipe: dict) -> ValidatingController:
         endurance_cov=recipe["endurance_cov"],
         seed=recipe["seed"],
         n_banks=recipe["n_banks"],
-        fault_mode=FaultMode(recipe["fault_mode"]),
         check_state_every=recipe.get("check_state_every", DEFAULT_CHECK_STATE_EVERY),
     )
 

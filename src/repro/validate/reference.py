@@ -25,14 +25,13 @@ Everything else -- Start-Gap, the WoLFRaM programmable address decoder
 spares, Figure 8, the window search, the cell wear model -- is
 re-derived.
 
-Scope: SLC banks only.  :meth:`ReferenceModel.from_controller` raises
-``NotImplementedError`` for MLC arrays (the oracle's cell loop models
-single-bit cells).
+Scope: SLC banks of stuck-at-last cells, as the controller builds them.
+:meth:`ReferenceModel.from_controller` raises ``NotImplementedError``
+for MLC arrays (the oracle's cell loop models single-bit cells).
 """
 
 from __future__ import annotations
 
-from ..pcm.cell import FaultMode
 from .refcompress import reference_best_compress, reference_encode_metadata
 
 LINE_BYTES = 64
@@ -407,15 +406,13 @@ class ReferenceModel:
         endurance: list[list[int]],
         scheme,
         n_banks: int = 8,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
     ) -> None:
         self.config = config
         self.n_lines = n_lines
         self.n_banks = n_banks
-        self.fault_mode = fault_mode
         self.scheme = scheme
 
-        self.wl_backend = getattr(config, "wl_backend", "startgap_freep")
+        self.wl_backend = config.wl_backend
         if self.wl_backend == "wolfram":
             self.start_gap: (
                 _RefStartGap | _RefRegionStartGap | _RefWolframPAD
@@ -490,7 +487,6 @@ class ReferenceModel:
             endurance=memory.endurance.tolist(),
             scheme=make_scheme(controller.config.correction_scheme),
             n_banks=controller.n_banks,
-            fault_mode=memory.fault_mode,
         )
 
     # -- public API ------------------------------------------------------
@@ -749,11 +745,6 @@ class ReferenceModel:
         programmed = 0
         set_flips = 0
         new_faults = 0
-        forced = None
-        if self.fault_mode is FaultMode.STUCK_AT_SET:
-            forced = 1
-        elif self.fault_mode is FaultMode.STUCK_AT_RESET:
-            forced = 0
         for position in range(LINE_BITS):
             if target[position] == line.stored[position]:
                 continue
@@ -766,8 +757,6 @@ class ReferenceModel:
                 set_flips += 1
             if line.counts[position] >= line.endurance[position]:
                 new_faults += 1
-                if forced is not None:
-                    line.stored[position] = forced
         self.stats["total_flips"] += programmed
         self.stats["set_flips"] += set_flips
         self.stats["reset_flips"] += programmed - set_flips

@@ -67,7 +67,7 @@ def test_full_study_workers_match_serial_with_tier():
     settings = dict(
         workloads=("milc", "gcc"), systems=("baseline", "comp_wf"),
         n_lines=16, endurance_mean=12, seed=0, max_writes=400_000,
-        tier_lines=4,
+        config_overrides={"tier_lines": 4},
     )
     serial = run_full_study(**settings)
     parallel = run_full_study(workers=2, **settings)

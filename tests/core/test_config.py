@@ -73,3 +73,25 @@ def test_validation():
         comp_wf(intra_counter_limit=0)
     with pytest.raises(ValueError, match="compression-window features"):
         SystemConfig(name="bad", use_compression=False)
+
+
+def test_cell_type_knob():
+    """The paper's substrate is SLC; footnote 1's MLC is one knob away."""
+    for name in EVALUATED_SYSTEMS:
+        assert make_config(name).cell_type == "slc"
+    assert comp_wf(cell_type="mlc").cell_type == "mlc"
+    with pytest.raises(ValueError, match="cell_type"):
+        comp_wf(cell_type="tlc")
+
+
+def test_cell_type_round_trips_through_json():
+    import json
+
+    from repro.engine.registry import SystemSpec
+
+    spec = SystemSpec(
+        name="comp_wf", description="MLC cells",
+        config=comp_wf(cell_type="mlc"),
+    )
+    payload = json.loads(json.dumps(spec.to_dict()))
+    assert SystemSpec.from_dict(payload) == spec

@@ -28,7 +28,6 @@ from repro.lifetime import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.lifetime.checkpoint import checkpoint_wl_backend
 from repro.lifetime.telemetry import JsonlObserver
 from repro.traces import SyntheticWorkload, Trace, get_profile
 
@@ -254,7 +253,7 @@ class TestVersion2Checkpoints:
 
     def test_v2_checkpoint_backend_comes_from_its_controller(self, tmp_path):
         checkpoint = read_checkpoint(self._fixture(tmp_path))
-        assert checkpoint_wl_backend(checkpoint) == "startgap_freep"
+        assert checkpoint.controller.config.wl_backend == "startgap_freep"
         wolfram = build_simulator(
             "comp_wf", "milc", wl_backend="wolfram", **V2_SETTINGS
         )
@@ -516,3 +515,43 @@ class TestTelemetry:
         for key in ("writes_issued", "dead_fraction", "writes_per_second",
                     "stats"):
             assert key in heartbeat
+
+
+class TestKnobsPickledBeforeTheyExisted:
+    @pytest.mark.parametrize(
+        ("fixture", "backend"),
+        [(V2_FIXTURE, "startgap_freep"), (RETIRED_STAGES_FIXTURE, "wolfram")],
+        ids=["v2", "v3"],
+    )
+    def test_fixture_reads_class_defaults_and_resumes(
+        self, tmp_path, fixture, backend
+    ):
+        """The committed fixtures predate ``cell_type``: their pickled
+        configs lack it, the dataclass default answers plain attribute
+        access, and the runs still resume."""
+        path = tmp_path / "checkpoint-000000000500.pkl"
+        path.write_bytes(gzip.decompress(fixture.read_bytes()))
+        checkpoint = read_checkpoint(path)
+        config = checkpoint.controller.config
+        assert "cell_type" not in vars(config)
+        assert config.cell_type == "slc"
+        assert config.wl_backend == backend
+        settings = dict(wl_backend=backend, **V2_SETTINGS)
+        golden = build_simulator("comp_wf", "milc", **settings).run(
+            max_writes=BUDGET
+        )
+        resumed = build_simulator("comp_wf", "milc", **settings).run(
+            max_writes=BUDGET, resume_from=path
+        )
+        assert resumed == golden
+
+
+class TestCellIdentity:
+    def test_restore_refuses_a_checkpoint_from_other_cells(self, tmp_path):
+        """An SLC checkpoint is a different experiment from an MLC run
+        of the same system."""
+        small_simulator().run(max_writes=600, checkpoint_dir=tmp_path,
+                              checkpoint_interval=500)
+        mlc = build_simulator("comp_wf", "milc", cell_type="mlc", **SMALL)
+        with pytest.raises(ValueError, match="cell_type"):
+            mlc.restore(latest_checkpoint(tmp_path))

@@ -13,6 +13,7 @@ mid-run, and the final fleet view must equal the never-killed run field
 for field, with the dead worker's telemetry quarantined sweep-style.
 """
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing as mp
@@ -372,6 +373,54 @@ def test_worker_death_mid_read_or_snapshot_re_sends_it(tmp_path, monkeypatch):
     assert elapsed < service.worker_timeout / 2
 
 
+def _host_service(pids) -> None:
+    """Child-process body: start a 2-shard service, report the worker
+    pids, then idle until killed."""
+    service = MemoryService(comp_wf(), LINES, shards=2, **SERVICE_KWARGS)
+    service.start()
+    pids.send([service.worker_pid(shard) for shard in range(2)])
+    time.sleep(60)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs; an unreaped zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no procfs: a signalable pid is running
+        return True
+
+
+def test_workers_exit_when_the_service_process_is_killed():
+    """A SIGKILLed service sends no ``stop``; its shard workers must
+    notice the dead parent and exit instead of blocking forever."""
+    pids_in, pids_out = mp.Pipe(duplex=False)
+    host = mp.Process(target=_host_service, args=(pids_out,))
+    host.start()
+    pids_out.close()
+    workers: list[int] = []
+    try:
+        assert pids_in.poll(60), "service host never reported its workers"
+        workers = pids_in.recv()
+        os.kill(host.pid, signal.SIGKILL)
+        host.join(timeout=10)
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        for pid in filter(_running, workers):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        if host.is_alive():
+            host.kill()
+            host.join(timeout=10)
+
+
 def test_run_workload_drives_either_front_end():
     requests = 300
     reference = ShardedController(comp_wf(), LINES, shards=2, **SERVICE_KWARGS)
@@ -427,7 +476,6 @@ def test_workers_clear_window_caches_across_shard_restarts(tmp_path):
     spec = ShardSpec(
         index=0, config=comp_wf(), start=0, stop=16,
         endurance_mean=40.0, endurance_cov=0.2, seed=3, n_banks=4,
-        fault_mode=service.specs[0].fault_mode, cell_type="slc",
         telemetry_dir=None, heartbeat_interval=100,
     )
     in_range = [(line, data) for line, data in stream if line < 16]

@@ -159,7 +159,7 @@ def test_lifetime_workers_batch_and_tier_print_the_serial_table(capsys):
 def test_lifetime_tier_lines_reaches_the_study_as_given(
     monkeypatch, flag, expected
 ):
-    """No flag keeps each system's own tier (None); 0 turns it off."""
+    """No flag keeps each system's own tier; 0 turns it off."""
     seen = {}
 
     def study(workloads, **kwargs):
@@ -171,7 +171,9 @@ def test_lifetime_tier_lines_reaches_the_study_as_given(
         "lifetime", "--workloads", "milc", "--systems", "comp_wf_hybrid",
         *flag,
     ])
-    assert seen["tier_lines"] == expected
+    assert seen["config_overrides"] == (
+        {} if expected is None else {"tier_lines": expected}
+    )
 
 
 def test_systems_command(capsys):

@@ -32,7 +32,7 @@ def _stream(count, seed=13, profile="memcached"):
 class TestShardedFleet:
     def test_each_shard_gets_its_own_tier(self):
         fleet = ShardedController(
-            comp_wf(), LINES, shards=3, tier_lines=4, **FLEET_KWARGS
+            comp_wf(tier_lines=4), LINES, shards=3, **FLEET_KWARGS
         )
         assert all(
             isinstance(controller, HybridController)
@@ -41,7 +41,7 @@ class TestShardedFleet:
 
     def test_tiered_fleet_conserves_every_write(self):
         fleet = ShardedController(
-            comp_wf(), LINES, shards=3, tier_lines=4, **FLEET_KWARGS
+            comp_wf(tier_lines=4), LINES, shards=3, **FLEET_KWARGS
         )
         stream = _stream(1500)
         fleet.write_batch(stream)
@@ -68,13 +68,15 @@ class TestShardedFleet:
         hybrid = resolve_config("comp_wf_hybrid")
         fleet = ShardedController(hybrid, LINES, shards=2, **FLEET_KWARGS)
         assert [c.tier_lines for c in fleet.controllers] == [16, 16]
-        # An explicit capacity overrides the config's, 0 included.
+        # An overridden capacity replaces the system's, 0 included.
         small = ShardedController(
-            hybrid, LINES, shards=2, tier_lines=4, **FLEET_KWARGS
+            resolve_config("comp_wf_hybrid", tier_lines=4), LINES,
+            shards=2, **FLEET_KWARGS,
         )
         assert [c.tier_lines for c in small.controllers] == [4, 4]
         bare = ShardedController(
-            hybrid, LINES, shards=2, tier_lines=0, **FLEET_KWARGS
+            resolve_config("comp_wf_hybrid", tier_lines=0), LINES,
+            shards=2, **FLEET_KWARGS,
         )
         assert not any(
             isinstance(c, HybridController) for c in bare.controllers
@@ -88,8 +90,11 @@ class TestShardedFleet:
     def test_capacity_zero_fleet_matches_bare_fleet(self):
         stream = _stream(1500)
         bare = ShardedController(comp_wf(), LINES, shards=2, **FLEET_KWARGS)
+        # comp_wf_hybrid is comp_wf plus a 16-line tier: overridden to
+        # 0 lines it must run exactly the bare fleet.
         zero = ShardedController(
-            comp_wf(), LINES, shards=2, tier_lines=0, **FLEET_KWARGS
+            resolve_config("comp_wf_hybrid", tier_lines=0), LINES,
+            shards=2, **FLEET_KWARGS,
         )
         bare.write_batch(stream)
         zero.write_batch(stream)
@@ -99,7 +104,7 @@ class TestShardedFleet:
 
     def test_fleet_stats_aggregate_tier_counters(self):
         fleet = ShardedController(
-            comp_wf(), LINES, shards=2, tier_lines=4, **FLEET_KWARGS
+            comp_wf(tier_lines=4), LINES, shards=2, **FLEET_KWARGS
         )
         fleet.write_batch(_stream(400))
         stats = fleet.stats
@@ -113,9 +118,10 @@ class TestMemoryService:
     def test_service_with_tiers_matches_the_inprocess_fleet(self):
         stream = _stream(300)
         reference = ShardedController(
-            comp_wf(), LINES, shards=2, tier_lines=4, **FLEET_KWARGS
+            comp_wf(tier_lines=4), LINES, shards=2, **FLEET_KWARGS
         )
         reference.write_batch(stream)
+        # The service's tier_lines keyword overrides the config's.
         with MemoryService(
             comp_wf(), LINES, shards=2, tier_lines=4, **FLEET_KWARGS
         ) as service:
@@ -142,14 +148,35 @@ class TestFuzzWithTier:
     def test_lockstep_validates_the_post_tier_stream(self):
         report = run_fuzz(
             systems=("comp_wf",), schemes=("ecp6",), writes=800,
-            seed=2, tier_lines=8,
+            seed=2, config_overrides={"tier_lines": 8},
         )
         assert report.campaigns and not report.failures
+
+    def test_a_systems_own_tier_runs_under_the_oracle(self, monkeypatch):
+        """comp_wf_hybrid's campaign runs through its own 16-line tier
+        with no override given."""
+        import repro.tier
+
+        built = []
+
+        class RecordingHybrid(repro.tier.HybridController):
+            def __init__(self, inner, tier_lines, *args, **kwargs):
+                super().__init__(inner, tier_lines, *args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.tier, "HybridController", RecordingHybrid)
+        report = run_fuzz(
+            systems=("comp_wf_hybrid",), schemes=("ecp6",), writes=600,
+            seed=2,
+        )
+        assert report.campaigns and not report.failures
+        assert [controller.tier_lines for controller in built] == [16]
+        assert built[0].tier.stats.tier_hits > 0
 
     def test_rejects_negative_tier(self):
         with pytest.raises(ValueError, match="tier_lines"):
             run_fuzz(systems=("comp_wf",), schemes=("ecp6",),
-                     writes=10, tier_lines=-1)
+                     writes=10, config_overrides={"tier_lines": -1})
 
 
 class TestLifetimeStudy:
@@ -165,7 +192,8 @@ class TestLifetimeStudy:
         )["comp_wf"]
         tiered = run_system_comparison(
             "mcf", systems=("comp_wf",), n_lines=48,
-            endurance_mean=30.0, seed=3, max_writes=400_000, tier_lines=8,
+            endurance_mean=30.0, seed=3, max_writes=400_000,
+            config_overrides={"tier_lines": 8},
         )["comp_wf"]
         assert bare.failed and tiered.failed
         # Fewer PCM stores per demand write -> the hybrid survives at
@@ -174,15 +202,17 @@ class TestLifetimeStudy:
         assert tiered.stats.stored_writes < tiered.writes_issued
 
     def test_tier_lines_zero_turns_a_systems_own_tier_off(self):
-        """Any int is an override, 0 included; only None keeps the
-        system's own tier (comp_wf_hybrid's 16 lines)."""
+        """A present override applies as given, 0 included; an absent
+        one keeps the system's own tier (comp_wf_hybrid's 16 lines)."""
         from repro.lifetime import run_system_comparison
 
         settings = dict(
             systems=("comp_wf_hybrid",), n_lines=16, endurance_mean=12,
             max_writes=5000,
         )
-        bare = run_system_comparison("milc", tier_lines=0, **settings)
+        bare = run_system_comparison(
+            "milc", config_overrides={"tier_lines": 0}, **settings
+        )
         own = run_system_comparison("milc", **settings)
         assert bare["comp_wf_hybrid"].stats.tier_hits == 0
         assert own["comp_wf_hybrid"].stats.tier_hits > 0
@@ -192,7 +222,8 @@ class TestLifetimeStudy:
 
         settings = dict(
             systems=("baseline", "comp_wf"), n_lines=16,
-            endurance_mean=12.0, seed=3, max_writes=400_000, tier_lines=4,
+            endurance_mean=12.0, seed=3, max_writes=400_000,
+            config_overrides={"tier_lines": 4},
         )
         serial = run_system_comparison("mcf", **settings)
         parallel = run_system_comparison("mcf", workers=2, **settings)

@@ -34,6 +34,33 @@ class TestRunFuzz:
         assert first.campaigns[0].writes_run == second.campaigns[0].writes_run
         assert first.campaigns[0].ok and second.campaigns[0].ok
 
+    def test_default_set_drops_systems_that_reject_the_overrides(self):
+        """Only multi-region Start-Gap rejects the WoLFRaM backend; the
+        encoded systems are never in the default set."""
+        from repro.engine.registry import get_system, system_names
+
+        def default_set(**overrides):
+            report = run_fuzz(
+                schemes=("ecp6",), writes=4, lines=8,
+                check_state_every=0, config_overrides=overrides,
+            )
+            return [campaign.system for campaign in report.campaigns]
+
+        oracle_systems = [
+            name for name in system_names()
+            if get_system(name).config.encoding == "none"
+        ]
+        assert "comp_wf_hybrid" in oracle_systems
+        assert default_set() == oracle_systems
+        assert default_set(wl_backend="wolfram") == [
+            name for name in oracle_systems if name != "comp_wf_regions"
+        ]
+
+    def test_overrides_no_system_accepts_raise(self):
+        with pytest.raises(ValueError, match="no registered system"):
+            run_fuzz(schemes=("ecp6",), writes=4,
+                     config_overrides={"tier_lines": -1})
+
     def test_time_budget_skips_not_passes(self):
         report = run_fuzz(
             systems=("comp_wf", "comp"), schemes=("ecp6",), writes=50,

@@ -77,7 +77,7 @@ def test_fuzz_campaigns_agree_on_the_pad_backend(seed):
         systems=("comp_wf", "comp_wf_freep", "baseline"),
         writes=2000,
         seed=seed,
-        wl_backend="wolfram",
+        config_overrides={"wl_backend": "wolfram"},
     )
     assert not report.failures, [c.divergence for c in report.failures]
     assert len([c for c in report.campaigns if not c.skipped]) == 9
