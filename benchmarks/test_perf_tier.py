@@ -118,8 +118,21 @@ def report():
         },
     }
     yield payload
-    RESULTS_DIR.mkdir(exist_ok=True)
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    # A partial run (``-k``, or a failed test) would drop tables from
+    # the recorded results, so the file is written only when every
+    # table is filled.
+    if _complete(payload):
+        RESULTS_DIR.mkdir(exist_ok=True)
+        BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _complete(payload) -> bool:
+    """Whether every workload and lifetime cell has a recorded result."""
+    lifetime = payload["lifetime"]["writes_to_failure"]
+    return set(payload["workloads"]) == set(WORKLOADS) and all(
+        len(lifetime.get(system, ())) == 1 + len(TIER_CAPACITIES)
+        for system in LIFETIME_SYSTEMS
+    )
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -196,15 +209,15 @@ def test_lifetime_with_and_without_tier(report):
             config_overrides={"tier_lines": capacity},
         )
         for system, result in results.items():
-            report["lifetime"]["writes_to_failure"].setdefault(
+            recorded = report["lifetime"]["writes_to_failure"].setdefault(
                 system, {}
-            )[str(capacity)] = {
+            )
+            if capacity:
+                # The tier absorbs demand writes, so the hybrid always
+                # survives at least as many as the bare system.
+                assert result.writes_issued >= recorded["0"]["writes_issued"]
+            recorded[str(capacity)] = {
                 "writes_issued": result.writes_issued,
                 "failed": result.failed,
                 "pcm_stored_writes": result.stats.stored_writes,
             }
-            if capacity:
-                bare = report["lifetime"]["writes_to_failure"][system]["0"]
-                # The tier absorbs demand writes, so the hybrid always
-                # survives at least as many as the bare system.
-                assert result.writes_issued >= bare["writes_issued"]

@@ -60,7 +60,6 @@ from itertools import repeat
 import numpy as np
 
 from ..core.window import LINE_BYTES
-from ..pcm import FaultMode
 from ..wearleveling import StartGap
 from .context import WriteResult
 from .pipeline import WritePipeline
@@ -88,15 +87,13 @@ class BatchScheduler:
 
         Invariant checkers observe per-write state, line encoders keep
         per-write selector state the row kernel does not model, and MLC
-        arrays / probabilistic fault modes have no vectorized row
-        kernel; all of them take the controller's serial ``write`` loop.
+        arrays have no vectorized row kernel; all of them take the
+        controller's serial ``write`` loop.
         """
-        memory = self.state.memory
         return (
             not self.pipeline.invariants
             and self.state.encoder is None
-            and hasattr(memory, "write_rows")
-            and memory.fault_mode is FaultMode.STUCK_AT_LAST
+            and hasattr(self.state.memory, "write_rows")
         )
 
     # -- the program-order scan ------------------------------------------

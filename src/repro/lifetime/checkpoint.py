@@ -52,12 +52,15 @@ SUPPORTED_VERSIONS = frozenset({1, 2, 3})
 #: Classes older checkpoints pickled that were since folded into
 #: another, mapped to their replacement.  The WoLFRaM stage subclasses
 #: differed from their bases only in ``describe()``, which now keys on
-#: ``config.wl_backend``.
+#: ``config.wl_backend``.  The fault-mode enum (every run used its
+#: stuck-at-last member, now the only fault model) unpickles as its
+#: value string, and :func:`read_checkpoint` drops the attribute.
 _RETIRED_CLASSES = {
     ("repro.engine.stages", "WolframPlacementStage"):
         ("repro.engine.stages", "PlacementStage"),
     ("repro.engine.stages", "WolframRemapStage"):
         ("repro.engine.stages", "RemapStage"),
+    ("repro.pcm.cell", "FaultMode"): ("builtins", "str"),
 }
 
 #: ``checkpoint-<writes, zero-padded>.pkl`` -- zero-padding keeps
@@ -169,6 +172,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             f"checkpoint {path} has format version {checkpoint.version}; "
             f"this build reads versions {sorted(SUPPORTED_VERSIONS)}"
         )
+    vars(checkpoint.controller.memory).pop("fault_mode", None)
     return checkpoint
 
 

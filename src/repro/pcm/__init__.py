@@ -1,12 +1,10 @@
 """PCM device, wear, and DIMM-organization substrate."""
 
 from .bank import PCMBankArray
-from .bits import bits_to_bytes, bytes_to_bits, flip_mask, popcount
-from .block import BLOCK_BITS, MemoryBlock, WriteOutcome, apply_write
-from .cell import CellState, FaultMode, PCMCell
+from .bits import bits_to_bytes, bytes_to_bits
+from .block import BLOCK_BITS, WriteOutcome, apply_write
+from .cell import CellState, PCMCell
 from .device import PCMEnergy, PCMTimings
-from .differential_write import WritePlan, bit_flips, flip_positions, plan_write
-from .flip_n_write import FlipNWrite, FlipNWriteResult, naive_flip_count
 from .organization import (
     CHIPS_PER_RANK,
     DATA_CHIPS_PER_RANK,
@@ -31,10 +29,6 @@ __all__ = [
     "PAPER_ENDURANCE_MEAN",
     "CellState",
     "EnduranceModel",
-    "FaultMode",
-    "FlipNWrite",
-    "FlipNWriteResult",
-    "MemoryBlock",
     "MemoryOrganization",
     "PCMBankArray",
     "PCMCell",
@@ -42,16 +36,9 @@ __all__ = [
     "PCMTimings",
     "PhysicalLocation",
     "WriteOutcome",
-    "WritePlan",
     "apply_write",
-    "bit_flips",
     "bits_to_bytes",
     "bytes_to_bits",
-    "flip_mask",
-    "flip_positions",
-    "naive_flip_count",
-    "plan_write",
-    "popcount",
 ]
 
 from .mlc import (  # noqa: E402  (MLC extension, paper footnote 1)

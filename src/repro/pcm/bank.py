@@ -3,9 +3,9 @@
 This is the hot path of the lifetime simulator: all per-cell state for
 ``n_blocks`` lines lives in three contiguous numpy arrays, and a write
 touches exactly one row (a batched wave, :meth:`PCMBankArray.write_rows`,
-touches one row per write).  The write semantics are shared with
-:class:`repro.pcm.block.MemoryBlock` through
-:func:`repro.pcm.block.apply_write`.
+touches one row per write).  :meth:`PCMBankArray.write` runs
+:func:`repro.pcm.block.apply_write` over one row; worn-out cells are
+stuck at the value they last held.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .bits import bits_to_bytes, bytes_to_bits
 from .block import BLOCK_BITS, WriteOutcome, apply_write
-from .cell import FaultMode
 from .variation import EnduranceModel
 
 
@@ -79,7 +78,6 @@ class PCMBankArray:
         n_blocks: int,
         endurance_model: EnduranceModel,
         rng: np.random.Generator,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
         base_line: int = 0,
     ) -> None:
         if n_blocks <= 0:
@@ -87,7 +85,6 @@ class PCMBankArray:
         if base_line < 0:
             raise ValueError("base line cannot be negative")
         self.n_blocks = n_blocks
-        self.fault_mode = fault_mode
         self.endurance_model = endurance_model
         #: First *global* logical line of the shard this array backs
         #: (0 for an unsharded memory).  Array rows are always local;
@@ -125,7 +122,6 @@ class PCMBankArray:
             self.counts[block_index],
             self.endurance[block_index],
             new_bits,
-            self.fault_mode,
             update_mask,
             faulty=self.faulty[block_index],
             has_faults=bool(self.fault_counts[block_index]),
@@ -155,17 +151,15 @@ class PCMBankArray:
         ``ValueError``, see :func:`check_write_rows`).  Every cell is
         updatable: windowed callers overlay the payload on a copy of the
         stored rows, so out-of-window cells compare equal and are left
-        untouched.  Row ``j`` has exactly the :meth:`write` semantics
-        under ``STUCK_AT_LAST`` faults: already-faulty cells and cells
-        whose stored value matches the target are untouched; every
-        programmed cell's count is bumped, and cells reaching their
-        endurance limit become stuck at the value just written.
+        untouched.  Row ``j`` has exactly the :meth:`write` semantics:
+        already-faulty cells and cells whose stored value matches the
+        target are untouched; every programmed cell's count is bumped,
+        and cells reaching their endurance limit become stuck at the
+        value just written.
 
         Returns ``(programmed, set_flips, new_faults)``, one ``(K,)``
         vector each, aligned with ``rows``.
         """
-        if self.fault_mode is not FaultMode.STUCK_AT_LAST:
-            raise ValueError("write_rows supports STUCK_AT_LAST faults only")
         rows, targets = check_write_rows(rows, targets, self.n_blocks)
         row_writes = self.row_writes[rows] + 1
         self.row_writes[rows] = row_writes

@@ -29,17 +29,3 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
     if bits.size % 8 != 0:
         raise ValueError(f"bit array length {bits.size} is not a multiple of 8")
     return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
-
-
-def popcount(bits: np.ndarray) -> int:
-    """Number of set bits in a 0/1 array."""
-    return int(np.count_nonzero(bits))
-
-
-def flip_mask(old_bits: np.ndarray, new_bits: np.ndarray) -> np.ndarray:
-    """Boolean mask of positions where ``new`` differs from ``old``."""
-    if old_bits.shape != new_bits.shape:
-        raise ValueError(
-            f"shape mismatch: {old_bits.shape} vs {new_bits.shape}"
-        )
-    return old_bits != new_bits

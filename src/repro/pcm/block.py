@@ -1,27 +1,23 @@
-"""Wear-aware storage model for PCM memory lines.
+"""The differential write of one PCM line, with wear.
 
 The model tracks, per cell: the stored value, the number of times the
 cell was actually programmed (bit flips, i.e. post-differential-write
 writes), and the cell's endurance limit.  A cell whose flip count
-reaches its endurance limit becomes a stuck-at fault: subsequent
-programs are silently ineffective, which the controller observes as a
-write-verify mismatch.
+reaches its endurance limit becomes stuck at the value it last held:
+subsequent programs are silently ineffective, which the controller
+observes as a write-verify mismatch.
 
-:class:`MemoryBlock` is the readable single-line model;
-:func:`apply_write` is the underlying row operation that
-:class:`repro.pcm.bank.PCMBankArray` reuses over views into its large
-arrays, so both models share one set of semantics.
+:func:`apply_write` is the row operation
+:class:`repro.pcm.bank.PCMBankArray` runs over views into its large
+arrays; :class:`repro.pcm.cell.PCMCell` is the readable per-cell
+reference the tests check it against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .bits import bits_to_bytes, bytes_to_bits
-from .cell import FaultMode
-from .variation import EnduranceModel
 
 #: Cells per memory line (64 bytes).
 BLOCK_BITS = 512
@@ -79,7 +75,6 @@ def apply_write(
     counts: np.ndarray,
     endurance: np.ndarray,
     new_bits: np.ndarray,
-    fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
     update_mask: np.ndarray | None = None,
     faulty: np.ndarray | None = None,
     has_faults: bool | None = None,
@@ -91,7 +86,6 @@ def apply_write(
         counts: Per-cell program counts, modified in place.
         endurance: Per-cell endurance limits.
         new_bits: Desired cell values (0/1).
-        fault_mode: What value a cell sticks at when it wears out.
         update_mask: Optional boolean mask restricting which cells the
             controller intends to program (e.g. only the compression
             window plus metadata).  Cells outside the mask are left
@@ -135,26 +129,15 @@ def apply_write(
     new_faults = touched[bumped >= endurance[touched]]
 
     # Post-write mismatches, reconstructed without rescanning `stored`:
-    # a stuck-at-last fault never produces new errors beyond the stuck
+    # a stuck-at-last fault never produces errors beyond the stuck
     # cells the write wanted to change (programmed cells match by
     # construction, and a cell that wears out *during* the write holds
-    # the value just written).  Forced stuck-at values additionally
-    # break every newly faulty cell whose forced value is wrong.
-    forced_wrong = None
-    if fault_mode is not FaultMode.STUCK_AT_LAST and new_faults.size:
-        forced = 1 if fault_mode is FaultMode.STUCK_AT_SET else 0
-        stored[new_faults] = forced
-        forced_wrong = new_faults[new_bits[new_faults] != forced]
+    # the value just written).
     if has_faults:
-        stuck = want & faulty
-        if forced_wrong is not None:
-            stuck[forced_wrong] = True
-        errors = stuck.nonzero()[0]
+        errors = (want & faulty).nonzero()[0]
         attempted = int(np.count_nonzero(want))
     else:
-        # No pre-existing stuck cells: the only possible mismatches are
-        # newly worn cells forced to the wrong value (already sorted).
-        errors = forced_wrong if forced_wrong is not None else _NO_POSITIONS
+        errors = _NO_POSITIONS
         attempted = touched.size
     if tracked:
         faulty[new_faults] = True
@@ -169,79 +152,3 @@ def apply_write(
         new_fault_positions=new_faults,
         error_positions=errors,
     )
-
-
-@dataclass
-class MemoryBlock:
-    """A single 64-byte PCM line with per-cell wear state."""
-
-    endurance: np.ndarray
-    fault_mode: FaultMode = FaultMode.STUCK_AT_LAST
-    stored: np.ndarray = field(default=None)  # type: ignore[assignment]
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.endurance = np.asarray(self.endurance, dtype=np.uint64)
-        if self.endurance.shape != (BLOCK_BITS,):
-            raise ValueError(
-                f"endurance must have shape ({BLOCK_BITS},), "
-                f"got {self.endurance.shape}"
-            )
-        if self.stored is None:
-            self.stored = np.zeros(BLOCK_BITS, dtype=np.uint8)
-        else:
-            self.stored = np.asarray(self.stored, dtype=np.uint8)
-        if self.counts is None:
-            self.counts = np.zeros(BLOCK_BITS, dtype=np.uint64)
-        else:
-            # Coerce like `endurance`: a signed caller-supplied array
-            # would make `counts >= endurance` promote both sides to
-            # float64 (NEP 50), silently mis-comparing above 2**53.
-            self.counts = np.asarray(self.counts, dtype=np.uint64)
-
-    @classmethod
-    def fresh(
-        cls,
-        model: EnduranceModel,
-        rng: np.random.Generator,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
-    ) -> "MemoryBlock":
-        """A new block with endurance sampled from ``model``."""
-        return cls(endurance=model.sample(BLOCK_BITS, rng), fault_mode=fault_mode)
-
-    @property
-    def faulty(self) -> np.ndarray:
-        """Boolean mask of worn-out cells."""
-        return self.counts >= self.endurance
-
-    @property
-    def fault_count(self) -> int:
-        """Number of worn-out cells."""
-        return int(np.count_nonzero(self.faulty))
-
-    def fault_positions(self) -> np.ndarray:
-        """Indices of worn-out cells, ascending."""
-        return np.flatnonzero(self.faulty)
-
-    def read_bytes(self) -> bytes:
-        """The line's current content as 64 bytes."""
-        return bits_to_bytes(self.stored)
-
-    def write_bytes(self, data: bytes, update_mask: np.ndarray | None = None) -> WriteOutcome:
-        """Byte-level convenience wrapper around :meth:`write`."""
-        return self.write_bits(bytes_to_bits(data), update_mask)
-
-    def write_bits(
-        self, new_bits: np.ndarray, update_mask: np.ndarray | None = None
-    ) -> WriteOutcome:
-        """Bit-level write; see :func:`apply_write` for semantics."""
-        if new_bits.shape != (BLOCK_BITS,):
-            raise ValueError(f"expected {BLOCK_BITS} bits, got {new_bits.shape}")
-        return apply_write(
-            self.stored,
-            self.counts,
-            self.endurance,
-            new_bits.astype(np.uint8),
-            self.fault_mode,
-            update_mask,
-        )

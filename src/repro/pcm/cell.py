@@ -1,10 +1,10 @@
-"""Single-cell PCM semantics: states, fault modes, endurance.
+"""Single-cell PCM semantics: states and endurance.
 
 The hot simulation path uses the vectorized :mod:`repro.pcm.bank`
-model; this module defines the shared vocabulary (states, fault modes)
-plus a reference single-cell implementation used by unit tests and by
-the documentation examples.  Keeping an object-level model around makes
-the vectorized model's semantics checkable against something readable.
+model; this module defines the cell-state vocabulary plus a reference
+single-cell implementation used by unit tests and by the documentation
+examples.  Keeping an object-level model around makes the vectorized
+model's semantics checkable against something readable.
 """
 
 from __future__ import annotations
@@ -26,22 +26,6 @@ class CellState(enum.IntEnum):
     SET = 1
 
 
-class FaultMode(enum.Enum):
-    """How a worn-out cell fails (Section II-B).
-
-    ``STUCK_AT_LAST`` models the observable behaviour the architecture
-    schemes rely on: after the final successful program operation the
-    cell no longer changes, so it is stuck at whatever value it last
-    held.  ``STUCK_AT_SET`` / ``STUCK_AT_RESET`` force the stuck value,
-    matching the device-level failure taxonomy (stuck-at-SET from GST
-    crystallinity loss, stuck-at-RESET from electrode detachment).
-    """
-
-    STUCK_AT_LAST = "last"
-    STUCK_AT_SET = "set"
-    STUCK_AT_RESET = "reset"
-
-
 @dataclass
 class PCMCell:
     """Reference single-cell model with write endurance.
@@ -49,12 +33,12 @@ class PCMCell:
     A write that actually changes the stored value (a "bit flip", which
     is what survives differential-write filtering) consumes one unit of
     endurance.  Once ``writes_used`` reaches ``endurance`` the cell is
-    stuck: further writes are silently ineffective, which is exactly how
-    a stuck-at fault manifests to the read-verify logic.
+    stuck at the last value it held (Section II-B's observable fault):
+    further writes are silently ineffective, which is exactly how a
+    stuck-at fault manifests to the read-verify logic.
     """
 
     endurance: int
-    fault_mode: FaultMode = FaultMode.STUCK_AT_LAST
     state: CellState = CellState.RESET
     writes_used: int = field(default=0)
 
@@ -70,18 +54,11 @@ class PCMCell:
     @property
     def stuck_value(self) -> CellState | None:
         """The value a faulty cell is stuck at, or None if healthy."""
-        if not self.is_faulty:
-            return None
-        if self.fault_mode is FaultMode.STUCK_AT_SET:
-            return CellState.SET
-        if self.fault_mode is FaultMode.STUCK_AT_RESET:
-            return CellState.RESET
-        return self.state
+        return self.state if self.is_faulty else None
 
     def read(self) -> CellState:
-        """The cell's effective value (stuck-at aware)."""
-        stuck = self.stuck_value
-        return self.state if stuck is None else stuck
+        """The cell's effective value (its stored state, stuck or not)."""
+        return self.state
 
     def write(self, value: CellState) -> bool:
         """Program the cell; returns True when the write took effect.
@@ -90,13 +67,10 @@ class PCMCell:
         cell with the value it already holds costs no endurance.
         """
         value = CellState(value)
-        if self.is_faulty:
-            return self.read() == value
         if value == self.state:
             return True
+        if self.is_faulty:
+            return False
         self.state = value
         self.writes_used += 1
-        if self.is_faulty and self.fault_mode is not FaultMode.STUCK_AT_LAST:
-            # The terminal write may itself be overridden by the stuck level.
-            return self.read() == value
         return True

@@ -11,10 +11,10 @@ so the controller and lifetime simulator run unchanged on it:
   ``2k + 1`` live in cell ``k``;
 * a write programs every cell whose *level* (bit pair) changes, and
   each program consumes one unit of that cell's endurance;
-* a worn-out cell is stuck at its last level (or a forced level),
-  pinning **both** of its bits -- so MLC faults always surface as
-  adjacent-bit-pair errors, which is harder on correction schemes than
-  SLC's independent single-bit faults.
+* a worn-out cell is stuck at its last level, pinning **both** of its
+  bits -- so MLC faults always surface as adjacent-bit-pair errors,
+  which is harder on correction schemes than SLC's independent
+  single-bit faults.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .bits import bits_to_bytes, bytes_to_bits
 from .block import BLOCK_BITS, WriteOutcome
-from .cell import FaultMode
 from .variation import EnduranceModel
 
 #: Bits stored per MLC cell.
@@ -64,7 +63,6 @@ class MLCBankArray:
         n_blocks: int,
         endurance_model: EnduranceModel,
         rng: np.random.Generator,
-        fault_mode: FaultMode = FaultMode.STUCK_AT_LAST,
         base_line: int = 0,
     ) -> None:
         if n_blocks <= 0:
@@ -72,7 +70,6 @@ class MLCBankArray:
         if base_line < 0:
             raise ValueError("base line cannot be negative")
         self.n_blocks = n_blocks
-        self.fault_mode = fault_mode
         self.endurance_model = endurance_model
         #: First *global* logical line of the shard this array backs
         #: (0 for an unsharded memory); rows themselves stay local.
@@ -122,23 +119,9 @@ class MLCBankArray:
         ]
 
         # Mismatch reconstruction without rescanning `stored` (see
-        # repro.pcm.block.apply_write): under stuck-at-last the errors
-        # are exactly the wanted bits inside already-faulty cells; a
-        # forced stuck value additionally breaks every bit of a newly
-        # faulty cell whose forced value is wrong -- *both* bits are
-        # forced, even ones the write never asked to change.
+        # repro.pcm.block.apply_write): the errors are exactly the
+        # wanted bits inside already-faulty cells.
         stuck = want & np.repeat(faulty_cells, MLC_BITS_PER_CELL)
-        if self.fault_mode is not FaultMode.STUCK_AT_LAST and new_fault_cells.size:
-            forced = 1 if self.fault_mode is FaultMode.STUCK_AT_SET else 0
-            forced_bits = (
-                new_fault_cells[:, None] * MLC_BITS_PER_CELL
-                + np.arange(MLC_BITS_PER_CELL)
-            ).ravel()
-            stored[forced_bits] = forced
-            bad = forced_bits[new_bits[forced_bits] != forced]
-            if update_mask is not None:
-                bad = bad[update_mask[bad]]
-            stuck[bad] = True
         faulty_cells[new_fault_cells] = True
         self.fault_counts[block_index] += new_fault_cells.size * MLC_BITS_PER_CELL
 

@@ -528,10 +528,14 @@ class TestKnobsPickledBeforeTheyExisted:
     ):
         """The committed fixtures predate ``cell_type``: their pickled
         configs lack it, the dataclass default answers plain attribute
-        access, and the runs still resume."""
+        access, and the runs still resume.  They also pickle the bank's
+        retired fault-mode enum, which loads and is dropped."""
+        raw = gzip.decompress(fixture.read_bytes())
+        assert b"FaultMode" in raw
         path = tmp_path / "checkpoint-000000000500.pkl"
-        path.write_bytes(gzip.decompress(fixture.read_bytes()))
+        path.write_bytes(raw)
         checkpoint = read_checkpoint(path)
+        assert not hasattr(checkpoint.controller.memory, "fault_mode")
         config = checkpoint.controller.config
         assert "cell_type" not in vars(config)
         assert config.cell_type == "slc"

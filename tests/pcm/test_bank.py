@@ -6,7 +6,6 @@ import pytest
 from repro.pcm import (
     BLOCK_BITS,
     EnduranceModel,
-    FaultMode,
     PCMBankArray,
     bytes_to_bits,
 )
@@ -74,13 +73,3 @@ def test_needs_positive_block_count():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         PCMBankArray(0, EnduranceModel(mean=10), rng)
-
-
-def test_stuck_at_modes_apply():
-    rng = np.random.default_rng(0)
-    model = EnduranceModel(mean=1, cov=0.0, floor_fraction=1.0)
-    bank = PCMBankArray(2, model, rng, fault_mode=FaultMode.STUCK_AT_RESET)
-    outcome = bank.write_bytes(0, b"\xff" * 64)
-    # All 512 cells wear out on their first flip and stick at 0.
-    assert outcome.new_fault_positions.size == BLOCK_BITS
-    assert bank.read_bytes(0) == bytes(64)

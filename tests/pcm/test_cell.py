@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pcm import CellState, FaultMode, PCMCell
+from repro.pcm import CellState, PCMCell
 
 
 def test_fresh_cell_reads_reset():
@@ -32,20 +32,6 @@ def test_stuck_at_last_holds_final_value():
     assert cell.is_faulty
     assert cell.read() is CellState.RESET
     assert not cell.write(CellState.SET)  # ineffective
-    assert cell.read() is CellState.RESET
-
-
-def test_stuck_at_set_forces_level():
-    cell = PCMCell(endurance=1, fault_mode=FaultMode.STUCK_AT_SET)
-    cell.write(CellState.SET)
-    assert cell.is_faulty
-    assert cell.read() is CellState.SET
-    assert not cell.write(CellState.RESET)
-
-
-def test_stuck_at_reset_forces_level():
-    cell = PCMCell(endurance=1, fault_mode=FaultMode.STUCK_AT_RESET)
-    assert not cell.write(CellState.SET)  # terminal write lands stuck at 0
     assert cell.read() is CellState.RESET
 
 

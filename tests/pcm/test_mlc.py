@@ -7,7 +7,6 @@ from repro.pcm import (
     BLOCK_BITS,
     MLC_CELLS_PER_BLOCK,
     EnduranceModel,
-    FaultMode,
     MLCBankArray,
     PCMBankArray,
     bytes_to_bits,
@@ -63,12 +62,6 @@ def test_cell_death_pins_both_bits():
     outcome = bank.write_bytes(0, bytes(64))
     assert set(outcome.error_positions) == {0, 1}
     assert bank.read_bytes(0) == three
-
-
-def test_forced_stuck_levels():
-    bank = make_bank(endurance=1, fault_mode=FaultMode.STUCK_AT_RESET)
-    bank.write_bytes(0, b"\xff" * 64)
-    assert bank.read_bytes(0) == bytes(64)  # everything pinned to 0
 
 
 def test_update_mask_respected():

@@ -9,10 +9,10 @@ magnitudes where a float64 round-trip would visibly mis-count.
 
 import numpy as np
 
-from repro.pcm import EnduranceModel, FaultMode
+from repro.pcm import EnduranceModel
 from repro.pcm.bank import PCMBankArray
-from repro.pcm.block import BLOCK_BITS, MemoryBlock, apply_write
-from repro.pcm.mlc import MLC_CELLS_PER_BLOCK, MLCBankArray
+from repro.pcm.block import BLOCK_BITS, apply_write
+from repro.pcm.mlc import MLCBankArray
 
 #: Above float64's exact-integer range (2**53); float64 spacing at this
 #: magnitude is 512, so any promotion loses single increments.
@@ -49,18 +49,6 @@ class TestDtypes:
         assert bank.endurance.dtype == np.uint64
         bank.write_bytes(0, b"\xFF" * 64)
         assert bank.counts.dtype == np.uint64
-
-    def test_memory_block_coerces_signed_counts(self):
-        # Regression: __post_init__ used to keep a caller-supplied
-        # signed counts array, making every fault comparison float64.
-        block = MemoryBlock(
-            endurance=np.full(BLOCK_BITS, 100, dtype=np.uint64),
-            counts=np.zeros(BLOCK_BITS, dtype=np.int64),
-            stored=np.zeros(BLOCK_BITS, dtype=np.int64),
-        )
-        assert block.counts.dtype == np.uint64
-        assert block.stored.dtype == np.uint8
-        assert block.faulty.dtype == np.bool_
 
     def test_endurance_model_samples_uint64(self):
         sample = _model().sample((2, BLOCK_BITS), np.random.default_rng(1))
@@ -116,12 +104,11 @@ class TestExactArithmeticAtScale:
         counts = np.full(BLOCK_BITS, HUGE, dtype=np.uint64)
         endurance = np.full(BLOCK_BITS, HUGE + np.uint64(2), dtype=np.uint64)
         new_bits = np.ones(BLOCK_BITS, dtype=np.uint8)
-        apply_write(stored, counts, endurance, new_bits, FaultMode.STUCK_AT_LAST)
+        apply_write(stored, counts, endurance, new_bits)
         assert counts.dtype == np.uint64
         assert (counts == HUGE + np.uint64(1)).all()
         outcome = apply_write(
-            stored, counts, endurance, np.zeros(BLOCK_BITS, dtype=np.uint8),
-            FaultMode.STUCK_AT_LAST,
+            stored, counts, endurance, np.zeros(BLOCK_BITS, dtype=np.uint8)
         )
         assert counts.dtype == np.uint64
         assert outcome.new_fault_positions.size == BLOCK_BITS
