@@ -3,8 +3,8 @@
 Every benchmark regenerates one of the paper's tables or figures and
 reports the series next to the paper's reference values.  Because
 pytest captures stdout, reports are (a) accumulated and printed in the
-terminal summary, and (b) written to ``benchmarks/results/<name>.txt``
-so the numbers survive the run.
+terminal summary, and (b) at the default scale, written to
+``benchmarks/results/<name>.txt`` so the numbers survive the run.
 
 Scale knobs (environment variables):
 
@@ -19,7 +19,11 @@ variable                default  meaning
 ======================  =======  =========================================
 
 The defaults finish the whole harness in tens of minutes on a laptop;
-raise them for tighter confidence intervals.  Figure 10's lifetime study
+raise them for tighter confidence intervals.  A run that sets any scale
+variable here (or ``benchmarks/test_perf_hotpath.py``'s
+``REPRO_HOTPATH_*``) is a smoke run: its reports are printed but leave
+the committed ``.txt`` results alone.  ``REPRO_BENCH_WORKERS`` changes
+no result, so it does not count.  Figure 10's lifetime study
 is the expensive piece and is shared with Figure 12 and Table IV through
 the ``shared_cache`` fixture; set ``REPRO_BENCH_WORKERS`` to fan its
 (workload x system) grid across processes via
@@ -38,6 +42,16 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 _REPORTS: list[tuple[str, str]] = []
 _SHARED_CACHE: dict[str, object] = {}
+
+#: Variables that change what a report measures (smoke scale).
+SCALE_VARIABLES = (
+    "REPRO_BENCH_LINES",
+    "REPRO_BENCH_END",
+    "REPRO_BENCH_TRIALS",
+    "REPRO_BENCH_WRITES",
+    "REPRO_HOTPATH_WRITES",
+    "REPRO_HOTPATH_REPS",
+)
 
 
 def env_int(name: str, default: int) -> int:
@@ -58,12 +72,15 @@ def bench_scale():
 
 @pytest.fixture()
 def report():
-    """Record a named report: shown in the summary and saved to disk."""
+    """Record a named report: shown in the summary and, at the default
+    scale, saved to disk."""
+    default_scale = not any(name in os.environ for name in SCALE_VARIABLES)
 
     def _report(name: str, text: str) -> None:
         _REPORTS.append((name, text))
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if default_scale:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return _report
 

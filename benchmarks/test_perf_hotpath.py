@@ -45,7 +45,8 @@ import numpy as np
 import pytest
 
 from repro.compression import BestOfCompressor, CachingCompressor
-from repro.core import EVALUATED_SYSTEMS, CompressedPCMController, make_config
+from repro.core import EVALUATED_SYSTEMS, CompressedPCMController
+from repro.engine import resolve_config
 from repro.lifetime import LifetimeSimulator
 from repro.pcm import EnduranceModel, apply_write
 from repro.traces import SyntheticWorkload, Trace, get_profile
@@ -182,7 +183,7 @@ def _replay_once(system: str, trace, batch: int = 1) -> float:
     simulator default, which checks more often, not less.
     """
     simulator = LifetimeSimulator(
-        config=make_config(system, intra_counter_limit=64),
+        config=resolve_config(system, intra_counter_limit=64),
         source=trace,
         n_lines=N_LINES,
         endurance_mean=ENDURANCE_MEAN,
@@ -199,7 +200,7 @@ def _replay_once(system: str, trace, batch: int = 1) -> float:
 def _replay_wave_stats(system: str, trace, batch: int) -> dict:
     """One untimed batched replay; returns the scheduler telemetry."""
     simulator = LifetimeSimulator(
-        config=make_config(system, intra_counter_limit=64),
+        config=resolve_config(system, intra_counter_limit=64),
         source=trace,
         n_lines=N_LINES,
         endurance_mean=ENDURANCE_MEAN,
@@ -481,7 +482,7 @@ def test_apply_write_microbench(report):
 
 def _controller_digest(system: str, cache_lines: int) -> tuple[str, int, int]:
     """Replay a worn seeded trace; digest the WriteResult stream."""
-    config = make_config(
+    config = resolve_config(
         system, intra_counter_limit=64, compression_cache_lines=cache_lines
     )
     workload = SyntheticWorkload(get_profile("gcc"), n_lines=48, seed=3)

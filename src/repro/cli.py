@@ -13,7 +13,7 @@ Subcommands map to the paper's experiments:
 ``systems``     list registered ``SystemSpec``s and their stages
 ``fuzz``        differential fuzzing: fast pipeline vs reference oracle
 ``serve``       sharded multi-process memory service driven end to end
-``workload``    fleet-shaped request streams (run in-process or save)
+``workload``    generate and save a fleet-shaped request stream
 ==============  =====================================================
 """
 
@@ -33,19 +33,11 @@ from .analysis import (
 )
 from .core import EVALUATED_SYSTEMS, ControllerStats
 from .correction import PAPER_SCHEMES, make_scheme
-from .engine import list_systems, resolve_config, system_names
+from .engine import get_system, resolve_config, system_names
 from .faultinjection import tolerable_faults
 from .perf import PerformanceModel
 from .service.workloads import SERVICE_WORKLOADS
 from .traces import WORKLOAD_ORDER, SyntheticWorkload, get_profile, save_trace
-
-
-#: Default ``energy`` sweep: the paper's evaluated four plus the
-#: energy-encoding variants (sweeping *every* registered system to the
-#: failure criterion is expensive; ask for --systems explicitly).
-ENERGY_SWEEP_SYSTEMS = EVALUATED_SYSTEMS + (
-    "baseline_wire", "comp_wf_wire", "comp_coset", "comp_wf_coset",
-)
 
 
 def _positive_int(value: str) -> int:
@@ -133,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write-backs per controller call; > 1 drains "
                           "each run through the out-of-order batch scheduler "
                           "(bit-identical results)")
-    lifetime.add_argument("--profile", metavar="FILE", default=None,
-                          help="dump a cProfile of the run to FILE and print "
-                          "the top functions by cumulative time")
     lifetime.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                           help="write durable per-run checkpoints and JSONL "
                           "heartbeat telemetry under DIR (one "
@@ -210,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         "systems", help="list registered SystemSpecs and their stages"
     )
     systems.add_argument("--tag", default=None,
-                         choices=sorted({tag for spec in list_systems()
-                                         for tag in spec.tags}),
+                         choices=sorted({tag for name in system_names()
+                                         for tag in get_system(name).tags}),
                          help="only show specs carrying this tag")
     systems.add_argument("--stages", action="store_true",
                          help="also print each system's stage composition")
@@ -319,49 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tier_option(serve)
 
     workload = subparsers.add_parser(
-        "workload", help="generate or run a fleet-shaped request stream"
+        "workload", help="generate and save a fleet-shaped request stream "
+        "(run one with `serve --workload`)"
     )
     workload.add_argument("profile", choices=SERVICE_WORKLOADS,
                           help="request-stream shape")
+    workload.add_argument("output",
+                          help="output path (binary trace, global addresses)")
     workload.add_argument("--lines", type=_positive_int, default=256,
                           help="global logical address-space size")
     workload.add_argument("--requests", type=_positive_int, default=20_000)
     workload.add_argument("--seed", type=int, default=0)
-    workload.add_argument("--out", metavar="FILE", default=None,
-                          help="save the stream as a binary trace (global "
-                          "addresses) instead of running it")
-    workload.add_argument("--shards", type=_positive_int, default=1,
-                          help="run through an in-process fleet of K shards "
-                          "and print the merged statistics")
-    workload.add_argument("--system", default="comp_wf",
-                          choices=system_names(), metavar="SYSTEM")
-    workload.add_argument("--endurance", type=_positive_float, default=100.0)
-    workload.add_argument("--cov", type=_nonnegative_float, default=0.15)
-    workload.add_argument("--batch", type=_positive_int, default=64)
-    _add_tier_option(workload)
 
     return parser
 
 
 def cmd_lifetime(args: argparse.Namespace) -> None:
     """Run the Figure 10 / Table IV experiment."""
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            _run_lifetime(args)
-        finally:
-            profiler.disable()
-            profiler.dump_stats(args.profile)
-            _print_profile_summary(profiler, args.profile)
-    else:
-        _run_lifetime(args)
-
-
-def _run_lifetime(args: argparse.Namespace) -> None:
-    """The lifetime sweep proper (separated so --profile can wrap it)."""
     systems = tuple(args.systems)
     if "baseline" not in systems:
         systems = ("baseline",) + systems
@@ -412,15 +375,6 @@ def _run_lifetime(args: argparse.Namespace) -> None:
               f"{total.batch_waves} waves (mean width "
               f"{total.batch_wave_width_mean:.1f}, "
               f"max {total.batch_wave_width_max})")
-
-
-def _print_profile_summary(profiler, path: str, top: int = 20) -> None:
-    """Print the top functions of a finished cProfile by cumulative time."""
-    import pstats
-
-    print(f"\nprofile written to {path}; top {top} by cumulative time:")
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats("cumulative").print_stats(top)
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> None:
@@ -475,9 +429,9 @@ def cmd_energy(args: argparse.Namespace) -> int:
 
     from .energy import run_energy_sweep
 
-    systems = tuple(args.systems) if args.systems else ENERGY_SWEEP_SYSTEMS
     points = run_energy_sweep(
-        workloads=tuple(args.workloads), systems=systems,
+        workloads=tuple(args.workloads),
+        systems=tuple(args.systems) if args.systems else None,
         n_lines=args.lines, endurance_mean=args.endurance,
         max_writes=args.max_writes, seed=args.seed,
         mix_samples=args.samples,
@@ -522,9 +476,9 @@ def cmd_trace(args: argparse.Namespace) -> None:
 
 def cmd_systems(args: argparse.Namespace) -> None:
     """List the registered system specs and their stage composition."""
-    specs = list_systems(tag=args.tag)
-    width = max(len(spec.name) for spec in specs) + 2
-    for spec in specs:
+    names = system_names(args.tag)
+    width = max(len(name) for name in names) + 2
+    for spec in map(get_system, names):
         tags = ",".join(spec.tags)
         print(f"{spec.name:{width}}[{tags}] {spec.description}")
         if args.stages:
@@ -618,8 +572,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_fleet_summary(result, config=None) -> None:
-    """Human-readable fleet summary shared by ``serve`` and ``workload``."""
+def _print_fleet_summary(result, config) -> None:
+    """Human-readable fleet summary printed by ``serve``."""
+    from .energy import EnergyModel
+
     stats = result.stats
     print(f"fleet: {result.shards} shard(s), {result.total_lines} lines, "
           f"{result.requests_routed:,} requests routed, "
@@ -628,20 +584,15 @@ def _print_fleet_summary(result, config=None) -> None:
           f"(compressed={stats.compressed_writes:,}) "
           f"lost={stats.lost_writes:,} deaths={stats.deaths} "
           f"revivals={stats.revivals} dead={result.dead_fraction:.4f}")
-    if config is not None:
-        # Fleet-level energy telemetry: the merged stats price exactly
-        # like a single bookkeeper's (the breakdown is additive over
-        # the stats monoid, pinned by tests/energy/test_model.py).
-        from .energy import EnergyModel
-
-        breakdown = EnergyModel().breakdown(
-            stats, scheme=config.correction_scheme
-        )
-        writes = breakdown.writes or 1
-        print(f"  energy: {breakdown.per_write_pj:.1f} pJ/write "
-              f"(array {breakdown.array_pj / writes:.1f}, "
-              f"flags {breakdown.flag_pj / writes:.2f}, "
-              f"correction logic {breakdown.correction_pj / writes:.2f})")
+    # Fleet-level energy telemetry: the merged stats price exactly like
+    # a single bookkeeper's (the breakdown is additive over the stats
+    # monoid, pinned by tests/energy/test_model.py).
+    breakdown = EnergyModel().breakdown(stats, scheme=config.correction_scheme)
+    writes = breakdown.writes or 1
+    print(f"  energy: {breakdown.per_write_pj:.1f} pJ/write "
+          f"(array {breakdown.array_pj / writes:.1f}, "
+          f"flags {breakdown.flag_pj / writes:.2f}, "
+          f"correction logic {breakdown.correction_pj / writes:.2f})")
     for shard, (shard_stats, served) in enumerate(
         zip(result.shard_stats, result.shard_writes)
     ):
@@ -683,37 +634,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.json:
         print(json_module.dumps(result.to_dict(), indent=2))
     else:
-        _print_fleet_summary(result, config=config)
+        _print_fleet_summary(result, config)
         if args.telemetry_dir:
             print(f"telemetry: {args.telemetry_dir}/fleet.jsonl + "
                   f"shard-<i>/events.jsonl")
     return 0
 
 
-def cmd_workload(args: argparse.Namespace) -> int:
-    """Generate a fleet-shaped stream; save it or run it in-process."""
-    from .service import ShardedController, make_stream, run_workload
+def cmd_workload(args: argparse.Namespace) -> None:
+    """Generate and save a fleet-shaped request stream."""
+    from .service import make_stream
+    from .traces.trace import Trace
 
-    if args.out is not None:
-        from .traces.trace import Trace
-
-        stream = make_stream(args.profile, args.lines, args.seed)
-        trace = Trace(workload=stream.name, n_lines=args.lines)
-        trace.extend(stream.iter_requests(args.requests))
-        save_trace(trace, args.out)
-        print(f"wrote {len(trace)} {args.profile} requests over "
-              f"{args.lines} lines to {args.out}")
-        return 0
-    config = resolve_config(args.system, **_config_overrides(args))
-    fleet = ShardedController(
-        config, args.lines, shards=args.shards,
-        endurance_mean=args.endurance, endurance_cov=args.cov,
-        seed=args.seed,
-    )
-    run_workload(fleet, args.profile, args.requests,
-                 batch=args.batch, seed=args.seed)
-    _print_fleet_summary(fleet.result(), config=config)
-    return 0
+    stream = make_stream(args.profile, args.lines, args.seed)
+    trace = Trace(workload=stream.name, n_lines=args.lines)
+    trace.extend(stream.iter_requests(args.requests))
+    save_trace(trace, args.output)
+    print(f"wrote {len(trace)} {args.profile} requests over "
+          f"{args.lines} lines to {args.output}")
 
 
 _COMMANDS = {

@@ -9,7 +9,6 @@ from .config import (
     comp,
     comp_w,
     comp_wf,
-    make_config,
 )
 from .controller import CompressedPCMController, ControllerStats, WriteResult
 from .heuristic import BitFlipHeuristic, HeuristicDecision
@@ -46,7 +45,6 @@ __all__ = [
     "extract_bytes",
     "faults_in_window",
     "find_window",
-    "make_config",
     "place_bytes",
     "window_mask",
 ]

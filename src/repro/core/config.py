@@ -168,19 +168,3 @@ def comp_wf(**overrides) -> SystemConfig:
 
 #: The four evaluated systems in the paper's presentation order.
 EVALUATED_SYSTEMS = ("baseline", "comp", "comp_w", "comp_wf")
-
-
-def make_config(name: str, **overrides) -> SystemConfig:
-    """Build an evaluated system configuration by name."""
-    factories = {
-        "baseline": baseline,
-        "comp": comp,
-        "comp_w": comp_w,
-        "comp_wf": comp_wf,
-    }
-    try:
-        return factories[name](**overrides)
-    except KeyError:
-        raise ValueError(
-            f"unknown system {name!r}; choose from {sorted(factories)}"
-        ) from None

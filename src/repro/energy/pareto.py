@@ -38,19 +38,21 @@ def run_energy_sweep(
     """Run the sweep; returns one JSON-ready point dict per (system,
     workload) with ``pareto=True`` on each workload's frontier.
 
-    ``systems=None`` sweeps every registered system.  Points are
-    comparable *within* a workload (the frontier is marked per
-    workload); cross-workload comparisons only make sense per metric.
+    ``systems=None`` sweeps the paper's four evaluated systems, then the
+    ``energy``-tagged encoding variants.  Points are comparable *within*
+    a workload (the frontier is marked per workload); cross-workload
+    comparisons only make sense per metric.
     """
     # Deferred imports: the controller imports this package while
     # building encoders, so pulling the simulator stack in at module
     # scope would cycle through repro.core.
-    from ..engine.registry import get_system, system_names
+    from ..core.config import EVALUATED_SYSTEMS
+    from ..engine.registry import resolve_config, system_names
     from ..engine.sweep import SweepRunner, check_names
     from ..perf.overhead import PerformanceModel, ReadMix, measure_read_mix
     from ..traces import get_profile
 
-    names = tuple(systems) if systems else system_names()
+    names = tuple(systems) if systems else EVALUATED_SYSTEMS + system_names("energy")
     check_names(workloads, names)
     model = model or EnergyModel()
     perf = perf or PerformanceModel()
@@ -65,7 +67,7 @@ def run_energy_sweep(
         )
         group: list[dict] = []
         for name in names:
-            config = get_system(name).config
+            config = resolve_config(name)
             result = grid[workload][name]
             breakdown = result.energy_breakdown(
                 scheme=config.correction_scheme, model=model

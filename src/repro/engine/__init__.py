@@ -7,10 +7,10 @@ Three layers:
   shared :class:`EngineState`, sequenced by :class:`WritePipeline`.
   :class:`repro.core.CompressedPCMController` is a thin facade over
   this machinery with identical semantics.
-* **Registry** -- declarative, serializable :class:`SystemSpec`\\ s for
-  the paper's evaluated systems and the repo's ablation/extension
-  variants, consumed uniformly by ``lifetime``, the CLI, benchmarks
-  and examples.
+* **Registry** -- one table of named :class:`SystemSpec`\\ s for the
+  paper's evaluated systems and the repo's ablation/extension
+  variants; :func:`resolve_config` turns a name (plus knob overrides)
+  into a config for ``lifetime``, the CLI, benchmarks and examples.
 * **SweepRunner** -- the one driver of (profile x system) lifetime
   grids, in-process or fanned out across worker processes.
 """
@@ -19,11 +19,8 @@ from .address_space import AddressRange, ShardMap, shard_seeds
 from .context import ControllerStats, EngineState, WriteContext, WriteResult
 from .pipeline import WritePipeline
 from .registry import (
-    PAPER_SYSTEMS,
     SystemSpec,
     get_system,
-    list_systems,
-    register_system,
     resolve_config,
     system_names,
 )
@@ -48,7 +45,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "PAPER_SYSTEMS",
     "AddressRange",
     "CompressStage",
     "ControllerStats",
@@ -70,10 +66,8 @@ __all__ = [
     "WritePipeline",
     "WriteResult",
     "get_system",
-    "list_systems",
     "quarantine_attempt",
     "quarantine_run_dir",
-    "register_system",
     "resolve_config",
     "run_task",
     "shard_seeds",

@@ -1,28 +1,24 @@
-"""Declarative system registry: named, serializable ``SystemSpec``s.
+"""Declarative system registry: one table of named ``SystemSpec``s.
 
 The paper's evaluated systems (Baseline / Comp / Comp+W / Comp+WF) and
-the repo's ablation variants used to be wired ad hoc -- a factory in
-``repro.core.config``, override kwargs scattered across
-``lifetime/systems.py``, the CLI, and 30+ benchmark modules.  The
-registry replaces that with one table of :class:`SystemSpec` entries
-consumed uniformly everywhere:
+the repo's ablation/extension variants live in one table, built once
+at import.  :func:`resolve_config` is the only way to turn a system
+name into a :class:`~repro.core.config.SystemConfig`:
 
-    >>> from repro.engine import get_system, system_names
-    >>> get_system("comp_wf").config.use_dead_block_revival
+    >>> from repro.engine import resolve_config, system_names
+    >>> resolve_config("comp_wf").use_dead_block_revival
     True
+    >>> resolve_config("comp_wf", tier_lines=8).tier_lines
+    8
     >>> "comp_wf_safer32" in system_names()
     True
 
-Specs are plain frozen dataclasses wrapping a
-:class:`~repro.core.config.SystemConfig`; ``to_dict``/``from_dict``
-round-trip them through JSON for sweep manifests and result metadata.
-``python -m repro systems`` prints the table with each spec's stage
-composition.
+:func:`get_system` returns the spec itself (description, tags, stage
+composition); ``python -m repro systems`` prints the table.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from ..core import config as _config
@@ -46,12 +42,6 @@ class SystemSpec:
                 f"spec name {self.name!r} != config name {self.config.name!r}"
             )
 
-    def configured(self, **overrides) -> SystemConfig:
-        """The spec's config, with optional knob overrides applied."""
-        if not overrides:
-            return self.config
-        return self.config.with_overrides(**overrides)
-
     def stage_summary(self) -> list[str]:
         """One line per write-path stage, as composed for this system."""
         from ..core.controller import CompressedPCMController
@@ -66,36 +56,6 @@ class SystemSpec:
         )
         return controller.pipeline.describe()
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (sweep manifests, result metadata)."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "tags": list(self.tags),
-            "config": dataclasses.asdict(self.config),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SystemSpec":
-        """Rebuild a spec serialized by :meth:`to_dict`."""
-        return cls(
-            name=payload["name"],
-            description=payload["description"],
-            config=SystemConfig(**payload["config"]),
-            tags=tuple(payload.get("tags", ())),
-        )
-
-
-_REGISTRY: dict[str, SystemSpec] = {}
-
-
-def register_system(spec: SystemSpec, replace: bool = False) -> SystemSpec:
-    """Add a spec to the registry (``replace=True`` to overwrite)."""
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"system {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
 
 def get_system(name: str) -> SystemSpec:
     """Look a spec up by name."""
@@ -108,128 +68,68 @@ def get_system(name: str) -> SystemSpec:
 
 
 def system_names(tag: str | None = None) -> tuple[str, ...]:
-    """Registered names, optionally filtered by tag, in insertion order."""
+    """Registered names, optionally filtered by tag, in table order."""
     return tuple(
         name for name, spec in _REGISTRY.items()
         if tag is None or tag in spec.tags
     )
 
 
-def list_systems(tag: str | None = None) -> tuple[SystemSpec, ...]:
-    """Registered specs, optionally filtered by tag, in insertion order."""
-    return tuple(
-        spec for spec in _REGISTRY.values() if tag is None or tag in spec.tags
-    )
+def resolve_config(system: str, **overrides) -> SystemConfig:
+    """The named system's config, with knob overrides applied.
 
-
-def resolve_config(system: str | SystemConfig, **overrides) -> SystemConfig:
-    """Normalize a system name or config into a ready config.
-
-    This is the single entry point ``build_simulator``, the CLI, and
-    the benchmarks funnel through: names go through the registry,
-    explicit configs pass straight through (with overrides applied).
+    The one way a system name becomes a config: ``build_simulator``,
+    the CLI, the fuzz driver and the benchmarks all call it.
     """
-    if isinstance(system, SystemConfig):
-        return system.with_overrides(**overrides) if overrides else system
-    return get_system(system).configured(**overrides)
+    config = get_system(system).config
+    return config.with_overrides(**overrides) if overrides else config
 
 
 # -- the registry table ----------------------------------------------------
 
-#: The four evaluated systems in the paper's presentation order (the
-#: registry's name for :data:`repro.core.config.EVALUATED_SYSTEMS`).
-PAPER_SYSTEMS = _config.EVALUATED_SYSTEMS
 
-register_system(SystemSpec(
-    name="baseline",
-    description="DW + Start-Gap + ECP-6, no compression (Table II baseline)",
-    config=_config.baseline(),
-    tags=("paper",),
-))
-register_system(SystemSpec(
-    name="comp",
-    description="naive compression: window sliding only (Section V-A.1)",
-    config=_config.comp(),
-    tags=("paper",),
-))
-register_system(SystemSpec(
-    name="comp_w",
-    description="compression + intra-line wear-leveling (Section V-A.2)",
-    config=_config.comp_w(),
-    tags=("paper",),
-))
-register_system(SystemSpec(
-    name="comp_wf",
-    description="the full design: + dead-block revival (Section V-A.3)",
-    config=_config.comp_wf(),
-    tags=("paper",),
-))
+def _spec(name, description, base, tags, **overrides) -> SystemSpec:
+    """One row: a paper-system factory ``base`` plus knob ``overrides``."""
+    return SystemSpec(name, description, base(name=name, **overrides), tags)
 
-# Ablation variants: the full system with exactly one knob changed.
-register_system(SystemSpec(
-    name="comp_wf_no_heuristic",
-    description="Comp+WF without the Figure 8 flip-control heuristic",
-    config=_config.comp_wf(name="comp_wf_no_heuristic", use_heuristic=False),
-    tags=("ablation",),
-))
-register_system(SystemSpec(
-    name="comp_wf_safer32",
-    description="Comp+WF over SAFER-32 instead of ECP-6 (Section III-A.4)",
-    config=_config.comp_wf(name="comp_wf_safer32", correction_scheme="safer32"),
-    tags=("ablation",),
-))
-register_system(SystemSpec(
-    name="comp_wf_aegis",
-    description="Comp+WF over Aegis 17x31 instead of ECP-6 (Section III-A.4)",
-    config=_config.comp_wf(name="comp_wf_aegis", correction_scheme="aegis17x31"),
-    tags=("ablation",),
-))
 
-# Extensions beyond the paper's configuration.
-register_system(SystemSpec(
-    name="comp_wf_freep",
-    description="Comp+WF + FREE-p remap spares (5% spare lines)",
-    config=_config.comp_wf(name="comp_wf_freep", spare_line_fraction=0.05),
-    tags=("extension",),
-))
-register_system(SystemSpec(
-    name="comp_wf_regions",
-    description="Comp+WF with 4-region scalable Start-Gap",
-    config=_config.comp_wf(name="comp_wf_regions", start_gap_regions=4),
-    tags=("extension",),
-))
-register_system(SystemSpec(
-    name="comp_wf_hybrid",
-    description="Comp+WF behind a 16-line content-aware DRAM tier (CARAM)",
-    config=_config.comp_wf(name="comp_wf_hybrid", tier_lines=16),
-    tags=("extension",),
-))
+_SPECS = (
+    _spec("baseline", "DW + Start-Gap + ECP-6, no compression (Table II baseline)",
+          _config.baseline, ("paper",)),
+    _spec("comp", "naive compression: window sliding only (Section V-A.1)",
+          _config.comp, ("paper",)),
+    _spec("comp_w", "compression + intra-line wear-leveling (Section V-A.2)",
+          _config.comp_w, ("paper",)),
+    _spec("comp_wf", "the full design: + dead-block revival (Section V-A.3)",
+          _config.comp_wf, ("paper",)),
+    # Ablation variants: the full system with exactly one knob changed.
+    _spec("comp_wf_no_heuristic", "Comp+WF without the Figure 8 flip-control heuristic",
+          _config.comp_wf, ("ablation",), use_heuristic=False),
+    _spec("comp_wf_safer32", "Comp+WF over SAFER-32 instead of ECP-6 (Section III-A.4)",
+          _config.comp_wf, ("ablation",), correction_scheme="safer32"),
+    _spec("comp_wf_aegis", "Comp+WF over Aegis 17x31 instead of ECP-6 (Section III-A.4)",
+          _config.comp_wf, ("ablation",), correction_scheme="aegis17x31"),
+    # Extensions beyond the paper's configuration.
+    _spec("comp_wf_freep", "Comp+WF + FREE-p remap spares (5% spare lines)",
+          _config.comp_wf, ("extension",), spare_line_fraction=0.05),
+    _spec("comp_wf_regions", "Comp+WF with 4-region scalable Start-Gap",
+          _config.comp_wf, ("extension",), start_gap_regions=4),
+    _spec("comp_wf_hybrid", "Comp+WF behind a 16-line content-aware DRAM tier (CARAM)",
+          _config.comp_wf, ("extension",), tier_lines=16),
+    # Energy-aware encoding family (repro.energy): WIRE-style inversion
+    # and restricted coset coding composed with the paper's systems.
+    # The reference model does not model encoding, so these stay out
+    # of the differential fuzz oracle's default set (repro.validate.
+    # fuzz).  The "energy" tag, after the paper's four, is the energy
+    # sweep's default set (repro.energy.pareto).
+    _spec("baseline_wire", "baseline + WIRE energy-weighted inversion coding",
+          _config.baseline, ("extension", "energy"), encoding="wire"),
+    _spec("comp_wf_wire", "Comp+WF + WIRE energy-weighted inversion coding",
+          _config.comp_wf, ("extension", "energy"), encoding="wire"),
+    _spec("comp_coset", "Comp + restricted coset coding through compression slack",
+          _config.comp, ("extension", "energy"), encoding="coset"),
+    _spec("comp_wf_coset", "Comp+WF + restricted coset coding through compression slack",
+          _config.comp_wf, ("extension", "energy"), encoding="coset"),
+)
 
-# Energy-aware encoding family (repro.energy): WIRE-style inversion and
-# restricted coset coding composed with the paper's systems.  Encoded
-# systems are excluded from the differential fuzz oracle's default set
-# (repro.validate.fuzz) -- the reference model does not model encoding.
-register_system(SystemSpec(
-    name="baseline_wire",
-    description="baseline + WIRE energy-weighted inversion coding",
-    config=_config.baseline(name="baseline_wire", encoding="wire"),
-    tags=("extension", "energy"),
-))
-register_system(SystemSpec(
-    name="comp_wf_wire",
-    description="Comp+WF + WIRE energy-weighted inversion coding",
-    config=_config.comp_wf(name="comp_wf_wire", encoding="wire"),
-    tags=("extension", "energy"),
-))
-register_system(SystemSpec(
-    name="comp_coset",
-    description="Comp + restricted coset coding through compression slack",
-    config=_config.comp(name="comp_coset", encoding="coset"),
-    tags=("extension", "energy"),
-))
-register_system(SystemSpec(
-    name="comp_wf_coset",
-    description="Comp+WF + restricted coset coding through compression slack",
-    config=_config.comp_wf(name="comp_wf_coset", encoding="coset"),
-    tags=("extension", "energy"),
-))
+_REGISTRY: dict[str, SystemSpec] = {spec.name: spec for spec in _SPECS}

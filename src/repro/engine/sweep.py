@@ -37,7 +37,8 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from .registry import PAPER_SYSTEMS, get_system
+from ..core.config import EVALUATED_SYSTEMS
+from .registry import get_system
 
 #: Manifest JSON schema version.
 MANIFEST_VERSION = 1
@@ -292,7 +293,7 @@ class SweepRunner:
             exists under ``checkpoint_dir``.
     """
 
-    systems: tuple[str, ...] = PAPER_SYSTEMS
+    systems: tuple[str, ...] = EVALUATED_SYSTEMS
     workers: int | None = None
     n_lines: int = 256
     endurance_mean: float = 100.0

@@ -8,7 +8,7 @@ parameters together so benchmarks and examples can run one-liners like::
 
 from __future__ import annotations
 
-from ..core import EVALUATED_SYSTEMS, SystemConfig
+from ..core import EVALUATED_SYSTEMS
 from ..engine.registry import resolve_config
 from ..engine.sweep import SweepRunner, check_names
 from ..traces import SyntheticWorkload, get_profile
@@ -39,7 +39,7 @@ def scaled_intra_counter_limit(
 
 
 def build_simulator(
-    system: str | SystemConfig,
+    system: str,
     workload: str,
     n_lines: int = 256,
     endurance_mean: float = 100.0,
@@ -49,16 +49,16 @@ def build_simulator(
 ) -> LifetimeSimulator:
     """A ready-to-run simulator for one (system, workload) pair.
 
-    ``system`` may be any registered :class:`~repro.engine.SystemSpec`
-    name (the four paper systems plus ablation/extension variants) or
-    an explicit :class:`~repro.core.SystemConfig`.  ``config_overrides``
-    replace config knobs (``tier_lines=8``, ``encoding="wire"``, ...).
+    ``system`` is any registered :class:`~repro.engine.SystemSpec` name
+    (the four paper systems plus ablation/extension variants).
+    ``config_overrides`` replace config knobs (``tier_lines=8``,
+    ``encoding="wire"``, ...); ``intra_counter_limit`` defaults to the
+    simulation-scaled value.
     """
-    if not isinstance(system, SystemConfig):
-        config_overrides.setdefault(
-            "intra_counter_limit",
-            scaled_intra_counter_limit(endurance_mean, lines_per_bank=max(1, n_lines // 8)),
-        )
+    config_overrides.setdefault(
+        "intra_counter_limit",
+        scaled_intra_counter_limit(endurance_mean, lines_per_bank=max(1, n_lines // 8)),
+    )
     config = resolve_config(system, **config_overrides)
     source = SyntheticWorkload(get_profile(workload), n_lines=n_lines, seed=seed)
     return LifetimeSimulator(

@@ -12,8 +12,12 @@ routing.  Three layers:
   (replay-based) recovery from worker deaths;
 * :mod:`repro.service.workloads` -- fleet-shaped request streams
   (monotonic / high-reuse / memcached / nginx) and the
-  :func:`run_workload` driver, surfaced as ``python -m repro serve``
-  and ``python -m repro workload``.
+  :func:`run_workload` driver.
+
+``python -m repro serve`` drives a stream through a fleet: a
+:class:`MemoryService`, or a :class:`ShardedController` with
+``--inline``.  ``python -m repro workload`` only saves a stream as a
+trace.
 """
 
 from .service import (

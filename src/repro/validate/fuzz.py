@@ -27,7 +27,7 @@ import numpy as np
 
 from ..engine.address_space import ShardMap, shard_seeds
 from ..engine.context import ControllerStats
-from ..engine.registry import get_system, system_names
+from ..engine.registry import resolve_config, system_names
 from .lockstep import DivergenceError, ValidatingController, replay_recipe
 
 #: The paper's three fine-grained correction schemes (acceptance set).
@@ -283,7 +283,7 @@ def assert_fleet_view(shard_stats: list[ControllerStats]) -> ControllerStats:
 def _accepts(system: str, overrides: dict) -> bool:
     """Whether ``system``'s config takes ``overrides`` without error."""
     try:
-        get_system(system).configured(**overrides)
+        resolve_config(system, **overrides)
     except ValueError:
         return False
     return True
@@ -362,7 +362,7 @@ def run_fuzz(
         # read-back correctness is pinned by tests/energy instead.
         names = tuple(
             name for name in system_names()
-            if get_system(name).config.encoding == "none"
+            if resolve_config(name).encoding == "none"
             and _accepts(name, overrides)
         )
         if not names:
@@ -385,8 +385,8 @@ def run_fuzz(
                 campaign.skipped = True
                 continue
 
-            config = get_system(system).configured(
-                **{**overrides, "correction_scheme": scheme}
+            config = resolve_config(
+                system, **{**overrides, "correction_scheme": scheme}
             )
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, campaign_index])

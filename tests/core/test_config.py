@@ -9,14 +9,16 @@ from repro.core import (
     comp,
     comp_w,
     comp_wf,
-    make_config,
 )
+from repro.engine import resolve_config
+
+FACTORIES = (baseline, comp, comp_w, comp_wf)
 
 
 def test_four_evaluated_systems():
     assert EVALUATED_SYSTEMS == ("baseline", "comp", "comp_w", "comp_wf")
-    for name in EVALUATED_SYSTEMS:
-        assert make_config(name).name == name
+    for name, factory in zip(EVALUATED_SYSTEMS, FACTORIES):
+        assert factory().name == name
 
 
 def test_feature_matrix_matches_section4():
@@ -42,8 +44,8 @@ def test_feature_matrix_matches_section4():
 
 
 def test_shared_substrate_defaults():
-    for name in EVALUATED_SYSTEMS:
-        config = make_config(name)
+    for factory in FACTORIES:
+        config = factory()
         assert config.correction_scheme == "ecp6"
         assert config.start_gap_psi == 100
 
@@ -59,7 +61,7 @@ def test_overrides():
 
 def test_unknown_system():
     with pytest.raises(ValueError, match="unknown system"):
-        make_config("comp_x")
+        resolve_config("comp_x")
 
 
 def test_validation():
@@ -77,21 +79,19 @@ def test_validation():
 
 def test_cell_type_knob():
     """The paper's substrate is SLC; footnote 1's MLC is one knob away."""
-    for name in EVALUATED_SYSTEMS:
-        assert make_config(name).cell_type == "slc"
+    for factory in FACTORIES:
+        assert factory().cell_type == "slc"
     assert comp_wf(cell_type="mlc").cell_type == "mlc"
     with pytest.raises(ValueError, match="cell_type"):
         comp_wf(cell_type="tlc")
 
 
+
 def test_cell_type_round_trips_through_json():
+    """Fuzz repro recipes carry the config as JSON (repro.validate)."""
+    import dataclasses
     import json
 
-    from repro.engine.registry import SystemSpec
-
-    spec = SystemSpec(
-        name="comp_wf", description="MLC cells",
-        config=comp_wf(cell_type="mlc"),
-    )
-    payload = json.loads(json.dumps(spec.to_dict()))
-    assert SystemSpec.from_dict(payload) == spec
+    config = comp_wf(cell_type="mlc")
+    payload = json.loads(json.dumps(dataclasses.asdict(config)))
+    assert SystemConfig(**payload) == config

@@ -15,7 +15,8 @@ relate after *any* seeded run:
 import numpy as np
 import pytest
 
-from repro.core import EVALUATED_SYSTEMS, CompressedPCMController, make_config
+from repro.core import EVALUATED_SYSTEMS, CompressedPCMController
+from repro.engine import resolve_config
 from repro.pcm import EnduranceModel
 from repro.traces import SyntheticWorkload, get_profile
 
@@ -23,7 +24,7 @@ from repro.traces import SyntheticWorkload, get_profile
 def run_trace(system, workload="gcc", n_lines=32, writes=3000,
               endurance=25.0, seed=11):
     controller = CompressedPCMController(
-        config=make_config(system, intra_counter_limit=64),
+        config=resolve_config(system, intra_counter_limit=64),
         n_lines=n_lines,
         endurance_model=EnduranceModel(mean=endurance, cov=0.15),
         rng=np.random.default_rng(seed + 1),

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import EVALUATED_SYSTEMS, CompressedPCMController, make_config
+from repro.core import EVALUATED_SYSTEMS, CompressedPCMController
 from repro.energy import WireEncoder
-from repro.engine.registry import get_system
+from repro.engine.registry import resolve_config
 from repro.pcm import EnduranceModel
 from repro.traces import SyntheticWorkload, get_profile
 from repro.validate import ValidatingController
@@ -43,7 +43,7 @@ def test_identity_encoder_replays_the_golden_trace(golden, system):
     trace = golden["trace"]
     expected = golden["systems"][system]
     controller = CompressedPCMController(
-        config=make_config(system, intra_counter_limit=64),
+        config=resolve_config(system, intra_counter_limit=64),
         n_lines=trace["n_lines"],
         endurance_model=EnduranceModel(
             mean=trace["endurance_mean"], cov=trace["endurance_cov"]
@@ -72,7 +72,7 @@ def test_identity_encoder_replays_the_golden_trace(golden, system):
 
 
 def test_identity_encoder_survives_lockstep_validation():
-    config = get_system("comp_wf").configured(correction_scheme="ecp6")
+    config = resolve_config("comp_wf", correction_scheme="ecp6")
     validating = ValidatingController(
         config, 16, endurance_mean=24.0, seed=6, n_banks=4,
     )
@@ -94,7 +94,7 @@ def test_identity_encoder_survives_lockstep_validation():
 
 def test_disabled_encoding_builds_no_encoder():
     controller = CompressedPCMController(
-        config=make_config("comp_wf"),
+        config=resolve_config("comp_wf"),
         n_lines=8,
         endurance_model=EnduranceModel(mean=100.0),
         rng=np.random.default_rng(0),
@@ -106,7 +106,7 @@ def test_disabled_encoding_builds_no_encoder():
                                     "comp_coset", "comp_wf_coset"])
 def test_encoded_systems_read_back_exactly(system):
     """Encoding changes stored bits, never read-back data."""
-    config = get_system(system).configured(correction_scheme="ecp6")
+    config = resolve_config(system, correction_scheme="ecp6")
     controller = CompressedPCMController(
         config, 16, EnduranceModel(mean=10**6),
         np.random.default_rng(1), n_banks=4,

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.registry import get_system
+from repro.engine.registry import resolve_config
 
 from .helpers import (
     LINE,
@@ -40,7 +40,7 @@ def test_collision_costs_edges_not_flushes():
     must keep every op scheduled -- the collisions only chain the hot
     line into later waves.
     """
-    config = get_system("comp_wf").config
+    config = resolve_config("comp_wf")
     hot = 7
     independents = [line for line in range(32) if line != hot]
     payload = lambda value: bytes([value]) * LINE  # noqa: E731
@@ -77,7 +77,7 @@ def test_collision_costs_edges_not_flushes():
 
 def test_gap_moves_do_not_barrier_healthy_segments():
     """Start-Gap relocations ride along as dependency-tracked ops."""
-    config = get_system("comp_wf").configured(start_gap_psi=7)
+    config = resolve_config("comp_wf", start_gap_psi=7)
     requests = make_requests(400, seed=5)
     serial = make_controller(config)
     want = [serial.write(line, data) for line, data in requests]
@@ -99,7 +99,7 @@ def test_gap_moves_do_not_barrier_healthy_segments():
 
 def test_worn_rows_cut_barriers_and_stay_serial_identical():
     """Near-endurance rows must fall back to the serial pipeline."""
-    config = get_system("comp_wf").config
+    config = resolve_config("comp_wf")
     requests = make_requests(1500, seed=8)
     serial = make_controller(config, endurance_mean=18.0)
     want = [serial.write(line, data) for line, data in requests]
@@ -160,7 +160,7 @@ def test_collision_heavy_streams_match_serial(ops, chunk):
     """Four logical lines only: nearly every batch chains collisions."""
     pool = _payload_pool(1)
     stream = [(line, pool[payload]) for line, payload in ops]
-    _assert_batched_equals_serial(get_system("comp_wf").config, stream, chunk)
+    _assert_batched_equals_serial(resolve_config("comp_wf"), stream, chunk)
 
 
 @_ADVERSARIAL
@@ -176,7 +176,7 @@ def test_gap_move_dense_streams_match_serial(ops, psi, chunk):
     """Tiny psi: Start-Gap fires every few writes, often mid-segment."""
     pool = _payload_pool(2)
     stream = [(line, pool[payload]) for line, payload in ops]
-    config = get_system("comp_wf").configured(start_gap_psi=psi)
+    config = resolve_config("comp_wf", start_gap_psi=psi)
     _assert_batched_equals_serial(config, stream, chunk)
 
 
@@ -202,5 +202,5 @@ def test_duplicate_line_bursts_match_serial(bursts, chunk):
     ]
     if not stream:
         return
-    config = get_system("comp_wf_freep").config
+    config = resolve_config("comp_wf_freep")
     _assert_batched_equals_serial(config, stream, chunk, endurance=40.0)

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.context import ControllerStats
-from repro.engine.registry import get_system
+from repro.engine.registry import resolve_config
 
 from .helpers import (
     assert_same_state,
@@ -34,7 +34,7 @@ BACKENDS = ("startgap_freep", "wolfram")
 
 
 def _configured(backend, **overrides):
-    return get_system("comp_wf").configured(wl_backend=backend, **overrides)
+    return resolve_config("comp_wf", wl_backend=backend, **overrides)
 
 
 def _batched_run(config, requests, chunk, endurance_mean=70.0):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import LINE_BYTES, CompressedPCMController, make_config
+from repro.core import LINE_BYTES, CompressedPCMController
 from repro.engine import (
     CompressStage,
     CorrectionStage,
@@ -16,6 +16,7 @@ from repro.engine import (
     RemapStage,
     WriteContext,
     WritePipeline,
+    resolve_config,
 )
 from repro.pcm import EnduranceModel
 
@@ -23,7 +24,7 @@ from repro.pcm import EnduranceModel
 def build_controller(system="comp_wf", n_lines=16, endurance=10**6, seed=0,
                      **overrides):
     return CompressedPCMController(
-        config=make_config(system, **overrides),
+        config=resolve_config(system, **overrides),
         n_lines=n_lines,
         endurance_model=EnduranceModel(mean=endurance),
         rng=np.random.default_rng(seed),
@@ -202,10 +203,10 @@ STAGE_SUMMARIES = Path(__file__).with_name("stage_summaries.json")
 
 
 def _summary(key):
-    from repro.engine import AddressRange, SystemSpec, get_system
+    from repro.engine import AddressRange, SystemSpec
 
     system, backend, *sliced = key.split("/")
-    config = get_system(system).configured(wl_backend=backend)
+    config = resolve_config(system, wl_backend=backend)
     if not sliced:
         return SystemSpec(name=system, description="", config=config).stage_summary()
     controller = CompressedPCMController(
@@ -217,11 +218,11 @@ def _summary(key):
 
 class TestStageSummaries:
     def test_every_system_is_pinned_on_every_backend_it_takes(self):
-        from repro.engine import get_system, system_names
+        from repro.engine import system_names
 
         pinned = set(json.loads(STAGE_SUMMARIES.read_text()))
         for system in system_names():
-            regions = get_system(system).config.start_gap_regions
+            regions = resolve_config(system).start_gap_regions
             assert f"{system}/startgap_freep" in pinned
             assert (f"{system}/wolfram" in pinned) == (regions == 1)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.controller import CompressedPCMController
-from repro.engine.registry import get_system, system_names
+from repro.engine.registry import resolve_config, system_names
 from repro.pcm import EnduranceModel
 from repro.validate.invariants import default_invariants
 
@@ -37,7 +37,7 @@ SYSTEM_BACKENDS = [
     for system in system_names()
     for backend in ("startgap_freep", "wolfram")
     if backend == "startgap_freep"
-    or get_system(system).config.start_gap_regions == 1
+    or resolve_config(system).start_gap_regions == 1
 ]
 
 
@@ -45,7 +45,7 @@ SYSTEM_BACKENDS = [
 def test_write_batch_matches_serial(system, wl_backend):
     """Every registered system and backend, across batch sizes, under
     heavy wear."""
-    config = get_system(system).configured(wl_backend=wl_backend)
+    config = resolve_config(system, wl_backend=wl_backend)
     requests = make_requests(1500)
     serial = make_controller(config)
     serial_results = [serial.write(line, data) for line, data in requests]
@@ -66,7 +66,7 @@ def test_write_batch_matches_serial(system, wl_backend):
 
 def test_write_batch_exercises_hard_paths():
     """The equivalence stream must actually hit deaths/rescues/remaps."""
-    config = get_system("comp_wf_freep").config
+    config = resolve_config("comp_wf_freep")
     controller = make_controller(config, endurance_mean=55.0)
     for index in range(0, 3000, 16):
         controller.write_batch(make_requests(3000)[index:index + 16])
@@ -78,7 +78,7 @@ def test_write_batch_exercises_hard_paths():
 
 def test_write_batch_serializes_same_line_collisions():
     """Repeated writes to one logical line flush and stay serial-equal."""
-    config = get_system("comp_wf").config
+    config = resolve_config("comp_wf")
     requests = [(5, bytes([value]) * LINE) for value in range(40)]
     serial = make_controller(config)
     serial_results = [serial.write(line, data) for line, data in requests]
@@ -90,7 +90,7 @@ def test_write_batch_serializes_same_line_collisions():
 
 
 def test_write_batch_validates_payload_size_up_front():
-    controller = make_controller(get_system("comp").config)
+    controller = make_controller(resolve_config("comp"))
     before = state_fingerprint(controller)
     with pytest.raises(ValueError, match="64 bytes"):
         controller.write_batch([(0, bytes(LINE)), (1, bytes(3))])
@@ -101,7 +101,7 @@ def test_write_batch_validates_payload_size_up_front():
 def test_write_batch_with_invariants_falls_back_to_serial():
     """Checkers assert per-write accounting, so batching must stage
     through the fully serial path -- and still match its results."""
-    config = get_system("comp_wf").config
+    config = resolve_config("comp_wf")
     checked = CompressedPCMController(
         config=config,
         n_lines=N_LINES,
@@ -131,8 +131,8 @@ def _conflict_free_controller():
     Start-Gap period longer than the whole run keeps the logical to
     physical map fixed.
     """
-    config = get_system("comp_wf").configured(
-        intra_counter_limit=1_000_000,
+    config = resolve_config(
+        "comp_wf", intra_counter_limit=1_000_000,
         compression_cache_lines=4096,
         start_gap_psi=1_000_000,
     )
@@ -215,8 +215,8 @@ def _serial_and_batched(config, requests, batches, prepare=None, **kwargs):
 def test_intra_line_rotation_mid_segment_matches_serial():
     """A 3-write rotation counter rotates several times inside every
     32-write segment, so writes of one segment see different offsets."""
-    config = get_system("comp_wf").configured(
-        intra_counter_limit=3, start_gap_psi=1_000_000
+    config = resolve_config(
+        "comp_wf", intra_counter_limit=3, start_gap_psi=1_000_000
     )
     requests = make_requests(320, seed=5)
     _, batched = _serial_and_batched(
@@ -239,7 +239,7 @@ def test_sc_saturates_along_a_same_row_collision_chain():
     """Eight writes to one line in one batch are eight waves; their
     size swings walk the line's SC 0 -> 3 and the last writes take
     Figure 8's step 2, each wave reading its predecessor's commit."""
-    config = get_system("comp_wf").configured(start_gap_psi=1_000_000)
+    config = resolve_config("comp_wf", start_gap_psi=1_000_000)
     small, large = _words_line(4), _words_line(20)  # BDI: 16 and 40 bytes
     chain = [(7, small if k % 2 else large) for k in range(8)]
     others = [(line, small) for line in range(20, 28)]
@@ -258,7 +258,7 @@ def test_start_gap_moves_on_first_and_last_request_of_a_segment():
     """psi=8: 25 warm-up writes and a 14-write batch leave the write
     count at 39, so the next 9-write batch (writes 40..48) takes a gap
     move on its first request and on its last."""
-    config = get_system("comp_wf").configured(start_gap_psi=8)
+    config = resolve_config("comp_wf", start_gap_psi=8)
     warm = [(line, make_requests(1, seed=line)[0][1]) for line in range(N_LINES)]
     requests = warm[:14] + make_requests(9, seed=9) + make_requests(40, seed=10)
 
@@ -288,7 +288,7 @@ def test_barrier_in_the_middle_of_a_segment():
     """A write to a row at its wear-out point splits the batch: the
     writes before it run as one segment, it runs serially, and the
     rest run as a second segment."""
-    config = get_system("comp_wf").configured(start_gap_psi=1_000_000)
+    config = resolve_config("comp_wf", start_gap_psi=1_000_000)
     warm = make_requests(64, seed=4)
     requests = [(line, make_requests(1, seed=50 + line)[0][1]) for line in range(16)]
 

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import EVALUATED_SYSTEMS, CompressedPCMController, make_config
+from repro.core import EVALUATED_SYSTEMS, CompressedPCMController
+from repro.engine import resolve_config
 from repro.lifetime import run_system_comparison
 from repro.pcm import EnduranceModel
 from repro.traces import SyntheticWorkload, get_profile
@@ -57,7 +58,7 @@ def result_row(result) -> list:
 
 
 def replay(system: str) -> dict:
-    config = make_config(system, intra_counter_limit=64)
+    config = resolve_config(system, intra_counter_limit=64)
     workload = SyntheticWorkload(
         get_profile(TRACE_WORKLOAD), n_lines=TRACE_LINES, seed=TRACE_SEED
     )

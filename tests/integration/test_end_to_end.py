@@ -8,7 +8,8 @@ and check the system-level invariants the unit tests cannot see.
 import numpy as np
 import pytest
 
-from repro.core import CompressedPCMController, EVALUATED_SYSTEMS, make_config
+from repro.core import CompressedPCMController, EVALUATED_SYSTEMS
+from repro.engine import resolve_config
 from repro.lifetime import LifetimeSimulator, build_simulator
 from repro.pcm import EnduranceModel
 from repro.traces import SyntheticWorkload, get_profile
@@ -18,7 +19,7 @@ from repro.traces import SyntheticWorkload, get_profile
 def test_reads_match_writes_until_death(system):
     """Every live line returns exactly the last data written to it,
     through compression, window sliding, rotation, and Start-Gap moves."""
-    config = make_config(system, start_gap_psi=20)
+    config = resolve_config(system, start_gap_psi=20)
     controller = CompressedPCMController(
         config=config,
         n_lines=12,
@@ -47,7 +48,7 @@ def test_reads_match_writes_until_death(system):
 def test_flip_accounting_is_conserved():
     """Total programmed flips equals the sum of per-cell write counts."""
     controller = CompressedPCMController(
-        config=make_config("comp_wf", start_gap_psi=50),
+        config=resolve_config("comp_wf", start_gap_psi=50),
         n_lines=8,
         endurance_model=EnduranceModel(mean=10_000, cov=0.0),
         rng=np.random.default_rng(3),
@@ -93,7 +94,7 @@ def test_trace_replay_equals_generator_distribution():
     trace = generator.generate_trace(3000)
 
     replay = LifetimeSimulator(
-        config=make_config("comp_wf"),
+        config=resolve_config("comp_wf"),
         source=trace,
         n_lines=16,
         endurance_mean=25,

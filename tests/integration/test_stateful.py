@@ -15,7 +15,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core import CompressedPCMController, make_config
+from repro.core import CompressedPCMController
+from repro.engine import resolve_config
 from repro.pcm import EnduranceModel
 
 N_LINES = 6
@@ -40,7 +41,7 @@ class ControllerMachine(RuleBasedStateMachine):
         intra_limit=st.sampled_from([1, 3, 7, 2**16]),
     )
     def setup(self, system, endurance, seed, intra_limit):
-        self.config = make_config(
+        self.config = resolve_config(
             system, start_gap_psi=17, intra_counter_limit=intra_limit
         )
         self.controller = CompressedPCMController(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.controller import CompressedPCMController
 from repro.core.window import LINE_BYTES, place_bytes
-from repro.engine.registry import get_system
+from repro.engine.registry import resolve_config
 from repro.pcm import EnduranceModel
 from repro.pcm.bank import PCMBankArray
 
@@ -120,7 +120,7 @@ def test_write_rows_matches_the_per_row_write_loop(wave):
 )
 def test_program_rows_targets_equal_place_bytes(seed, windows):
     controller = CompressedPCMController(
-        config=get_system("comp_wf").config,
+        config=resolve_config("comp_wf"),
         n_lines=N_BLOCKS,
         endurance_model=EnduranceModel(mean=1e6, cov=0.1),
         rng=np.random.default_rng(seed),

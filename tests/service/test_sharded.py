@@ -16,8 +16,9 @@ import json
 
 import pytest
 
-from repro.core import EVALUATED_SYSTEMS, make_config
+from repro.core import EVALUATED_SYSTEMS
 from repro.core.config import comp_wf
+from repro.engine import resolve_config
 from repro.service import ShardedController, make_stream
 from repro.traces import SyntheticWorkload, get_profile
 
@@ -36,7 +37,7 @@ def test_one_shard_fleet_reproduces_golden_digests(golden, system):
     trace = golden["trace"]
     expected = golden["systems"][system]
     fleet = ShardedController(
-        make_config(system, intra_counter_limit=64),
+        resolve_config(system, intra_counter_limit=64),
         trace["n_lines"], shards=1,
         endurance_mean=trace["endurance_mean"],
         endurance_cov=trace["endurance_cov"],

@@ -52,8 +52,8 @@ def test_trace_command(tmp_path, capsys):
 
 def test_workload_command_saves_a_trace(tmp_path, capsys):
     path = tmp_path / "fleet.trace"
-    assert main(["workload", "memcached", "--lines", "32",
-                 "--requests", "80", "--out", str(path)]) == 0
+    assert main(["workload", "memcached", str(path), "--lines", "32",
+                 "--requests", "80"]) == 0
     assert "80 memcached requests" in capsys.readouterr().out
     trace = load_trace(path)
     assert len(trace) == 80
@@ -61,9 +61,17 @@ def test_workload_command_saves_a_trace(tmp_path, capsys):
     assert trace.n_lines == 32
 
 
-def test_workload_command_runs_in_process(capsys):
-    assert main(["workload", "nginx", "--lines", "32", "--requests", "150",
-                 "--shards", "2", "--endurance", "40"]) == 0
+def test_workload_command_only_saves():
+    """Running a stream is ``serve``'s job; ``workload`` needs an output."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["workload", "nginx"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["workload", "nginx", "out", "--shards", "2"])
+
+
+def test_serve_command_inline_prints_the_fleet_summary(capsys):
+    assert main(["serve", "--inline", "--workload", "nginx", "--lines", "32",
+                 "--requests", "150", "--shards", "2", "--endurance", "40"]) == 0
     out = capsys.readouterr().out
     assert "fleet: 2 shard(s), 32 lines" in out
     assert "shard 1:" in out
@@ -242,11 +250,11 @@ def test_nonpositive_counts_rejected(argv, capsys):
     (["energy", "--endurance", "-5"], "must be > 0"),
     (["fuzz", "--endurance", "0"], "must be > 0"),
     (["serve", "--endurance", "-1"], "must be > 0"),
-    (["workload", "memcached", "--endurance", "nan"], "must be > 0"),
+    (["serve", "--inline", "--endurance", "nan"], "must be > 0"),
     (["lifetime", "--cov", "-0.1"], "must be >= 0"),
     (["fuzz", "--cov", "-1"], "must be >= 0"),
     (["serve", "--cov", "-0.5"], "must be >= 0"),
-    (["workload", "memcached", "--cov", "-2"], "must be >= 0"),
+    (["serve", "--inline", "--cov", "-2"], "must be >= 0"),
     (["serve", "--inline", "--retries", "-1"], "must be >= 0"),
     (["montecarlo", "--sizes", "0"], "must be in 1..64"),
     (["montecarlo", "--sizes", "16", "65"], "must be in 1..64"),

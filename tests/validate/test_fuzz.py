@@ -37,7 +37,7 @@ class TestRunFuzz:
     def test_default_set_drops_systems_that_reject_the_overrides(self):
         """Only multi-region Start-Gap rejects the WoLFRaM backend; the
         encoded systems are never in the default set."""
-        from repro.engine.registry import get_system, system_names
+        from repro.engine.registry import resolve_config, system_names
 
         def default_set(**overrides):
             report = run_fuzz(
@@ -48,7 +48,7 @@ class TestRunFuzz:
 
         oracle_systems = [
             name for name in system_names()
-            if get_system(name).config.encoding == "none"
+            if resolve_config(name).encoding == "none"
         ]
         assert "comp_wf_hybrid" in oracle_systems
         assert default_set() == oracle_systems
@@ -111,9 +111,9 @@ class TestDivergenceHandling:
 
     def test_shrink_rejects_non_reproducing_recipe(self):
         from repro.validate import ValidatingController
-        from repro.engine.registry import get_system
+        from repro.engine.registry import resolve_config
 
-        config = get_system("comp_wf").configured(correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
         controller = ValidatingController(config, 8, seed=0, n_banks=4)
         controller.write(0, bytes(64))
         recipe = controller._recipe(0, bytes(64))

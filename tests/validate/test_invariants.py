@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import CompressedPCMController
 from repro.engine.context import WriteResult
-from repro.engine.registry import get_system
+from repro.engine.registry import resolve_config
 from repro.lifetime import LifetimeSimulator
 from repro.pcm import EnduranceModel
 from repro.traces import SyntheticWorkload, get_profile
@@ -21,7 +21,7 @@ from repro.validate import (
 
 
 def _controller(invariants=(), n_lines=16, endurance=16.0, seed=2):
-    config = get_system("comp_wf").configured(correction_scheme="ecp6")
+    config = resolve_config("comp_wf", correction_scheme="ecp6")
     return CompressedPCMController(
         config, n_lines, EnduranceModel(mean=endurance, cov=0.2),
         np.random.default_rng(seed), n_banks=4, invariants=invariants,
@@ -96,8 +96,8 @@ class TestFlipWearConservation:
     """
 
     def test_holds_across_rescue_and_remap_churn(self):
-        config = get_system("comp_wf_freep").configured(
-            correction_scheme="ecp6"
+        config = resolve_config(
+            "comp_wf_freep", correction_scheme="ecp6"
         )
         controller = CompressedPCMController(
             config, 32, EnduranceModel(mean=16.0, cov=0.2),
@@ -114,7 +114,7 @@ class TestFlipWearConservation:
         # Encoder flag cells live outside the array, so attaching one
         # must not perturb the array-side conservation law.
         for system in ("comp_wf_wire", "comp_coset"):
-            config = get_system(system).configured(correction_scheme="ecp6")
+            config = resolve_config(system, correction_scheme="ecp6")
             controller = CompressedPCMController(
                 config, 16, EnduranceModel(mean=24.0, cov=0.2),
                 np.random.default_rng(5), n_banks=4,
@@ -133,7 +133,7 @@ class TestFlipWearConservation:
 
 class TestCheckpointRoundtrip:
     def _simulator(self):
-        config = get_system("comp_wf").configured(correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
         workload = SyntheticWorkload(get_profile("gcc"), n_lines=12, seed=4)
         return LifetimeSimulator(
             config, workload, n_lines=12, endurance_mean=24.0, seed=4,

@@ -12,7 +12,8 @@ import pytest
 
 from repro.compression.fpc import FPCCompressor
 from repro.engine import stages
-from repro.engine.registry import get_system
+from repro.engine.registry import resolve_config
+from repro.tier import HybridController
 from repro.validate import (
     DivergenceError,
     ValidatingController,
@@ -41,8 +42,8 @@ class TestCleanLockstep:
     def test_worn_campaign_agrees_with_deaths_and_revivals(self):
         # Small psi so Start-Gap cycles fast enough to revive dead
         # blocks within the campaign; tiny endurance so blocks die.
-        config = get_system("comp_wf").configured(
-            correction_scheme="ecp6", start_gap_psi=23
+        config = resolve_config(
+            "comp_wf", correction_scheme="ecp6", start_gap_psi=23
         )
         controller = _campaign(config)
         stats = controller.fast.stats
@@ -51,18 +52,36 @@ class TestCleanLockstep:
         assert stats.window_slides > 0
 
     def test_freep_campaign_exercises_remap(self):
-        config = get_system("comp_wf_freep").configured(
-            correction_scheme="ecp6", start_gap_psi=23
+        config = resolve_config(
+            "comp_wf_freep", correction_scheme="ecp6", start_gap_psi=23
         )
         controller = _campaign(config)
         assert controller.fast.stats.remaps > 0, "FREE-p remap never fired"
 
     def test_region_start_gap_and_safer_agree(self):
-        config = get_system("comp_wf_regions").configured(
-            correction_scheme="safer32", start_gap_psi=23
+        config = resolve_config(
+            "comp_wf_regions", correction_scheme="safer32", start_gap_psi=23
         )
         controller = _campaign(config, writes=600)
         assert controller.fast.stats.deaths > 0
+
+    def test_tier_campaign_reaches_death_and_revival_behind_the_tier(self):
+        """A 4-line tier passes enough writes on for PCM to wear out, so
+        the oracle checks death and revival on the post-tier stream (the
+        system's own 16-line tier absorbs all but about 500 of them)."""
+        config = resolve_config("comp_wf_hybrid", tier_lines=4)
+        inner = ValidatingController(
+            config, 24, endurance_mean=32.0, endurance_cov=0.2, seed=1,
+            n_banks=4,
+        )
+        hybrid = HybridController(inner, config.tier_lines)
+        palette = _PayloadPalette(np.random.default_rng(1), 24)
+        for _ in range(5000):
+            hybrid.write(*palette.next_op())
+        hybrid.verify_state()
+        stats = inner.fast.stats
+        assert stats.deaths > 0, "no line died behind the tier"
+        assert stats.revivals > 0, "no dead line was revived behind the tier"
 
 
 def _batched_campaign(config, *, lines=24, banks=4, endurance=16.0, seed=3,
@@ -92,8 +111,8 @@ class TestBatchedLockstep:
     """The batched engine against the serial oracle (strongest check)."""
 
     def test_batched_comp_wf_agrees_through_wearout(self):
-        config = get_system("comp_wf").configured(
-            correction_scheme="ecp6", start_gap_psi=23
+        config = resolve_config(
+            "comp_wf", correction_scheme="ecp6", start_gap_psi=23
         )
         controller = _batched_campaign(config)
         stats = controller.fast.stats
@@ -101,14 +120,14 @@ class TestBatchedLockstep:
         assert stats.window_slides > 0
 
     def test_batched_safer_campaign_agrees(self):
-        config = get_system("comp_wf").configured(
-            correction_scheme="safer32", start_gap_psi=23
+        config = resolve_config(
+            "comp_wf", correction_scheme="safer32", start_gap_psi=23
         )
         controller = _batched_campaign(config, writes=600)
         assert controller.fast.stats.deaths > 0
 
     def test_batched_results_equal_serial_lockstep(self):
-        config = get_system("comp_wf").configured(correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
         serial = _campaign(config, writes=400)
         batched = _batched_campaign(config, writes=400)
         assert batched.ops == serial.ops  # identical stimulus...
@@ -121,7 +140,7 @@ class TestBatchedLockstep:
         """A row kernel that never detects wear-out must be flushed out."""
         from repro.pcm.bank import PCMBankArray
 
-        config = get_system("comp_wf").configured(correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
         real_write_rows = PCMBankArray.write_rows
 
         def blind_write_rows(self, rows, targets):
@@ -144,7 +163,7 @@ class TestBatchedLockstep:
 
 class TestRecipes:
     def test_recipe_is_json_serializable_and_rebuildable(self):
-        config = get_system("comp_wf").configured(correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
         controller = ValidatingController(config, 8, seed=1, n_banks=4)
         controller.write(3, bytes(64))
         recipe = controller._recipe(3, bytes(64))
@@ -156,7 +175,7 @@ class TestRecipes:
         assert rebuilt.seed == 1
 
     def test_replay_of_clean_sequence_returns_none(self):
-        config = get_system("comp_wf").configured(correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
         controller = ValidatingController(config, 8, seed=1, n_banks=4)
         payloads = [bytes([i]) * 64 for i in range(6)]
         for index, payload in enumerate(payloads):
@@ -186,7 +205,7 @@ class TestMutationsAreCaught:
     """Seeded faults in the fast path must be flushed out by the oracle."""
 
     def test_broken_window_search_predicate_is_caught(self):
-        config = get_system("comp_wf").configured(correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
         real_find_window = stages.find_window
 
         def broken_find_window(faults, size, scheme, start_hint=0, **kw):
@@ -214,7 +233,7 @@ class TestMutationsAreCaught:
         assert replay_recipe(error.recipe) is None
 
     def test_fpc_size_lie_is_caught(self):
-        config = get_system("comp_wf").configured(correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
         real_compress = FPCCompressor.compress
 
         def lying_compress(self, data):

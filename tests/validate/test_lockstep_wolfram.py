@@ -11,7 +11,7 @@ through the out-of-order batch scheduler.
 
 import pytest
 
-from repro.engine.registry import get_system
+from repro.engine.registry import resolve_config
 from repro.validate.fuzz import run_fuzz
 
 from .test_lockstep import _batched_campaign, _campaign
@@ -19,8 +19,8 @@ from .test_lockstep import _batched_campaign, _campaign
 
 class TestWolframLockstep:
     def test_worn_campaign_agrees_with_deaths_and_revivals(self):
-        config = get_system("comp_wf").configured(
-            wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23
+        config = resolve_config(
+            "comp_wf", wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23
         )
         controller = _campaign(config)
         stats = controller.fast.stats
@@ -29,8 +29,8 @@ class TestWolframLockstep:
         assert stats.pad_table_writes > 0
 
     def test_spare_pool_campaign_exercises_pad_remap(self):
-        config = get_system("comp_wf").configured(
-            wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23,
+        config = resolve_config(
+            "comp_wf", wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23,
             spare_line_fraction=0.15,
         )
         controller = _campaign(config)
@@ -42,16 +42,16 @@ class TestWolframLockstep:
         )
 
     def test_safer_campaign_agrees(self):
-        config = get_system("comp_wf").configured(
-            wl_backend="wolfram", correction_scheme="safer32",
+        config = resolve_config(
+            "comp_wf", wl_backend="wolfram", correction_scheme="safer32",
             start_gap_psi=23,
         )
         controller = _campaign(config, writes=600)
         assert controller.fast.stats.deaths > 0
 
     def test_batched_campaign_agrees_through_wearout(self):
-        config = get_system("comp_wf").configured(
-            wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23
+        config = resolve_config(
+            "comp_wf", wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23
         )
         controller = _batched_campaign(config)
         stats = controller.fast.stats
@@ -59,8 +59,8 @@ class TestWolframLockstep:
         assert stats.pad_table_writes > 0
 
     def test_batched_spare_campaign_agrees(self):
-        config = get_system("comp_wf").configured(
-            wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23,
+        config = resolve_config(
+            "comp_wf", wl_backend="wolfram", correction_scheme="ecp6", start_gap_psi=23,
             spare_line_fraction=0.15,
         )
         controller = _batched_campaign(config)

@@ -9,7 +9,7 @@ a run is cut by a checkpoint/resume.
 import numpy as np
 import pytest
 
-from repro.engine.registry import get_system
+from repro.engine.registry import resolve_config
 from repro.lifetime import LifetimeSimulator
 from repro.traces import SyntheticWorkload, get_profile
 from repro.wearleveling import IntraLineWearLeveler
@@ -72,8 +72,8 @@ class TestOffsetWraparound:
 
 class TestRotationAcrossCheckpoint:
     def _simulator(self, limit):
-        config = get_system("comp_wf").configured(
-            correction_scheme="ecp6", intra_counter_limit=limit
+        config = resolve_config(
+            "comp_wf", correction_scheme="ecp6", intra_counter_limit=limit
         )
         workload = SyntheticWorkload(get_profile("gcc"), n_lines=12, seed=6)
         return LifetimeSimulator(
