@@ -37,7 +37,6 @@ import numpy as np
 from ..compression import BestOfCompressor, CachingCompressor, CompressionResult
 from ..correction import make_scheme
 from ..correction.freep import FreePRemapper
-from ..engine.address_space import AddressRange
 from ..engine.context import ControllerStats, EngineState, WriteResult
 from ..engine.pipeline import WritePipeline
 from ..engine.scheduler import BatchScheduler
@@ -70,26 +69,12 @@ class CompressedPCMController:
         n_banks: int = 8,
         compressor: BestOfCompressor | None = None,
         invariants: tuple = (),
-        address_range: AddressRange | None = None,
     ) -> None:
         if n_lines < 1:
             raise ValueError("need at least one logical line")
-        if address_range is not None and len(address_range) != n_lines:
-            raise ValueError(
-                f"address range of {len(address_range)} lines does not match "
-                f"n_lines={n_lines}"
-            )
         self.config = config
         self.n_lines = n_lines
         self.n_banks = n_banks
-        #: The global slice of a sharded address space this controller
-        #: owns; ``None`` (the default) means it owns the whole space.
-        #: When set, the public API (:meth:`write`, :meth:`write_batch`,
-        #: :meth:`read`) accepts *global* line numbers and translates
-        #: them here -- the pipeline below runs entirely in local
-        #: coordinates, unchanged, which is what keeps a shard
-        #: bit-identical to an independent controller of the same size.
-        self.address_range = address_range
 
         # The wear-leveling / fault-remap backend (``wl_backend``):
         # Start-Gap + FREE-p (the paper's substrate, default) or the
@@ -133,12 +118,7 @@ class CompressedPCMController:
             config=config,
             scheme=make_scheme(config.correction_scheme),
             compressor=engine_compressor,
-            memory=array_cls(
-                physical,
-                endurance_model,
-                rng,
-                base_line=address_range.start if address_range else 0,
-            ),
+            memory=array_cls(physical, endurance_model, rng),
             start_gap=start_gap,
             metadata=LineTable(physical),
             dead=np.zeros(physical, dtype=bool),
@@ -160,7 +140,6 @@ class CompressedPCMController:
                 else None
             ),
             remapper=remapper,
-            address_range=address_range,
         )
         if config.encoding != "none":
             # Deferred import: repro.energy depends on repro.core for
@@ -236,14 +215,9 @@ class CompressedPCMController:
     # -- public API ------------------------------------------------------
 
     def write(self, logical: int, data: bytes) -> WriteResult:
-        """Handle one demand write-back from the LLC.
-
-        ``logical`` is a *global* line number when an address range is
-        set, a plain local one otherwise.
-        """
+        """Handle one demand write-back from the LLC."""
         if len(data) != LINE_BYTES:
             raise ValueError(f"write data must be {LINE_BYTES} bytes")
-        logical = self.engine.local_of(logical)
         remap = self.pipeline.remap
         movement = remap.on_demand_write(logical)
         if movement is not None:
@@ -268,8 +242,9 @@ class CompressedPCMController:
         edges, not global flushes) and executes each wave through the
         vectorized row kernel, committing results back in program
         order.  Engine compositions the scheduler cannot prove
-        equivalent for (invariant checkers, MLC cells, probabilistic
-        fault modes) fall back to the serial :meth:`write` loop.
+        equivalent for (invariant checkers, line encoders, MLC cells;
+        see :meth:`~repro.engine.scheduler.BatchScheduler.supported`)
+        fall back to the serial :meth:`write` loop.
         Unlike :meth:`write`, all request payloads are validated up
         front, before any side effects.
         """
@@ -286,12 +261,8 @@ class CompressedPCMController:
         return self.engine.resolve(physical)
 
     def read(self, logical: int) -> bytes | None:
-        """Read one line back; None when the data was lost to a death.
-
-        Accepts a global line number when an address range is set.
-        """
+        """Read one line back; None when the data was lost to a death."""
         engine = self.engine
-        logical = engine.local_of(logical)
         physical = self.pipeline.remap.map_logical(logical)
         if engine.dead[physical]:
             return None

@@ -4,18 +4,20 @@ The paper evaluates one bank group with one contiguous address space;
 the service mode (:mod:`repro.service`) simulates a *fleet* of them.
 The bridge is this module: a :class:`ShardMap` partitions the logical
 line space ``[0, total_lines)`` into contiguous per-shard
-:class:`AddressRange`\\ s, and translates global line numbers (what a
-request stream uses) to shard-local ones (what one controller's
-pipeline sees) and back.
+:class:`AddressRange`\\ s, and translates a global line number (what a
+request stream uses) into its owning shard and local line (what that
+shard's controller sees).
 
 The design invariant that keeps everything bit-identical: a shard is a
-*complete* address space of its own.  Each shard runs the full,
-unmodified write pipeline over local lines ``[0, len(range))`` -- the
-same code, the same Start-Gap rotation, the same correction state --
-so a shard's results are exactly those of an independent single-bank
-controller of that size replaying the same sub-stream.  Sharding is
-pure routing plus translation; nothing inside the pipeline knows the
-global space exists.
+*complete* address space of its own.  Each shard is a plain controller
+over local lines ``[0, len(range))`` -- the same code, the same
+Start-Gap rotation, the same correction state -- so a shard's results
+are exactly those of an independent single-bank controller of that
+size replaying the same sub-stream.  Sharding is pure routing: the
+fleet's front door (:class:`~repro.service.MemoryService`,
+:class:`~repro.service.ShardedController`, the fuzz driver) translates
+each request with :meth:`ShardMap.to_local`, and nothing below it
+knows the global space exists.
 
 Seeds derive per shard via :func:`shard_seeds`: a 1-shard map reuses
 the base seed unchanged (so a 1-shard service reproduces the existing
@@ -50,23 +52,6 @@ class AddressRange:
 
     def __contains__(self, line: int) -> bool:
         return self.start <= line < self.stop
-
-    def to_local(self, line: int) -> int:
-        """Translate a global line number into this range's local space."""
-        if not self.start <= line < self.stop:
-            raise IndexError(
-                f"line {line} outside address range "
-                f"[{self.start}, {self.stop})"
-            )
-        return line - self.start
-
-    def to_global(self, local: int) -> int:
-        """Translate a range-local line number back to the global space."""
-        if not 0 <= local < len(self):
-            raise IndexError(
-                f"local line {local} outside range of {len(self)} lines"
-            )
-        return self.start + local
 
 
 class ShardMap:
@@ -107,10 +92,6 @@ class ShardMap:
     def __len__(self) -> int:
         return self.shards
 
-    def range_of(self, shard: int) -> AddressRange:
-        """The address range shard ``shard`` owns."""
-        return self.ranges[shard]
-
     def lines_of(self, shard: int) -> int:
         """How many logical lines shard ``shard`` owns."""
         return len(self.ranges[shard])
@@ -129,10 +110,6 @@ class ShardMap:
         """Global line -> ``(shard, local line)``."""
         shard = self.shard_of(line)
         return shard, line - self.ranges[shard].start
-
-    def to_global(self, shard: int, local: int) -> int:
-        """``(shard, local line)`` -> global line."""
-        return self.ranges[shard].to_global(local)
 
     def shard_seeds(self, seed: int) -> list[int]:
         """Deterministic per-shard seeds derived from one base seed."""

@@ -34,7 +34,6 @@ from ..core.window import LINE_BYTES
 from ..correction.base import CorrectionScheme
 from ..correction.freep import FreePRemapper
 from ..wearleveling import IntraLineWearLeveler
-from .address_space import AddressRange
 
 
 class WriteResult(NamedTuple):
@@ -301,13 +300,6 @@ class EngineState:
     #: Maintained count of True entries in ``dead`` -- kept in sync by
     #: RemapStage.mark_dead/revive so ``dead_fraction`` is O(1).
     dead_count: int = 0
-    #: The slice of the *global* logical address space this engine owns
-    #: (see :mod:`repro.engine.address_space`).  Every index inside the
-    #: engine -- metadata, bank rows, Start-Gap, stages -- is local to
-    #: ``[0, len(address_range))``; the range exists so a sharded
-    #: deployment can translate and label globally.  ``None`` means the
-    #: engine *is* the whole space (the historical single-bank setup).
-    address_range: AddressRange | None = None
 
     def __setstate__(self, state: dict) -> None:
         # Checkpoints before format version 3 pickled the metadata as a
@@ -319,18 +311,6 @@ class EngineState:
     def bank_of(self, physical: int) -> int:
         """The bank a physical line belongs to (round-robin striping)."""
         return physical % self.n_banks
-
-    def global_of(self, local: int) -> int:
-        """A local logical line's global line number (identity unsharded)."""
-        if self.address_range is None:
-            return local
-        return self.address_range.to_global(local)
-
-    def local_of(self, line: int) -> int:
-        """A global logical line's local index (identity unsharded)."""
-        if self.address_range is None:
-            return line
-        return self.address_range.to_local(line)
 
     def resolve(self, physical: int) -> int:
         """Follow FREE-p remap pointers when the extension is enabled."""

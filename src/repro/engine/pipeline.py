@@ -4,8 +4,8 @@ The pipeline owns the control flow the 2017 controller had fused into
 one method: the place -> program -> verify loop that absorbs cells
 wearing out *during* a write, the fallback-to-compressed rescue, the
 FREE-p remap-to-spare, and death/revival bookkeeping.  The stages own
-the mechanisms; the pipeline owns only their sequencing, so swapping a
-stage (a different compressor, correction scheme, or wear-leveler)
+the mechanisms; the pipeline owns only their sequencing, so changing a
+mechanism (a different compressor, correction scheme, or wear-leveler)
 never touches this file.
 """
 
@@ -29,25 +29,16 @@ from .stages import (
 class WritePipeline:
     """Runs one write through compress/placement/program/correction/remap."""
 
-    def __init__(
-        self,
-        state: EngineState,
-        compress: CompressStage | None = None,
-        placement: PlacementStage | None = None,
-        program: ProgramStage | None = None,
-        correction: CorrectionStage | None = None,
-        remap: RemapStage | None = None,
-        invariants: tuple = (),
-    ) -> None:
+    def __init__(self, state: EngineState, invariants: tuple = ()) -> None:
         self.state = state
-        self.compress = compress or CompressStage(state)
-        self.placement = placement or PlacementStage(state)
-        self.program = program or ProgramStage(state)
+        self.compress = CompressStage(state)
+        self.placement = PlacementStage(state)
+        self.program = ProgramStage(state)
         # The program stage owns its encoding sub-stage; surface it so
         # the stage listing and the controller's read path reach it.
         self.encoding: EncodingStage = self.program.encoding
-        self.correction = correction or CorrectionStage(state)
-        self.remap = remap or RemapStage(state)
+        self.correction = CorrectionStage(state)
+        self.remap = RemapStage(state)
         #: Debug-mode checkers (see :mod:`repro.validate.invariants`):
         #: each is called as ``checker.after_write(state, result)`` on
         #: every completed write.  Empty (the default) costs nothing.

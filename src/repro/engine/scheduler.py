@@ -107,14 +107,11 @@ class BatchScheduler:
         """
         if not requests:
             return []
-        state = self.state
         lines, datas = zip(*requests)
-        if state.address_range is not None:
-            lines = [state.local_of(line) for line in lines]
         index, slots, datas = self._map(lines, datas)
         results: list[WriteResult | None] = [None] * len(requests)
         self._schedule(index, slots, datas, results)
-        state.stats.demand_writes += len(requests)
+        self.state.stats.demand_writes += len(requests)
         return results
 
     def _map(self, logicals, datas):

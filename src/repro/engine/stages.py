@@ -58,13 +58,6 @@ class Stage:
         """One-line human description for the ``systems`` listing."""
         return self.name
 
-    def _slice(self) -> str:
-        """Shard-slice label when the engine owns a range (else empty)."""
-        rng = self.state.address_range
-        if rng is None:
-            return ""
-        return f", slice [{rng.start}, {rng.stop})"
-
     def _wolfram(self) -> bool:
         """Whether the engine runs the WoLFRaM PAD backend."""
         return self.state.config.wl_backend == "wolfram"
@@ -298,7 +291,7 @@ class PlacementStage(Stage):
         # The PAD only permutes which physical slot a line occupies, so
         # window search and rotation are the same under either backend.
         pad = ", PAD-permuted rows" if self._wolfram() else ""
-        return f"placement: circular window fit/slide, {intra}{self._slice()}{pad}"
+        return f"placement: circular window fit/slide, {intra}{pad}"
 
 
 class EncodingStage(Stage):
@@ -360,11 +353,9 @@ class ProgramStage(Stage):
 
     name = "program"
 
-    def __init__(
-        self, state: EngineState, encoding: "EncodingStage | None" = None
-    ) -> None:
+    def __init__(self, state: EngineState) -> None:
         super().__init__(state)
-        self.encoding = encoding or EncodingStage(state)
+        self.encoding = EncodingStage(state)
 
     def program(
         self, physical: int, ctx: WriteContext, start: int
@@ -577,13 +568,9 @@ class RemapStage(Stage):
     name = "remap"
 
     def map_logical(self, logical: int) -> int:
-        """Local logical line -> physical line through Start-Gap + FREE-p."""
+        """Logical line -> physical line through Start-Gap + FREE-p."""
         state = self.state
         return state.resolve(state.start_gap.map(logical))
-
-    def map_global(self, line: int) -> int:
-        """Global line number -> physical line (identity range unsharded)."""
-        return self.map_logical(self.state.local_of(line))
 
     def on_demand_write(self, logical: int):
         """Advance Start-Gap; returns a GapMovement when the gap moved."""
@@ -655,7 +642,7 @@ class RemapStage(Stage):
             )
             return (
                 f"remap: WoLFRaM PAD (swap period={config.start_gap_psi}), "
-                f"{revival}{spares}{self._slice()}"
+                f"{revival}{spares}"
             )
         gap = (
             f"{config.start_gap_regions}-region Start-Gap"
@@ -667,4 +654,4 @@ class RemapStage(Stage):
             if config.use_dead_block_revival
             else "no revival"
         )
-        return f"remap: {gap} (psi={config.start_gap_psi}), {revival}{self._slice()}"
+        return f"remap: {gap} (psi={config.start_gap_psi}), {revival}"

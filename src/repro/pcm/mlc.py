@@ -63,17 +63,11 @@ class MLCBankArray:
         n_blocks: int,
         endurance_model: EnduranceModel,
         rng: np.random.Generator,
-        base_line: int = 0,
     ) -> None:
         if n_blocks <= 0:
             raise ValueError("a bank needs at least one block")
-        if base_line < 0:
-            raise ValueError("base line cannot be negative")
         self.n_blocks = n_blocks
         self.endurance_model = endurance_model
-        #: First *global* logical line of the shard this array backs
-        #: (0 for an unsharded memory); rows themselves stay local.
-        self.base_line = base_line
         self.stored = np.zeros((n_blocks, BLOCK_BITS), dtype=np.uint8)
         self.counts = np.zeros((n_blocks, MLC_CELLS_PER_BLOCK), dtype=np.uint64)
         self.endurance = endurance_model.sample(

@@ -2,8 +2,8 @@
 
 Built on the shardable address-space refactor
 (:mod:`repro.engine.address_space`): a fleet is K complete, independent
-controllers, each range-aware over its contiguous slice, behind pure
-routing.  Three layers:
+controllers, each over the local lines of its contiguous slice, behind
+a front door that routes and translates every request.  Three layers:
 
 * :class:`ShardedController` -- the in-process reference fleet (also
   the bit-identity oracle for the service tests);

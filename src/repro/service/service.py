@@ -1,11 +1,12 @@
 """Multi-process PCM memory service: sharded banks behind one front door.
 
 :class:`MemoryService` runs one worker process per shard, each hosting
-a complete range-aware :class:`~repro.core.CompressedPCMController`
-over its slice of the global address space.  The parent routes an
-incoming request stream by :class:`~repro.engine.address_space.ShardMap`,
-fans per-shard batches out over one-way pipes, and merges the workers'
-counters into one fleet view.
+a complete :class:`~repro.core.CompressedPCMController` over its slice
+of the global address space.  The parent routes an incoming request
+stream by :class:`~repro.engine.address_space.ShardMap`, translating
+each global line to its shard's local line, fans per-shard batches out
+over one-way pipes, and merges the workers' counters into one fleet
+view.
 
 Each shard has two ``multiprocessing.Pipe(duplex=False)`` connections:
 the parent sends commands down one and receives replies up the other,
@@ -139,7 +140,6 @@ def _build_controller(spec: ShardSpec):
     import numpy as np
 
     from ..core.controller import CompressedPCMController
-    from ..engine.address_space import AddressRange
     from ..pcm import EnduranceModel
 
     controller = CompressedPCMController(
@@ -150,7 +150,6 @@ def _build_controller(spec: ShardSpec):
         ),
         rng=np.random.default_rng(spec.seed),
         n_banks=spec.n_banks,
-        address_range=AddressRange(spec.start, spec.stop),
     )
     if spec.config.tier_lines:
         from ..tier import HybridController
@@ -437,7 +436,8 @@ class MemoryService:
     def submit(self, requests) -> None:
         """Route a batch of ``(line, data)`` requests to their shards.
 
-        Per-shard order follows stream order (all that matters for
+        Each global line is translated to its shard's local line, and
+        per-shard order follows stream order (all that matters for
         bit-identity across disjoint shards); the call returns once
         every involved worker has applied its sub-batch, so a
         subsequent :meth:`read` observes the writes.  A malformed
@@ -446,12 +446,14 @@ class MemoryService:
         """
         self._require_started()
         buckets: list[list] = [[] for _ in range(self.shards)]
+        to_local = self.shard_map.to_local
         for line, data in requests:
             # Checked here, not in the worker: a batch that kills its
             # worker would kill every respawn that replays the history.
             if len(data) != LINE_BYTES:
                 raise ValueError(f"write data must be {LINE_BYTES} bytes")
-            buckets[self.shard_map.shard_of(line)].append((line, data))
+            shard, local = to_local(line)
+            buckets[shard].append((local, data))
         sent = [False] * self.shards
         for index, bucket in enumerate(buckets):
             if not bucket:
@@ -490,8 +492,8 @@ class MemoryService:
     def read(self, line: int) -> bytes | None:
         """Read one global line from its owning shard."""
         self._require_started()
-        shard = self.shard_map.shard_of(line)
-        command = ("read", line)
+        shard, local = self.shard_map.to_local(line)
+        command = ("read", local)
         self._send(shard, command)
         return self._await(shard, "data", command)[2]
 

@@ -1,19 +1,20 @@
-"""In-process sharded fleet: K range-aware controllers behind one map.
+"""In-process sharded fleet: K plain controllers behind one map.
 
 :class:`ShardedController` is the reference semantics of the memory
 service: it partitions the global logical address space with a
 :class:`~repro.engine.address_space.ShardMap` and runs one complete,
 unmodified :class:`~repro.core.CompressedPCMController` per shard, each
-owning its contiguous slice.  The multi-process
+over the local lines of its contiguous slice.  The multi-process
 :class:`~repro.service.service.MemoryService` is bit-identical to this
 class by construction (same routing, same per-shard controllers, same
 seeds) -- tests compare the two directly -- and this class in turn is
 bit-identical to K *independent* single-bank controllers each replaying
-its shard's sub-stream, because sharding is pure routing plus address
-translation (see :mod:`repro.engine.address_space`).
+its shard's sub-stream, because sharding is pure routing: every request
+is translated to its shard's local line here, at the front door (see
+:mod:`repro.engine.address_space`).
 
 With ``shards=1`` the single controller gets the base seed unchanged
-and the whole space as its range, so a 1-shard fleet reproduces the
+and owns the whole space (local lines are global ones), so a 1-shard fleet reproduces the
 monolithic controller -- and the existing golden-trace digests --
 bit for bit.
 """
@@ -29,7 +30,7 @@ from .service import ServiceResult, _build_controller, shard_specs
 
 
 class ShardedController:
-    """K range-aware controllers serving one global address space.
+    """K plain controllers serving one global address space.
 
     Every shard runs ``config``, its DRAM front tier included
     (``config.tier_lines`` lines per shard).
@@ -73,25 +74,25 @@ class ShardedController:
 
     def write(self, line: int, data: bytes) -> WriteResult:
         """Route one global-line demand write to its owning shard."""
-        shard = self.shard_map.shard_of(line)
+        shard, local = self.shard_map.to_local(line)
         self.shard_requests[shard] += 1
-        return self.controllers[shard].write(line, data)
+        return self.controllers[shard].write(local, data)
 
     def write_batch(self, requests) -> list[WriteResult]:
         """Route a batch of ``(line, data)`` requests by shard.
 
-        Requests are grouped per shard preserving stream order (shards
-        are independent address spaces, so only the within-shard order
-        matters for bit-identity) and each group flows through the
-        shard's batched write engine; results come back in request
-        order.
+        Requests are translated to local lines and grouped per shard
+        preserving stream order (shards are independent address
+        spaces, so only the within-shard order matters for
+        bit-identity) and each group flows through the shard's batched
+        write engine; results come back in request order.
         """
         requests = list(requests)
         buckets: list[list] = [[] for _ in self.controllers]
         slots: list[list[int]] = [[] for _ in self.controllers]
         for position, (line, data) in enumerate(requests):
-            shard = self.shard_map.shard_of(line)
-            buckets[shard].append((line, data))
+            shard, local = self.shard_map.to_local(line)
+            buckets[shard].append((local, data))
             slots[shard].append(position)
         results: list[WriteResult | None] = [None] * len(requests)
         for shard, (controller, bucket, positions) in enumerate(
@@ -108,7 +109,8 @@ class ShardedController:
 
     def read(self, line: int) -> bytes | None:
         """Read one global line back from its owning shard."""
-        return self.controllers[self.shard_map.shard_of(line)].read(line)
+        shard, local = self.shard_map.to_local(line)
+        return self.controllers[shard].read(local)
 
     def flush_tiers(self) -> int:
         """Flush every shard's DRAM tier to PCM; returns lines flushed.

@@ -14,12 +14,15 @@ real write streams:
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from repro.core import EVALUATED_SYSTEMS
+from repro.core import EVALUATED_SYSTEMS, CompressedPCMController
 from repro.core.config import comp_wf
 from repro.engine import resolve_config
+from repro.pcm import EnduranceModel
 from repro.service import ShardedController, make_stream
+from repro.tier import HybridController
 from repro.traces import SyntheticWorkload, get_profile
 
 from ..golden.generate_golden import result_row
@@ -101,6 +104,53 @@ def test_k_shards_equal_k_independent_runs():
     assert fleet.shard_stats() == [c.stats for c in independent]
     for line in range(lines):
         shard, local = fleet.shard_map.to_local(line)
+        assert fleet.read(line) == independent[shard].read(local)
+
+
+def test_tiered_uneven_shards_equal_independent_hybrid_controllers():
+    """Each tiered shard is an independent tiered controller of its size.
+
+    Uneven shards (34/33/33 lines) worn far enough to kill and revive
+    lines: the fleet's tiers see only local line numbers, exactly as a
+    stand-alone :class:`HybridController` replaying its sub-stream.
+    """
+    lines, shards, seed, tier = 100, 3, 4, 8
+    config = comp_wf(tier_lines=tier)
+    stream = _request_stream(lines, 6000, seed)
+    fleet = ShardedController(
+        config, lines, shards=shards,
+        endurance_mean=6.0, endurance_cov=0.15, seed=seed,
+    )
+    shard_map = fleet.shard_map
+    independent = [
+        HybridController(
+            CompressedPCMController(
+                config, shard_map.lines_of(shard),
+                EnduranceModel(mean=6.0, cov=0.15),
+                np.random.default_rng(shard_seed),
+            ),
+            tier,
+        )
+        for shard, shard_seed in enumerate(shard_map.shard_seeds(seed))
+    ]
+    for start in range(0, len(stream), 64):
+        batch = stream[start:start + 64]
+        fleet.write_batch(batch)
+        # The fleet hands each shard its sub-batch of every batch.
+        for controller, bucket in zip(
+            independent, shard_map.partition(batch)
+        ):
+            if bucket:
+                controller.write_batch(bucket)
+
+    assert [shard_map.lines_of(s) for s in range(shards)] == [34, 33, 33]
+    merged = fleet.stats
+    assert merged.deaths > 0 and merged.revivals > 0
+    assert fleet.shard_stats() == [c.stats for c in independent]
+    for mine, theirs in zip(fleet.controllers, independent):
+        assert np.array_equal(mine.dead, theirs.dead)
+    for line in range(lines):
+        shard, local = shard_map.to_local(line)
         assert fleet.read(line) == independent[shard].read(local)
 
 
