@@ -78,7 +78,9 @@ BATCH_SIZE = 128
 #: sustain at least this many times the serial throughput at
 #: ``BATCH_SIZE`` on the bank-interleaved scenario.  Measured
 #: interleaved best-of-REPS in one process, so machine drift hits both
-#: sides; the dev-container headroom is ~4.6-5.0x.
+#: sides.  Dev-container ratios at the CI setting (500 writes, 10 reps;
+#: quartiles of 12 runs): ~5.2-5.6x for comp/comp_w/comp_wf, ~4.1-4.4x
+#: for baseline.
 BATCH_SPEEDUP_GATE = 4.0
 
 #: Non-blocking batch-width sweep (see ``test_batch_size_sweep``).
@@ -86,9 +88,9 @@ SWEEP_SIZES = (8, 32, 128)
 
 #: Recorded writes/sec on the development machine (best-of interleaved
 #: process pairs, full 8000-write replay).  "before" is the commit that
-#: landed the engine pipeline (9b5fc1a); "after" is this PR's hot-path
-#: overhaul.  Absolute numbers are machine-specific; the *ratios* are
-#: the deliverable.
+#: landed the engine pipeline (9b5fc1a); "after" is the hot-path
+#: overhaul (9fdee95).  Absolute numbers are machine-specific; the
+#: *ratios* are the deliverable.
 RECORDED_REFERENCE = {
     "machine": "dev container, Linux x86-64",
     "methodology": "best-of-3 in-process reps, interleaved before/after "
@@ -104,7 +106,7 @@ RECORDED_REFERENCE = {
         },
     },
     "after": {
-        "commit": "this PR",
+        "commit": "9fdee95",
         "writes_per_sec": {
             "baseline": 63447.7,
             "comp": 39209.3,

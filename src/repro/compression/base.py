@@ -10,8 +10,10 @@ package, and the analysis harnesses can treat them uniformly.
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence  # noqa: TC003 -- used in signatures
+from collections.abc import Callable, Sequence  # noqa: TC003 -- used in signatures
 from dataclasses import dataclass, field
+
+import numpy as np
 
 #: Size of a memory line (and therefore of every compressor input), in bytes.
 LINE_SIZE_BYTES = 64
@@ -95,13 +97,37 @@ class Compressor(abc.ABC):
     def compress_batch(self, lines: "Sequence[bytes]") -> list[CompressionResult]:
         """Compress a batch of lines; element ``i`` equals ``compress(lines[i])``.
 
-        The base implementation is the per-line loop; vectorized
-        compressors override it with a 2-D kernel over the batch axis.
+        The base implementation is the per-line loop; best-of overrides
+        it with a size-first kernel over its members' :meth:`plan_batch`.
         Overrides must stay *value-identical* to the loop (pinned by
         ``tests/compression/test_batch_equivalence.py``) -- the batched
         write engine relies on it for bit-exact batched/serial parity.
         """
         return [self.compress(data) for data in lines]
+
+    def plan_batch(
+        self, lines: Sequence[bytes]
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], list[CompressionResult]]]:
+        """Size-first batch: every row's size now, payloads on demand.
+
+        Returns ``(size_bits, fill)``: ``size_bits[i]`` is
+        ``compress(lines[i]).size_bits``, and ``fill(rows)`` returns
+        ``[compress(lines[i]) for i in rows]``.  ``lines`` are checked
+        64-byte lines (``bytes`` or buffers).  Best-of asks each member
+        for a plan and fills only the rows it wins.  This base
+        implementation compresses every line up front; BDI and FPC
+        override it with numpy kernels that defer the packing.
+        """
+        results = self.compress_batch(lines)
+        size_bits = np.fromiter(
+            (result.size_bits for result in results), dtype=np.int64,
+            count=len(results),
+        )
+
+        def fill(rows: np.ndarray) -> list[CompressionResult]:
+            return [results[row] for row in rows.tolist()]
+
+        return size_bits, fill
 
     def _check_input(self, data: bytes) -> None:
         if len(data) != LINE_SIZE_BYTES:

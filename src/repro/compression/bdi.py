@@ -30,6 +30,7 @@ the base; deltas are signed and must fit the delta width.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -85,6 +86,74 @@ _VARIANTS = (
 _VARIANT_BY_ENCODING = {variant.encoding: variant for variant in _VARIANTS}
 #: Variants ordered by compressed size, smallest first.
 _VARIANTS_BY_SIZE = tuple(sorted(_VARIANTS, key=lambda v: v.compressed_bytes))
+
+
+# -- batch kernel tables (module level: instances stay state-free) --------
+#: Base widths in the order their wrapped deltas sit in the batch
+#: kernel's source matrix, after the line's own bytes.
+_BATCH_WIDTHS = (8, 4, 2)
+
+
+def _width_bounds(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``searchsorted`` bounds and sizes (bits) for one base width.
+
+    Zigzag (``delta << 1 ^ delta >> (bits - 1)``) maps the deltas that
+    fit ``d`` bytes onto ``[0, 2**(8d))``, so the OR of a row's zigzags
+    is below that iff every delta fits.  ``searchsorted`` picks the
+    narrowest fitting delta and the size table maps it to bits (512
+    when none fits).  For 8-byte words an OR of 0 (no delta at all)
+    is REP8.
+    """
+    variants = sorted(
+        (v for v in _VARIANTS if v.base_bytes == width),
+        key=lambda v: v.delta_bytes,
+    )
+    bounds = [(1 << (8 * v.delta_bytes)) - 1 for v in variants]
+    sizes = [v.compressed_bytes * 8 for v in variants] + [LINE_SIZE_BYTES * 8]
+    if width == 8:
+        bounds, sizes = [0, *bounds], [64, *sizes]
+    return np.array(bounds, dtype=f"<u{width}"), np.array(sizes)
+
+
+_WIDTH_BOUNDS = {width: _width_bounds(width) for width in _BATCH_WIDTHS}
+
+
+def _payload_columns(variant: _Variant) -> list[int]:
+    """Source-matrix columns of a variant's payload: base, then deltas.
+
+    Delta ``k``'s little-endian low ``d`` bytes are bytes ``k*w ..
+    k*w+d-1`` of the width's delta block: narrowing an in-range delta
+    keeps exactly those (two's complement).
+    """
+    width = variant.base_bytes
+    block = LINE_SIZE_BYTES * (1 + _BATCH_WIDTHS.index(width))
+    return list(range(width)) + [
+        block + word * width + byte
+        for word in range(LINE_SIZE_BYTES // width)
+        for byte in range(variant.delta_bytes)
+    ]
+
+
+#: Every outcome of the batch kernel: (encoding, size in bits, payload
+#: columns of the source matrix).  A zero line's byte 0 is its b"\x00".
+_OUTCOMES = (
+    (ENC_ZEROS, 8, [0]),
+    (ENC_REP8, 64, list(range(8))),
+    *(
+        (v.encoding, v.compressed_bytes * 8, _payload_columns(v))
+        for v in _VARIANTS_BY_SIZE
+    ),
+    (ENC_UNCOMPRESSED, LINE_SIZE_BYTES * 8, list(range(LINE_SIZE_BYTES))),
+)
+_OUTCOME_ENCODING = np.array([encoding for encoding, _, _ in _OUTCOMES])
+_OUTCOME_BITS = np.array([bits for _, bits, _ in _OUTCOMES])
+#: Outcome index by compressed size in bytes (sizes are distinct).
+_OUTCOME_BY_BYTES = np.zeros(LINE_SIZE_BYTES + 1, dtype=np.intp)
+_OUTCOME_BY_BYTES[_OUTCOME_BITS // 8] = np.arange(len(_OUTCOMES))
+#: Payload columns per outcome, zero-padded to a whole line.
+_OUTCOME_COLUMNS = np.array(
+    [columns + [0] * (LINE_SIZE_BYTES - len(columns)) for _, _, columns in _OUTCOMES]
+)
 
 
 class BDICompressor(Compressor):
@@ -150,71 +219,59 @@ class BDICompressor(Compressor):
             self.name, ENC_UNCOMPRESSED, LINE_SIZE_BYTES * 8, data
         )
 
-    def compress_batch(self, lines) -> list[CompressionResult]:
-        """Batched :meth:`compress`: delta-fit checks over ``(K, n)`` matrices.
+    def plan_batch(self, lines):
+        """Size-first batch kernel (see :meth:`Compressor.plan_batch`).
 
-        The zero/rep8 screens and every variant's wrapped-delta bounds
-        are computed for the whole batch at once; rows fall through the
-        variants in the same smallest-first order as the serial path,
-        so each row's winner (and payload bytes) is value-identical to
-        ``compress`` on that line alone.
+        Every row's size comes from whole-batch numpy: per base width,
+        the OR of the zigzagged wrapped deltas picks the narrowest
+        fitting delta; the smallest size over the widths is the
+        ladder's first fit (REP8 and a zero line included).  ``fill``
+        gathers the chosen rows' payloads in one ``take`` over the line
+        bytes and the delta bytes.
         """
-        if not lines:
-            return []
-        for data in lines:
-            self._check_input(data)
-        raw = [data if type(data) is bytes else bytes(data) for data in lines]
-        blob = b"".join(raw)
-        n_rows = len(raw)
-        byte_matrix = np.frombuffer(blob, dtype=np.uint8).reshape(
-            n_rows, LINE_SIZE_BYTES
-        )
-        results: list[CompressionResult | None] = [None] * n_rows
+        blob = b"".join(lines)
+        n_rows = len(lines)
+        blocks = [np.ndarray((n_rows, LINE_SIZE_BYTES), np.uint8, blob)]
+        size_bits = None
+        for width in _BATCH_WIDTHS:
+            words = np.ndarray((n_rows, LINE_SIZE_BYTES // width), f"<i{width}", blob)
+            # Deltas wrap modulo the word width: the hardware adds them
+            # back with wraparound arithmetic on decompression, so the
+            # modular value only has to fit the delta field.
+            delta = words - words[:, :1]
+            blocks.append(delta.view(np.uint8))
+            spread = np.bitwise_or.reduce(
+                (delta << 1) ^ (delta >> (8 * width - 1)), axis=1
+            ).view(f"<u{width}")
+            bounds, sizes = _WIDTH_BOUNDS[width]
+            fit = sizes.take(bounds.searchsorted(spread))
+            if size_bits is None:
+                size_bits = fit
+                size_bits[(fit == 64) & (words[:, 0] == 0)] = 8  # a zero line
+            else:
+                size_bits = np.minimum(size_bits, fit)
 
-        zero_rows = ~byte_matrix.any(axis=1)
-        words8 = np.frombuffer(blob, dtype="<u8").reshape(n_rows, -1)
-        rep8_rows = (words8 == words8[:, :1]).all(axis=1) & ~zero_rows
-        pending = ~(zero_rows | rep8_rows)
-
-        # width -> (wrapped deltas (K, n), per-row min, per-row max);
-        # filled lazily exactly like the serial path.
-        bounds: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for variant in _VARIANTS_BY_SIZE:
-            if not pending.any():
-                break
-            width = variant.base_bytes
-            entry = bounds.get(width)
-            if entry is None:
-                words = np.frombuffer(blob, dtype=_UNSIGNED_DTYPE[width]).reshape(
-                    n_rows, -1
+        def fill(rows: np.ndarray) -> list[CompressionResult]:
+            outcome = _OUTCOME_BY_BYTES[size_bits[rows] >> 3]
+            source = np.concatenate(blocks, axis=1)
+            columns = _OUTCOME_COLUMNS[outcome] + (rows * source.shape[1])[:, None]
+            packed = source.ravel().take(columns).tobytes()
+            bits = _OUTCOME_BITS.take(outcome).tolist()
+            payloads = [
+                packed[start : start + size // 8]
+                for start, size in zip(range(0, len(packed), LINE_SIZE_BYTES), bits)
+            ]
+            return list(
+                map(
+                    CompressionResult,
+                    repeat(self.name),
+                    _OUTCOME_ENCODING.take(outcome).tolist(),
+                    bits,
+                    payloads,
                 )
-                deltas = (words - words[:, :1]).view(_SIGNED_DTYPE[width])
-                entry = bounds[width] = (
-                    deltas, deltas.min(axis=1), deltas.max(axis=1)
-                )
-            deltas, lowest, highest = entry
-            limit = 1 << (8 * variant.delta_bytes - 1)
-            fits = pending & (lowest >= -limit) & (highest < limit)
-            dtype = _DELTA_DTYPE[variant.delta_bytes]
-            for row in np.flatnonzero(fits):
-                payload = raw[row][:width] + deltas[row].astype(dtype).tobytes()
-                results[row] = CompressionResult(
-                    self.name,
-                    variant.encoding,
-                    variant.compressed_bytes * 8,
-                    payload,
-                )
-            pending &= ~fits
-
-        for row in np.flatnonzero(zero_rows):
-            results[row] = CompressionResult(self.name, ENC_ZEROS, 8, b"\x00")
-        for row in np.flatnonzero(rep8_rows):
-            results[row] = CompressionResult(self.name, ENC_REP8, 64, raw[row][:8])
-        for row in np.flatnonzero(pending):
-            results[row] = CompressionResult(
-                self.name, ENC_UNCOMPRESSED, LINE_SIZE_BYTES * 8, raw[row]
             )
-        return results
+
+        return size_bits, fill
 
     def decompress(self, result: CompressionResult) -> bytes:
         """Reconstruct the 64-byte line (see :class:`Compressor`)."""

@@ -11,12 +11,30 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .base import CompressionError, CompressionResult, Compressor
+import numpy as np
+
+from .base import LINE_SIZE_BYTES, CompressionError, CompressionResult, Compressor
 from .bdi import BDICompressor
 from .fpc import FPCCompressor
 
 #: Width of the per-line encoding metadata field (Section III-B).
 ENCODING_METADATA_BITS = 5
+
+#: Smallest batch that takes the size-first numpy kernel.  The kernel
+#: has a fixed cost of about 110 us per call; the members' ``compress``
+#: costs about 30-40 us per line, so below this size looping it is
+#: cheaper (EXPERIMENTS.md, "Size-first best-of batch kernel").
+BATCH_CROSSOVER = 6
+
+
+def _smallest(members, data) -> CompressionResult:
+    """The smallest member result for one line, first member on ties."""
+    best = members[0].compress(data)
+    for member in members[1:]:
+        result = member.compress(data)
+        if result.size_bits < best.size_bits:
+            best = result
+    return best
 
 
 class BestOfCompressor(Compressor):
@@ -61,21 +79,39 @@ class BestOfCompressor(Compressor):
 
     def compress(self, data: bytes) -> CompressionResult:
         """Compress one 64-byte line (see :class:`Compressor`)."""
-        results = [compressor.compress(data) for compressor in self._compressors]
-        return min(results, key=lambda result: result.size_bits)
+        return _smallest(self._compressors, data)
 
     def compress_batch(self, lines) -> list[CompressionResult]:
-        """Batched :meth:`compress`: one member batch call each, then
-        a per-row minimum with the same first-member tie-break."""
-        if not lines:
-            return []
-        per_member = [
-            compressor.compress_batch(lines) for compressor in self._compressors
-        ]
-        return [
-            min(row, key=lambda result: result.size_bits)
-            for row in zip(*per_member)
-        ]
+        """Batched :meth:`compress`, sizes first.
+
+        Each member's :meth:`~Compressor.plan_batch` sizes every row;
+        the smallest size picks each row's winner, the first member on
+        ties, and only the winner packs that row's payload.
+        Below :data:`BATCH_CROSSOVER` lines the numpy kernels' fixed
+        cost loses, so the members' ``compress`` runs row by row
+        instead.  Both paths return what
+        :meth:`compress` returns for each line.
+        """
+        members = self._compressors
+        if len(lines) < BATCH_CROSSOVER:
+            return [_smallest(members, data) for data in lines]
+        if set(map(len, lines)) != {LINE_SIZE_BYTES}:
+            for data in lines:
+                self._check_input(data)
+        plans = [member.plan_batch(lines) for member in members]
+        smallest, _ = plans[0]
+        winners = np.zeros(len(lines), dtype=np.intp)
+        for index, (size_bits, _) in enumerate(plans[1:], 1):
+            smaller = size_bits < smallest
+            winners[smaller] = index
+            smallest = np.minimum(smallest, size_bits)
+        out: list = [None] * len(lines)
+        for index, (_, fill) in enumerate(plans):
+            rows = np.flatnonzero(winners == index)
+            if rows.size:
+                for row, result in zip(rows.tolist(), fill(rows)):
+                    out[row] = result
+        return out
 
     def compress_all(self, data: bytes) -> dict[str, CompressionResult]:
         """Results from every member, keyed by compressor name."""

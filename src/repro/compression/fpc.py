@@ -25,6 +25,9 @@ few as 3 bits (a zero word absorbed into a run) and decompression takes
 
 from __future__ import annotations
 
+import struct
+from itertools import accumulate, repeat
+
 import numpy as np
 
 from .base import (
@@ -50,34 +53,74 @@ _PREFIX_UNCOMPRESSED = 0b111
 
 _MAX_ZERO_RUN = 8
 
-#: Payload width in bits for every non-zero-run prefix, indexed by prefix.
-_PAYLOAD_WIDTH = (0, 4, 8, 16, 16, 16, 8, 32)
+#: Payload width in bits for every prefix (a zero run stores its length).
+_PAYLOAD_BITS = (3, 4, 8, 16, 16, 16, 8, 32)
 
 #: The single encoding id FPC reports (the bitstream is self-describing).
 ENC_FPC = 0
 
+_UNPACK_SIGNED = struct.Struct(f"<{_WORDS_PER_LINE}i").unpack
 
-def _classify(word_arr: np.ndarray) -> np.ndarray:
-    """FPC pattern-class predicate matrix for a word array.
+# -- batch kernel tables (module level: instances stay state-free) --------
+#: Lower bounds of the categories the batch kernel sorts 16-bit halves
+#: into: 0 | 1..7 | 8..0x7F | 0x80..0x7FFF | 0x8000..0xFF7F |
+#: 0xFF80..0xFFF7 | 0xFFF8..0xFFFE | 0xFFFF (categories 0..7).
+_HALF_BOUNDS = (0x1, 0x8, 0x80, 0x8000, 0xFF80, 0xFFF8, 0xFFFF)
+#: Category of every halfword value (64 KiB).
+_HALF_CATEGORY = np.searchsorted(
+    np.array(_HALF_BOUNDS), np.arange(1 << 16), side="right"
+).astype(np.uint8)
 
-    Works on a ``(16,)`` line or a ``(K, 16)`` batch alike: rows are
-    ordered by prefix (SE4 .. UNCOMPRESSED), so ``argmax(axis=0)`` picks
-    the first matching class per word; the all-True tail row is the
-    uncompressed default.
+
+def _pair_prefix(high: int, low: int) -> int:
+    """The prefix of the word ``high:low`` on every pattern but REP.
+
+    Which of these patterns a word fits depends only on its halves'
+    categories, so one representative per category fills the table.
     """
-    signed_arr = word_arr.view("<i4")
-    low_half = word_arr & 0xFFFF
-    high_half = word_arr >> 16
-    return np.array((
-        (signed_arr >= -8) & (signed_arr < 8),
-        (signed_arr >= -128) & (signed_arr < 128),
-        (signed_arr >= -32768) & (signed_arr < 32768),
-        low_half == 0,
-        (((high_half + 128) & 0xFFFF) < 256)
-        & (((low_half + 128) & 0xFFFF) < 256),
-        word_arr == (word_arr & 0xFF) * 0x01010101,
-        np.ones(word_arr.shape, dtype=bool),
-    ))
+    word = (high << 16) | low
+    signed = word - (1 << 32) if word >> 31 else word
+    if not word:
+        return _PREFIX_ZERO_RUN
+    for prefix, bits in ((_PREFIX_SE4, 4), (_PREFIX_SE8, 8), (_PREFIX_SE16, 16)):
+        if -(1 << (bits - 1)) <= signed < 1 << (bits - 1):
+            return prefix
+    if not low:
+        return _PREFIX_HI_HALF
+    if all((half + 0x80) & 0xFFFF < 0x100 for half in (high, low)):
+        return _PREFIX_TWO_BYTES
+    return _PREFIX_UNCOMPRESSED
+
+
+#: Prefix by the word's two category bytes read as one little-endian
+#: u16 (``high << 8 | low``), REP aside (the one pattern that relates
+#: the two halves).
+_PAIR_PREFIX = np.zeros(1 << 11, dtype=np.intp)
+_PAIR_PREFIX[[high << 8 | low for high in range(8) for low in range(8)]] = [
+    _pair_prefix(high, low)
+    for high in (0, *_HALF_BOUNDS)
+    for low in (0, *_HALF_BOUNDS)
+]
+#: Code bits by prefix; a zero word's bits are set where its run code sits.
+_CODE_BITS = np.array([0] + [_PREFIX_BITS + bits for bits in _PAYLOAD_BITS[1:]])
+#: Per prefix: ``prefix << payload bits``, down shift, mask and low-byte
+#: mask; a word's code is ``prefix | (word >> down) & mask | word &
+#: low byte``.  A zero word carries its run code as its value.
+_CODE_PREFIX, _CODE_DOWN, _CODE_MASK, _CODE_LOW_BYTE = np.array(
+    [
+        (_PREFIX_ZERO_RUN << 3, 0, 0x7, 0),
+        (_PREFIX_SE4 << 4, 0, 0xF, 0),
+        (_PREFIX_SE8 << 8, 0, 0xFF, 0),
+        (_PREFIX_SE16 << 16, 0, 0xFFFF, 0),
+        (_PREFIX_HI_HALF << 16, 16, 0xFFFF, 0),
+        (_PREFIX_TWO_BYTES << 16, 8, 0xFF00, 0xFF),
+        (_PREFIX_REPEATED << 8, 0, 0xFF, 0),
+        (_PREFIX_UNCOMPRESSED << 32, 0, 0xFFFFFFFF, 0),
+    ],
+    dtype=np.uint64,
+).T
+_WORD_INDEX = np.arange(_WORDS_PER_LINE, dtype=np.int8)
+_WORD_BEFORE = _WORD_INDEX - 1
 
 
 class _BitReader:
@@ -109,89 +152,121 @@ class FPCCompressor(Compressor):
     def compress(self, data: bytes) -> CompressionResult:
         """Compress one 64-byte line (see :class:`Compressor`).
 
-        All 16 words are classified at once with numpy array
-        predicates (one boolean vector per pattern class; the first
-        matching row of the predicate matrix is the word's prefix).
-        Only the final variable-width bit packing walks the 16
-        precomputed prefixes sequentially.
+        The 16 words are unpacked as signed ints, classified with
+        range tests, and shifted into one int bitstream.  The stream
+        starts from a sentinel 1 bit, so its bit count is its length.
+        Each code is the literal ``prefix << payload_bits`` or'd with
+        the payload (``0x10`` is prefix 001 over a 4-bit payload).
         """
         self._check_input(data)
-        word_arr = np.frombuffer(data, dtype="<u4")
-        prefixes = (_classify(word_arr).argmax(axis=0) + _PREFIX_SE4).tolist()
-        return self._pack_line(
-            word_arr.tolist(), word_arr.view("<i4").tolist(), prefixes
-        )
-
-    def compress_batch(self, lines) -> list[CompressionResult]:
-        """Batched :meth:`compress`: one 2-D classification for all lines.
-
-        The predicate matrix is evaluated over a ``(K, 16)`` word matrix
-        in one shot; only the variable-width bit packing remains
-        per-line, and it consumes exactly the prefixes the serial path
-        would compute -- the results are value-identical by construction.
-        """
-        if not lines:
-            return []
-        for data in lines:
-            self._check_input(data)
-        word_matrix = np.frombuffer(b"".join(lines), dtype="<u4").reshape(
-            len(lines), _WORDS_PER_LINE
-        )
-        prefix_matrix = (_classify(word_matrix).argmax(axis=0) + _PREFIX_SE4).tolist()
-        words_rows = word_matrix.tolist()
-        signed_rows = word_matrix.view("<i4").tolist()
-        return [
-            self._pack_line(words, signed, prefixes)
-            for words, signed, prefixes in zip(
-                words_rows, signed_rows, prefix_matrix
-            )
-        ]
-
-    def _pack_line(
-        self, words: list, signed: list, prefixes: list
-    ) -> CompressionResult:
-        """Variable-width bit packing of one classified line."""
-        value = 0
-        bit_count = 0
-        index = 0
-        while index < _WORDS_PER_LINE:
-            word = words[index]
-            if word == 0:
-                run = 1
-                while (
-                    index + run < _WORDS_PER_LINE
-                    and words[index + run] == 0
-                    and run < _MAX_ZERO_RUN
-                ):
-                    run += 1
+        value = 1
+        run = 0
+        for word in _UNPACK_SIGNED(data):
+            if not word:
+                run += 1
+                if run == _MAX_ZERO_RUN:
+                    value = (value << 6) | (run - 1)
+                    run = 0
+                continue
+            if run:
                 # Prefix 000 followed by the 3-bit run length.
                 value = (value << 6) | (run - 1)
-                bit_count += 6
-                index += run
-                continue
-            prefix = prefixes[index]
-            if prefix == _PREFIX_SE4:
-                payload = signed[index] & 0xF
-            elif prefix == _PREFIX_SE8:
-                payload = signed[index] & 0xFF
-            elif prefix == _PREFIX_SE16:
-                payload = signed[index] & 0xFFFF
-            elif prefix == _PREFIX_HI_HALF:
-                payload = word >> 16
-            elif prefix == _PREFIX_TWO_BYTES:
-                payload = ((word >> 16) & 0xFF) << 8 | (word & 0xFF)
-            elif prefix == _PREFIX_REPEATED:
-                payload = word & 0xFF
+                run = 0
+            if -0x8 <= word < 0x8:
+                value = (value << 7) | 0x10 | (word & 0xF)
+            elif -0x80 <= word < 0x80:
+                value = (value << 11) | 0x200 | (word & 0xFF)
+            elif -0x8000 <= word < 0x8000:
+                value = (value << 19) | 0x30000 | (word & 0xFFFF)
+            elif not word & 0xFFFF:
+                value = (value << 19) | 0x40000 | ((word >> 16) & 0xFFFF)
+            elif -0x800000 <= word < 0x800000 and (word + 0x80) & 0xFFFF < 0x100:
+                # Both halfwords sign-extend from a byte.
+                value = (
+                    (value << 19) | 0x50000
+                    | ((word >> 8) & 0xFF00) | (word & 0xFF)
+                )
+            elif word & 0xFFFFFF == (word >> 8) & 0xFFFFFF:
+                value = (value << 11) | 0x600 | (word & 0xFF)
             else:
-                payload = word
-            width = _PAYLOAD_WIDTH[prefix]
-            value = (value << (_PREFIX_BITS + width)) | (prefix << width) | payload
-            bit_count += _PREFIX_BITS + width
-            index += 1
-
-        pad = (-bit_count) % 8
-        payload = (value << pad).to_bytes((bit_count + pad) // 8, "big")
+                value = (value << 35) | 0x700000000 | (word & 0xFFFFFFFF)
+        if run:
+            value = (value << 6) | (run - 1)
+        bit_count = value.bit_length() - 1
+        pad = -bit_count % 8
+        payload = ((value ^ (1 << bit_count)) << pad).to_bytes(
+            (bit_count + pad) // 8, "big"
+        )
         return CompressionResult(self.name, ENC_FPC, bit_count, payload)
+
+    def plan_batch(self, lines):
+        """Size-first batch kernel (see :meth:`Compressor.plan_batch`).
+
+        Prefixes are numbered in match order, so a word's prefix is the
+        smallest one it fits.  Every pattern but REP depends only on
+        the categories of the word's two halves (a 64 KiB table), so a
+        category-pair table gives the prefix, and REP (110) caps it.
+        A zero run is cut into codes of up to 8 zeros, each placed on
+        its chunk's *last* zero: its length is then the distance from
+        the row's last non-zero word (a ``maximum.accumulate``).  The
+        run's other zeros take no bits, so the code widths sum to each
+        row's size.  ``fill`` packs the chosen rows' codes into one
+        stream of u64 words.
+        """
+        n_rows = len(lines)
+        blob = b"".join(lines)
+        words = np.frombuffer(blob, dtype="<u4").reshape(n_rows, -1)
+        categories = _HALF_CATEGORY.take(np.frombuffer(blob, dtype="<u2"))
+        prefixes = np.minimum(
+            _PAIR_PREFIX.take(categories.view("<u2")),
+            7 - (words == (words & 0xFF) * np.uint32(0x01010101)).ravel(),
+        ).reshape(n_rows, -1)
+        zero = prefixes == _PREFIX_ZERO_RUN
+        last_nonzero = np.maximum.accumulate(_WORD_INDEX * ~zero - zero, axis=1)
+        run_index = (_WORD_BEFORE - last_nonzero) & (_MAX_ZERO_RUN - 1)
+        zero_next = np.zeros_like(zero)
+        zero_next[:, :-1] = zero[:, 1:]
+        run_ends = zero & ((run_index == _MAX_ZERO_RUN - 1) | ~zero_next)
+        code_bits = _CODE_BITS.take(prefixes) + (_PREFIX_BITS + 3) * run_ends
+        size_bits = code_bits.sum(axis=1)
+        # A run's code is 000 and its length less one.
+        values = (words | (run_index * run_ends).astype(np.uint32)).astype(np.uint64)
+
+        def fill(rows: np.ndarray) -> list[CompressionResult]:
+            prefix = prefixes[rows]
+            chosen = values[rows]
+            codes = (
+                _CODE_PREFIX.take(prefix)
+                | ((chosen >> _CODE_DOWN.take(prefix)) & _CODE_MASK.take(prefix))
+                | (chosen & _CODE_LOW_BYTE.take(prefix))
+            )
+            # The rows' streams are laid end to end, each padded to a
+            # whole byte: the pad widens the next row's first code with
+            # leading zeros.
+            widths = code_bits[rows]
+            sizes = size_bits[rows]
+            padded = (sizes + 7) & ~7
+            widths[1:, 0] += (padded - sizes)[:-1]
+            # Each code's last bit lands at bit ``end - 1`` of the
+            # MSB-first stream (after one spare u64): its low bits go
+            # into that word, any spill into the word before.  Codes
+            # never share a bit, so adding them into words is or-ing.
+            last = np.cumsum(widths.ravel()) + 63
+            shift = (last & 63).astype(np.uint64)
+            word = last >> 6
+            codes = codes.ravel()
+            stream = np.zeros(int(word[-1]) + 1, dtype=np.uint64)
+            np.add.at(stream, word, codes << (np.uint64(63) - shift))
+            np.add.at(stream, word - 1, (codes >> shift) >> np.uint64(1))
+            packed = stream[1:].astype(">u8").tobytes()
+            sizes = sizes.tolist()
+            ends = list(accumulate((padded >> 3).tolist()))
+            payloads = [packed[start:end] for start, end in zip([0, *ends], ends)]
+            return list(
+                map(CompressionResult, repeat(self.name), repeat(ENC_FPC), sizes, payloads)
+            )
+
+        return size_bits, fill
 
     def decompress(self, result: CompressionResult) -> bytes:
         """Reconstruct the 64-byte line (see :class:`Compressor`)."""

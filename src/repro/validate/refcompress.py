@@ -6,13 +6,12 @@ encoders exactly as they existed before the numpy hot-path rewrite
 (PR 2), plus matching loop-based decoders and the best-of selection /
 5-bit metadata packing the fast :class:`repro.compression.BestOfCompressor`
 performs.  Everything here works on plain Python ints and bytes -- no
-numpy -- so a divergence from the vectorized kernels is always a bug in
+numpy -- so a divergence from the production kernels is always a bug in
 exactly one of the two implementations.
 
 Do not optimize this file; its entire value is that it stays slow and
-obviously correct.  ``tests/compression/reference_impls.py`` re-exports
-the two encoders under their historical names for the kernel
-equivalence tests.
+obviously correct.  ``tests/compression/test_vectorized_equivalence.py``
+pins the production line and batch kernels to these encoders.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Batched compression must be value-identical to the per-line loop.
 
-``compress_batch`` on FPC/BDI/Best is a 2-D rewrite of the serial
-kernels; the batch scheduler (``BatchScheduler.run``) relies on
-exact equality of every field -- encoding, bit-exact payload, size --
-for its batched/serial bit-identity guarantee.  ``CachingCompressor``
+``BestOfCompressor.compress_batch`` sizes every row with its members'
+numpy plans and packs only the winners; the batch scheduler
+(``BatchScheduler.run``) relies on exact equality of every field --
+encoding, bit-exact payload, size -- for its batched/serial
+bit-identity guarantee.  ``CachingCompressor``
 additionally must leave the *cache* (hit/miss counters, LRU key order,
 stored values) in exactly the state the serial loop would.
 """
@@ -18,8 +19,11 @@ from repro.compression import (
     BestOfCompressor,
     CachingCompressor,
     FPCCompressor,
+    FVCCompressor,
 )
 from repro.compression.base import CompressionError
+from repro.compression.best import BATCH_CROSSOVER
+from repro.compression.cpack import CPackCompressor
 
 LINE = 64
 
@@ -100,6 +104,46 @@ def test_batch_matches_serial_on_random_lines(compressor, seed):
     _assert_equal_results(
         compressor.compress_batch(lines), [compressor.compress(d) for d in lines]
     )
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        (BDICompressor, FPCCompressor, FVCCompressor),
+        (BDICompressor, FPCCompressor, CPackCompressor),
+        (FPCCompressor, BDICompressor),
+        (FVCCompressor,),
+        (CPackCompressor, FPCCompressor),
+    ],
+    ids=["bdi-fpc-fvc", "bdi-fpc-cpack", "fpc-bdi", "fvc", "cpack-fpc"],
+)
+@pytest.mark.parametrize(
+    "size", [1, BATCH_CROSSOVER - 1, BATCH_CROSSOVER, BATCH_CROSSOVER + 2, 128]
+)
+def test_non_default_member_sets_batch_row_by_row(members, size):
+    """Any member set and order: batch rows equal ``compress`` rows.
+
+    Members without a numpy plan (FVC, C-Pack) size every row from
+    their own results, and ties still go to the earlier member.
+    """
+    compressor = BestOfCompressor(tuple(cls() for cls in members))
+    lines = (_crafted_lines() + _random_lines(150, 5))[:max(size, 40)]
+    for start in range(0, len(lines), size):
+        batch = lines[start : start + size]
+        _assert_equal_results(
+            compressor.compress_batch(batch),
+            [compressor.compress(data) for data in batch],
+        )
+
+
+def test_kernel_tables_stay_off_instances():
+    """Compressors are pickled in checkpoints: their kernel tables are
+    module-level, so instances carry only what old pickles carry."""
+    assert vars(BDICompressor()) == {}
+    assert vars(FPCCompressor()) == {}
+    assert set(vars(BestOfCompressor())) == {
+        "_compressors", "_by_name", "_encoding_bases"
+    }
 
 
 def test_batch_empty_and_single():

@@ -1,11 +1,17 @@
-"""Vectorized kernels vs the frozen pre-rewrite references.
+"""Line and batch kernels vs the frozen reference encoders.
 
-The FPC and BDI ``compress`` paths were rewritten with numpy array
-predicates for the hot-path overhaul.  These tests pin the rewrite to
-the original word-at-a-time encoders (``reference_impls.py``, frozen
-copies): for adversarial boundary lines and a broad randomized corpus,
-the production kernels must produce *byte-identical*
-``CompressionResult``s, and every result must still round-trip.
+``FPCCompressor.compress`` is a native-int line kernel (``struct``-
+unpacked words classified with range tests, one shift-or bitstream),
+``BDICompressor.compress`` checks each variant's delta bounds on one
+numpy line, and ``BestOfCompressor.compress_batch`` is a size-first
+numpy kernel that loops ``compress`` below
+:data:`~repro.compression.best.BATCH_CROSSOVER` lines.  These tests pin
+all of them to the word-at-a-time encoders of
+:mod:`repro.validate.refcompress` (the differential oracle's second
+implementation): for adversarial boundary lines, a broad randomized
+corpus and samples of the synthetic workload streams, every kernel
+must produce *byte-identical* ``CompressionResult``s, and every result
+must still round-trip.
 """
 
 from __future__ import annotations
@@ -13,13 +19,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import BDICompressor, FPCCompressor
+from repro.compression import BDICompressor, BestOfCompressor, FPCCompressor
 from repro.compression.base import LINE_SIZE_BYTES
-
-from .reference_impls import reference_bdi_compress, reference_fpc_compress
+from repro.compression.best import BATCH_CROSSOVER
+from repro.traces import SyntheticWorkload, get_profile
+from repro.validate.refcompress import (
+    reference_bdi_compress,
+    reference_best_compress,
+    reference_fpc_compress,
+)
 
 FPC = FPCCompressor()
 BDI = BDICompressor()
+BEST = BestOfCompressor()
 
 
 def _words(*values) -> bytes:
@@ -92,6 +104,19 @@ def _random_corpus() -> list[bytes]:
 CORPUS = _random_corpus()
 
 
+def _stream_sample() -> list[bytes]:
+    """Distinct payloads of the four workload profiles' streams."""
+    lines: dict[bytes, None] = {}
+    for profile in ("mcf", "milc", "gcc", "lbm"):
+        workload = SyntheticWorkload(get_profile(profile), n_lines=32, seed=1)
+        lines.update(dict.fromkeys(w.data for w in workload.generate_trace(250).writes))
+    return list(lines)
+
+
+STREAMS = _stream_sample()
+ALL_LINES = FPC_ADVERSARIAL + BDI_ADVERSARIAL + CORPUS + STREAMS
+
+
 @pytest.mark.parametrize("line", FPC_ADVERSARIAL, ids=range(len(FPC_ADVERSARIAL)))
 def test_fpc_matches_reference_adversarial(line):
     assert FPC.compress(line) == reference_fpc_compress(line)
@@ -103,14 +128,43 @@ def test_bdi_matches_reference_adversarial(line):
 
 
 def test_fpc_matches_reference_randomized():
-    for line in CORPUS:
+    for line in CORPUS + STREAMS:
         result = FPC.compress(line)
         assert result == reference_fpc_compress(line)
         assert FPC.decompress(result) == line
 
 
 def test_bdi_matches_reference_randomized():
-    for line in CORPUS:
+    for line in CORPUS + STREAMS:
         result = BDI.compress(line)
         assert result == reference_bdi_compress(line)
         assert BDI.decompress(result) == line
+
+
+def test_best_line_kernel_matches_reference():
+    for line in ALL_LINES:
+        result = BEST.compress(line)
+        assert result == reference_best_compress(line)
+        assert BEST.decompress(result) == line
+
+
+REFERENCE = [reference_best_compress(line) for line in ALL_LINES]
+
+
+@pytest.mark.parametrize("size", [*range(1, BATCH_CROSSOVER + 3), 128])
+def test_batch_kernel_matches_reference_at_every_size(size):
+    """Both sides of the line-kernel/numpy crossover, batch by batch."""
+    for start in range(0, len(ALL_LINES), size):
+        batch = ALL_LINES[start : start + size]
+        assert BEST.compress_batch(batch) == REFERENCE[start : start + size]
+
+
+@pytest.mark.parametrize("member", [BDI, FPC], ids=["bdi", "fpc"])
+def test_member_plan_sizes_then_fills_chosen_rows(member):
+    """``plan_batch`` sizes every row; ``fill`` packs only the rows asked."""
+    lines = ALL_LINES[:300]
+    size_bits, fill = member.plan_batch(lines)
+    expected = [member.compress(line) for line in lines]
+    assert size_bits.tolist() == [result.size_bits for result in expected]
+    rows = np.arange(1, len(lines), 3)
+    assert fill(rows) == [expected[row] for row in rows]
