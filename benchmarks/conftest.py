@@ -22,8 +22,9 @@ The defaults finish the whole harness in tens of minutes on a laptop;
 raise them for tighter confidence intervals.  A run that sets any scale
 variable here (or ``benchmarks/test_perf_hotpath.py``'s
 ``REPRO_HOTPATH_*``) is a smoke run: its reports are printed but leave
-the committed ``.txt`` results alone.  ``REPRO_BENCH_WORKERS`` changes
-no result, so it does not count.  Figure 10's lifetime study
+the committed ``.txt`` results, and the records a benchmark writes only
+at the ``default_scale`` (``BENCH_wolfram.json``), alone.
+``REPRO_BENCH_WORKERS`` changes no result, so it does not count.  Figure 10's lifetime study
 is the expensive piece and is shared with Figure 12 and Table IV through
 the ``shared_cache`` fixture; set ``REPRO_BENCH_WORKERS`` to fan its
 (workload x system) grid across processes via
@@ -70,11 +71,17 @@ def bench_scale():
     }
 
 
+@pytest.fixture(scope="session")
+def default_scale() -> bool:
+    """Whether no scale variable is set: only such a run rewrites the
+    committed results."""
+    return not any(name in os.environ for name in SCALE_VARIABLES)
+
+
 @pytest.fixture()
-def report():
+def report(default_scale):
     """Record a named report: shown in the summary and, at the default
     scale, saved to disk."""
-    default_scale = not any(name in os.environ for name in SCALE_VARIABLES)
 
     def _report(name: str, text: str) -> None:
         _REPORTS.append((name, text))

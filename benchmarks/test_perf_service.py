@@ -76,7 +76,7 @@ def _line_parallel_stream():
 def _fleet(shards):
     return ShardedController(
         comp_wf(), LINES, shards=shards,
-        endurance_mean=ENDURANCE_MEAN, seed=SEED, n_banks=8,
+        endurance_mean=ENDURANCE_MEAN, seed=SEED,
     )
 
 
@@ -136,7 +136,7 @@ def test_fleet_writes_per_sec(report, shards):
     for _ in range(REPS):
         with MemoryService(
             comp_wf(), LINES, shards=shards,
-            endurance_mean=ENDURANCE_MEAN, seed=SEED, n_banks=8,
+            endurance_mean=ENDURANCE_MEAN, seed=SEED,
         ) as service:
             elapsed = _drive(service, stream)
             result = service.stop()

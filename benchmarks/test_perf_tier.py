@@ -72,7 +72,7 @@ def _stream(workload):
 def _fleet(tier_lines):
     return ShardedController(
         comp_wf(tier_lines=tier_lines), LINES, shards=SHARDS,
-        endurance_mean=ENDURANCE_MEAN, seed=SEED, n_banks=8,
+        endurance_mean=ENDURANCE_MEAN, seed=SEED,
     )
 
 
@@ -189,7 +189,7 @@ def test_capacity_zero_is_bit_identical_to_bare(report):
     stream = _stream("memcached")
     bare, zero = _fleet(0), ShardedController(
         resolve_config("comp_wf_hybrid", tier_lines=0), LINES,
-        shards=SHARDS, endurance_mean=ENDURANCE_MEAN, seed=SEED, n_banks=8,
+        shards=SHARDS, endurance_mean=ENDURANCE_MEAN, seed=SEED,
     )
     _drive(bare, stream)
     _drive(zero, stream)

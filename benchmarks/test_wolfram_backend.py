@@ -16,7 +16,8 @@ lifetime and fault-tolerance figures:
 Each run also prices the backend's bookkeeping through the energy
 model: WoLFRaM pays ``pad_table_writes`` decoder-entry rewrites where
 Start-Gap pays none (its registers are two counters).  The full point
-set lands in ``benchmarks/results/BENCH_wolfram.json``.
+set lands in ``benchmarks/results/BENCH_wolfram.json``, which records
+the default scale: a smoke run leaves it alone.
 """
 
 import json
@@ -52,7 +53,7 @@ def _run(system, workload, scale, cov, **overrides):
 
 
 def test_wolfram_backend_lifetime_and_fault_tolerance(
-    benchmark, report, bench_scale
+    benchmark, report, bench_scale, default_scale
 ):
     def measure():
         points = []
@@ -85,10 +86,11 @@ def test_wolfram_backend_lifetime_and_fault_tolerance(
 
     points = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_wolfram.json").write_text(
-        json.dumps({"points": points}, indent=2) + "\n"
-    )
+    if default_scale:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "BENCH_wolfram.json").write_text(
+            json.dumps({"points": points}, indent=2) + "\n"
+        )
 
     by_key = {(p["endurance_cov"], p["workload"], p["label"]): p
               for p in points}

@@ -27,7 +27,8 @@ from repro.engine import ShardMap
 from repro.service import MemoryService, ShardedController, make_stream
 
 LINES = 64
-RUN = dict(endurance_mean=40.0, endurance_cov=0.2, seed=11, n_banks=4)
+CONFIG = comp_wf(n_banks=4)
+RUN = dict(endurance_mean=40.0, endurance_cov=0.2, seed=11)
 
 
 def main() -> None:
@@ -49,15 +50,14 @@ def main() -> None:
     # Chunk the reference replay exactly like the service submissions
     # below: the batch scheduler's wave telemetry depends on segment
     # boundaries, and the recovery check compares every stats field.
-    fleet = ShardedController(comp_wf(), LINES, shards=args.shards, **RUN)
+    fleet = ShardedController(CONFIG, LINES, shards=args.shards, **RUN)
     for start in range(0, len(stream), 64):
         fleet.write_batch(stream[start:start + 64])
     solos = [
         ShardedController(
-            comp_wf(), shard_map.lines_of(shard), shards=1,
+            CONFIG, shard_map.lines_of(shard), shards=1,
             endurance_mean=RUN["endurance_mean"],
             endurance_cov=RUN["endurance_cov"], seed=seed,
-            n_banks=RUN["n_banks"],
         )
         for shard, seed in enumerate(shard_map.shard_seeds(RUN["seed"]))
     ]
@@ -80,7 +80,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="service-demo-") as tmp:
         telemetry = Path(tmp)
         with MemoryService(
-            comp_wf(), LINES, shards=args.shards,
+            CONFIG, LINES, shards=args.shards,
             telemetry_dir=str(telemetry),
             heartbeat_interval=max(1, args.requests // 8),
             fleet_interval=max(1, args.requests // 8), **RUN,

@@ -85,10 +85,11 @@ def _add_tier_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_overrides(args: argparse.Namespace) -> dict[str, object]:
-    """Knobs set by ``--tier-lines``/``--tier`` and ``--wl-backend``
-    (an unset option keeps each system's own value; 0 means 0)."""
+    """Knobs set by ``--tier-lines``/``--tier``, ``--wl-backend`` and
+    ``--banks`` (an unset option keeps each system's own value; 0 means
+    0)."""
     options = vars(args)
-    knobs = ("tier_lines", "wl_backend")
+    knobs = ("tier_lines", "wl_backend", "n_banks")
     return {knob: options[knob] for knob in knobs if options.get(knob) is not None}
 
 
@@ -228,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "ecp6 safer32 aegis)")
     fuzz.add_argument("--lines", type=_positive_int, default=24,
                       help="logical lines per campaign memory")
-    fuzz.add_argument("--banks", type=_positive_int, default=4)
+    fuzz.add_argument("--banks", dest="n_banks", type=_positive_int,
+                      default=4)
     fuzz.add_argument("--endurance", type=_positive_float, default=32.0,
                       help="mean cell endurance (small = wear fast, so "
                       "fault paths are exercised within the campaign)")
@@ -287,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--endurance", type=_positive_float, default=100.0)
     serve.add_argument("--cov", type=_nonnegative_float, default=0.15)
-    serve.add_argument("--banks", type=_positive_int, default=8)
+    serve.add_argument("--banks", dest="n_banks", type=_positive_int,
+                       default=8)
     serve.add_argument("--telemetry-dir", metavar="DIR", default=None,
                        help="write shard-<i>/events.jsonl streams and the "
                        "aggregated fleet.jsonl under DIR")
@@ -540,7 +543,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         systems=tuple(args.systems) if args.systems else None,
         schemes=tuple(normalize_scheme(s) for s in args.schemes),
         writes=args.writes, seed=args.seed, lines=args.lines,
-        banks=args.banks, endurance_mean=args.endurance,
+        endurance_mean=args.endurance,
         endurance_cov=args.cov, corpus_dir=args.corpus,
         time_budget=args.time_budget,
         check_state_every=args.check_state_every,
@@ -555,7 +558,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.corpus:
         manifest = write_campaign_manifest(args.corpus, report, {
             "seed": args.seed, "writes": args.writes,
-            "lines": args.lines, "banks": args.banks,
+            "lines": args.lines, "banks": args.n_banks,
             "endurance_mean": args.endurance, "endurance_cov": args.cov,
             "shards": args.shards, "batch": args.batch,
             "tier_lines": args.tier_lines,
@@ -613,7 +616,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         fleet = ShardedController(
             config, args.lines, shards=args.shards,
             endurance_mean=args.endurance, endurance_cov=args.cov,
-            seed=args.seed, n_banks=args.banks,
+            seed=args.seed,
         )
         run_workload(fleet, args.workload, args.requests,
                      batch=args.batch, seed=args.seed)
@@ -622,8 +625,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         with MemoryService(
             config, args.lines, shards=args.shards,
             endurance_mean=args.endurance, endurance_cov=args.cov,
-            seed=args.seed, n_banks=args.banks,
-            telemetry_dir=args.telemetry_dir,
+            seed=args.seed, telemetry_dir=args.telemetry_dir,
             heartbeat_interval=args.heartbeat_interval,
             fleet_interval=args.fleet_interval,
             retries=args.retries,

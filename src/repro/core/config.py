@@ -79,6 +79,9 @@ class SystemConfig:
     #: Bank cells: ``"slc"`` (the paper's) or ``"mlc"`` (2-bit cells,
     #: footnote 1, :mod:`repro.pcm.mlc`).
     cell_type: str = "slc"
+    #: Banks the physical lines are striped over, round-robin (Table
+    #: II).  Comp+W keeps one intra-line rotation counter per bank.
+    n_banks: int = 8
 
     def __post_init__(self) -> None:
         if self.threshold1 < 1 or self.threshold1 > 64:
@@ -109,6 +112,8 @@ class SystemConfig:
             )
         if self.cell_type not in ("slc", "mlc"):
             raise ValueError(f"cell_type must be 'slc' or 'mlc', got {self.cell_type!r}")
+        if self.n_banks < 1:
+            raise ValueError("n_banks must be positive")
         if self.wl_backend == "wolfram" and self.start_gap_regions > 1:
             raise ValueError(
                 "start_gap_regions is a Start-Gap scaling mechanism; the "

@@ -66,15 +66,12 @@ class CompressedPCMController:
         n_lines: int,
         endurance_model: EnduranceModel,
         rng: np.random.Generator,
-        n_banks: int = 8,
-        compressor: BestOfCompressor | None = None,
         invariants: tuple = (),
     ) -> None:
         if n_lines < 1:
             raise ValueError("need at least one logical line")
         self.config = config
         self.n_lines = n_lines
-        self.n_banks = n_banks
 
         # The wear-leveling / fault-remap backend (``wl_backend``):
         # Start-Gap + FREE-p (the paper's substrate, default) or the
@@ -107,7 +104,7 @@ class CompressedPCMController:
                 pointer_bits=max(1, (physical - 1).bit_length()),
             )
         array_cls = PCMBankArray if config.cell_type == "slc" else MLCBankArray
-        engine_compressor = compressor or BestOfCompressor()
+        engine_compressor = BestOfCompressor()
         if config.use_compression and config.compression_cache_lines:
             # Content-addressed memoization; transparent (the cached
             # results are the same frozen CompressionResult objects).
@@ -125,7 +122,6 @@ class CompressedPCMController:
             repairs=[{} for _ in range(physical)],
             death_fault_counts={},
             stats=ControllerStats(),
-            n_banks=n_banks,
             capacity_lines=base_physical,
             heuristic=(
                 BitFlipHeuristic(config.threshold1, config.threshold2)
@@ -134,7 +130,8 @@ class CompressedPCMController:
             ),
             intra_wl=(
                 IntraLineWearLeveler(
-                    n_banks=n_banks, counter_limit=config.intra_counter_limit
+                    n_banks=config.n_banks,
+                    counter_limit=config.intra_counter_limit,
                 )
                 if config.use_intra_wear_leveling
                 else None
@@ -207,10 +204,6 @@ class CompressedPCMController:
     @property
     def stats(self) -> ControllerStats:
         return self.engine.stats
-
-    @property
-    def _repairs(self) -> list[dict[int, int]]:
-        return self.engine.repairs
 
     # -- public API ------------------------------------------------------
 

@@ -19,7 +19,7 @@ XOR again (an involution) and a word whose selector is *not* re-chosen
 re-encodes to exactly its stored cells.  That involution property is
 what lets the engine's window discipline survive encoding: bits outside
 the compression window re-encode to their stored values bit-for-bit,
-so the differential write's update mask stays valid (pinned by
+so the differential write programs nothing outside it (pinned by
 ``tests/energy/test_encoders.py``).
 
 Selector/flag cells are modelled like the engine's 13-bit line
@@ -248,7 +248,7 @@ class LineEncoder:
         cells are all writable); every other word keeps its current
         selector, so its encoded bits equal its stored bits wherever
         the logical bits are unchanged -- which is everywhere outside
-        the window, keeping the differential write's update mask exact.
+        the window, so the differential write stays inside the window.
         """
         flags = self.flags[physical].tolist()
         return self._encode_line(

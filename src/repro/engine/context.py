@@ -283,7 +283,6 @@ class EngineState:
     repairs: list[dict[int, int]]
     death_fault_counts: dict[int, int]
     stats: ControllerStats
-    n_banks: int
     capacity_lines: int
     heuristic: BitFlipHeuristic | None = None
     intra_wl: IntraLineWearLeveler | None = None
@@ -310,7 +309,7 @@ class EngineState:
 
     def bank_of(self, physical: int) -> int:
         """The bank a physical line belongs to (round-robin striping)."""
-        return physical % self.n_banks
+        return physical % self.config.n_banks
 
     def resolve(self, physical: int) -> int:
         """Follow FREE-p remap pointers when the extension is enabled."""

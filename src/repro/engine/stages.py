@@ -261,7 +261,7 @@ class PlacementStage(Stage):
         state = self.state
         if state.intra_wl is None:
             return None
-        return state.intra_wl.record_writes(rows % state.n_banks)
+        return state.intra_wl.record_writes(rows % state.config.n_banks)
 
     def place_wave(
         self, rows: np.ndarray, compressed: np.ndarray, offsets: np.ndarray | None
@@ -302,7 +302,7 @@ class EncodingStage(Stage):
     re-chooses the coset selectors of the words the window fully
     covers.  Because every transform is a per-word XOR involution,
     words outside the window re-encode to exactly their stored cells,
-    so the program stage's update mask stays valid bit-for-bit -- with
+    so the program stage's differential write stays inside the window -- with
     no encoder (``config.encoding == "none"``) this stage is a plain
     ``place_bytes`` and the write path is byte-identical to the
     pre-encoding engine.  Owns the ``encoding_flag_set_flips`` /
@@ -363,10 +363,10 @@ class ProgramStage(Stage):
         """Write the payload at ``start``; returns (target bits, flips)."""
         state = self.state
         stored = state.memory.read_bits(physical)
+        # The target overlays the window on the stored cells, so the
+        # differential write leaves every cell outside the window alone.
         target = self.encoding.build_target(physical, ctx, start, stored)
-        # A full-line window masks nothing; skip building/applying it.
-        mask = window_mask(start, ctx.size) if ctx.size != LINE_BYTES else None
-        outcome = state.memory.write(physical, target, update_mask=mask)
+        outcome = state.memory.write(physical, target)
         state.stats.total_flips += outcome.programmed_flips
         state.stats.set_flips += outcome.set_flips
         state.stats.reset_flips += outcome.reset_flips

@@ -39,15 +39,20 @@ from pathlib import Path
 #: observability counters survive a resume instead of silently
 #: resetting; 3 = the line metadata is one column table
 #: (:class:`~repro.core.metadata.LineTable`) instead of a list of
-#: per-line records, and ``wl_backend`` joins the run identity.
-CHECKPOINT_VERSION = 3
+#: per-line records, and ``wl_backend`` joins the run identity; 4 =
+#: the record drops its ``dead_threshold``, ``tier_lines`` and
+#: ``wl_backend`` fields and the engine state its ``n_banks``: the run
+#: identity comes from the pickled config alone, which a version-3
+#: reader cannot restore from.
+CHECKPOINT_VERSION = 4
 
-#: Versions :func:`read_checkpoint` accepts.  Version-1 checkpoints
-#: predate the tier knob; missing fields read back as the dataclass
-#: defaults, so old snapshots resume as tier-less runs.  Versions 1-2
+#: Versions :func:`read_checkpoint` accepts.  Knobs an older pickled
+#: config predates read back as the dataclass defaults, so old
+#: snapshots resume as tier-less, 8-bank runs; the record fields
+#: version 4 dropped stay in their ``__dict__`` unread.  Versions 1-2
 #: pickled the metadata as a record list, which the engine state turns
 #: into the column table as it unpickles.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3})
+SUPPORTED_VERSIONS = frozenset({1, 2, 3, 4})
 
 #: Classes older checkpoints pickled that were since folded into
 #: another, mapped to their replacement.  The WoLFRaM stage subclasses
@@ -73,7 +78,8 @@ class Checkpoint:
     """Complete resumable state of one lifetime run at a write count.
 
     ``controller`` and ``source`` are the live objects (pickled whole);
-    the scalar fields exist so :meth:`LifetimeSimulator.restore
+    the scalar fields and the controller's config exist so
+    :meth:`LifetimeSimulator.restore
     <repro.lifetime.simulator.LifetimeSimulator.restore>` can refuse a
     checkpoint taken from a different experiment before touching any
     state.
@@ -84,7 +90,6 @@ class Checkpoint:
     system: str
     workload: str
     n_lines: int
-    dead_threshold: float
     controller: object
     source: object
     trace_cursor: int = 0
@@ -94,13 +99,6 @@ class Checkpoint:
     #: checkpoints pickled before the field existed read the class
     #: default and report 0.0.
     elapsed_seconds: float = 0.0
-    #: Copies of the run's ``config.tier_lines`` (version >= 2) and
-    #: ``config.wl_backend`` (version >= 3), kept so the format stays
-    #: put.  ``restore`` reads both knobs from ``controller.config``,
-    #: which every version pickles; knobs an old config predates read
-    #: as the :class:`~repro.core.SystemConfig` class defaults.
-    tier_lines: int = 0
-    wl_backend: str | None = None
 
 
 def checkpoint_path(directory: str | Path, writes_issued: int) -> Path:

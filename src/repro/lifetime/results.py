@@ -81,12 +81,6 @@ class LifetimeResult:
         energy = energy or PCMEnergy()
         return energy.write_energy_pj(self.stats.set_flips, self.stats.reset_flips)
 
-    def write_energy_per_write_pj(self, energy: PCMEnergy | None = None) -> float:
-        """Mean array programming energy per demand write (picojoules)."""
-        if not self.writes_issued:
-            return 0.0
-        return self.write_energy_pj(energy) / self.writes_issued
-
     def energy_breakdown(self, scheme: str = "ecp6", model=None):
         """Full per-operation energy split (see :mod:`repro.energy`).
 

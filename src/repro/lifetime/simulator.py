@@ -58,18 +58,8 @@ class LifetimeSimulator:
         endurance_mean: float = 100.0,
         endurance_cov: float = 0.15,
         seed: int = 0,
-        n_banks: int = 8,
-        dead_threshold: float = DEAD_CAPACITY_THRESHOLD,
-        rng: np.random.Generator | None = None,
         invariants: tuple = (),
     ) -> None:
-        if not 0 < dead_threshold <= 1:
-            raise ValueError("dead threshold must be in (0, 1]")
-        if rng is not None and seed != 0:
-            raise ValueError(
-                "pass either rng= or a non-default seed=, not both "
-                "(an explicit rng would silently ignore the seed)"
-            )
         if not isinstance(source, Trace) and not hasattr(source, "next_write"):
             raise TypeError(
                 "workload source must be a Trace or provide next_write() "
@@ -79,7 +69,6 @@ class LifetimeSimulator:
         self.source = source
         self.n_lines = n_lines
         self.endurance_mean = endurance_mean
-        self.dead_threshold = dead_threshold
         if isinstance(source, SyntheticWorkload):
             self.workload_name = source.profile.name
         elif isinstance(source, Trace):
@@ -91,8 +80,7 @@ class LifetimeSimulator:
             config=config,
             n_lines=n_lines,
             endurance_model=model,
-            rng=rng if rng is not None else np.random.default_rng(seed),
-            n_banks=n_banks,
+            rng=np.random.default_rng(seed),
             # Debug-mode checkers (repro.validate.invariants); pure
             # observers, so enabling them never changes the result.
             invariants=invariants,
@@ -102,9 +90,7 @@ class LifetimeSimulator:
             # hot incompressible lines; the PCM controller only sees the
             # post-tier write stream.  tier_lines=0 keeps the bare
             # controller -- bit-identical to every pre-tier run.
-            self.controller = HybridController(
-                self.controller, config.tier_lines
-            )
+            self.controller = HybridController(self.controller)
         #: Writes issued so far (advanced by run(); restored on resume).
         self.writes_issued = 0
         #: Replay position within a Trace source (unused for generators).
@@ -152,13 +138,10 @@ class LifetimeSimulator:
             system=self.config.name,
             workload=self.workload_name,
             n_lines=self.n_lines,
-            dead_threshold=self.dead_threshold,
             controller=self.controller,
             source=self.source,
             trace_cursor=self.trace_cursor,
             elapsed_seconds=self.elapsed_seconds,
-            tier_lines=self.config.tier_lines,
-            wl_backend=self.config.wl_backend,
         )
         return write_checkpoint(checkpoint, directory, keep=keep)
 
@@ -166,9 +149,9 @@ class LifetimeSimulator:
         """Adopt a checkpoint's state; the next ``run`` continues from it.
 
         The checkpoint must come from the same experiment (system,
-        workload, memory size, failure threshold, tier capacity,
-        wear-leveling backend, cell type) -- a mismatch raises
-        ``ValueError`` before any state is replaced.  The knobs come from
+        workload, memory size, tier capacity, wear-leveling backend,
+        cell type, bank count) -- a mismatch raises ``ValueError``
+        before any state is replaced.  The knobs come from
         the pickled controller's config; knobs a checkpoint predates read
         as their dataclass defaults.
         """
@@ -178,19 +161,19 @@ class LifetimeSimulator:
         pickled = checkpoint.controller.config
         expected = (
             config.name, self.workload_name, self.n_lines,
-            self.dead_threshold, config.tier_lines, config.wl_backend,
-            config.cell_type,
+            config.tier_lines, config.wl_backend, config.cell_type,
+            config.n_banks,
         )
         found = (
             checkpoint.system, checkpoint.workload, checkpoint.n_lines,
-            checkpoint.dead_threshold, pickled.tier_lines,
-            pickled.wl_backend, pickled.cell_type,
+            pickled.tier_lines, pickled.wl_backend, pickled.cell_type,
+            pickled.n_banks,
         )
         if expected != found:
             raise ValueError(
                 "checkpoint belongs to a different run: expected "
-                "(system, workload, n_lines, dead_threshold, tier_lines, "
-                f"wl_backend, cell_type)={expected}, checkpoint has {found}"
+                "(system, workload, n_lines, tier_lines, wl_backend, "
+                f"cell_type, n_banks)={expected}, checkpoint has {found}"
             )
         self.controller = checkpoint.controller
         self.source = checkpoint.source
@@ -322,7 +305,7 @@ class LifetimeSimulator:
                 )
             self.writes_issued = writes
             if writes % check_interval == 0 and (
-                controller.dead_fraction >= self.dead_threshold
+                controller.dead_fraction >= DEAD_CAPACITY_THRESHOLD
             ):
                 failed = True
                 break

@@ -52,14 +52,15 @@ def build_simulator(
     ``system`` is any registered :class:`~repro.engine.SystemSpec` name
     (the four paper systems plus ablation/extension variants).
     ``config_overrides`` replace config knobs (``tier_lines=8``,
-    ``encoding="wire"``, ...); ``intra_counter_limit`` defaults to the
-    simulation-scaled value.
+    ``n_banks=4``, ...); ``intra_counter_limit`` defaults to the
+    simulation-scaled value for the config's bank count.
     """
-    config_overrides.setdefault(
-        "intra_counter_limit",
-        scaled_intra_counter_limit(endurance_mean, lines_per_bank=max(1, n_lines // 8)),
-    )
     config = resolve_config(system, **config_overrides)
+    if "intra_counter_limit" not in config_overrides:
+        lines_per_bank = max(1, n_lines // config.n_banks)
+        config = config.with_overrides(
+            intra_counter_limit=scaled_intra_counter_limit(endurance_mean, lines_per_bank)
+        )
     source = SyntheticWorkload(get_profile(workload), n_lines=n_lines, seed=seed)
     return LifetimeSimulator(
         config=config,

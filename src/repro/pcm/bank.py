@@ -102,12 +102,7 @@ class PCMBankArray:
         self.row_writes = np.zeros(n_blocks, dtype=np.int64)
         self.no_wear_limit = self.endurance.min(axis=1).astype(np.int64) - 1
 
-    def write(
-        self,
-        block_index: int,
-        new_bits: np.ndarray,
-        update_mask: np.ndarray | None = None,
-    ) -> WriteOutcome:
+    def write(self, block_index: int, new_bits: np.ndarray) -> WriteOutcome:
         """Program one line; see :func:`repro.pcm.block.apply_write`."""
         self._check_index(block_index)
         outcome = apply_write(
@@ -115,7 +110,6 @@ class PCMBankArray:
             self.counts[block_index],
             self.endurance[block_index],
             new_bits,
-            update_mask,
             faulty=self.faulty[block_index],
             has_faults=bool(self.fault_counts[block_index]),
         )
@@ -125,14 +119,9 @@ class PCMBankArray:
             self.fault_counts[block_index] += worn
         return outcome
 
-    def write_bytes(
-        self,
-        block_index: int,
-        data: bytes,
-        update_mask: np.ndarray | None = None,
-    ) -> WriteOutcome:
+    def write_bytes(self, block_index: int, data: bytes) -> WriteOutcome:
         """Byte-level convenience wrapper around :meth:`write`."""
-        return self.write(block_index, bytes_to_bits(data), update_mask)
+        return self.write(block_index, bytes_to_bits(data))
 
     def write_rows(
         self, rows: np.ndarray, targets: np.ndarray

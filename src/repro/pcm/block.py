@@ -75,7 +75,6 @@ def apply_write(
     counts: np.ndarray,
     endurance: np.ndarray,
     new_bits: np.ndarray,
-    update_mask: np.ndarray | None = None,
     faulty: np.ndarray | None = None,
     has_faults: bool | None = None,
 ) -> WriteOutcome:
@@ -85,11 +84,9 @@ def apply_write(
         stored: Current cell values (0/1), modified in place.
         counts: Per-cell program counts, modified in place.
         endurance: Per-cell endurance limits.
-        new_bits: Desired cell values (0/1).
-        update_mask: Optional boolean mask restricting which cells the
-            controller intends to program (e.g. only the compression
-            window plus metadata).  Cells outside the mask are left
-            untouched and never reported as errors.
+        new_bits: Desired cell values (0/1).  A windowed write passes
+            its payload overlaid on the stored cells, so cells outside
+            the window compare equal and are left untouched.
         faulty: Optional maintained boolean fault mask for the line.
             When given it must equal ``counts >= endurance`` on entry;
             it is updated in place in O(new faults), sparing the caller
@@ -101,8 +98,6 @@ def apply_write(
             this for free); computed from ``faulty`` when omitted.
     """
     want = stored != new_bits
-    if update_mask is not None:
-        want &= update_mask
     if faulty is None:
         tracked = False
         faulty = counts >= endurance

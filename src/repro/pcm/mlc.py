@@ -84,12 +84,7 @@ class MLCBankArray:
 
     # -- PCMBankArray-compatible interface -------------------------------
 
-    def write(
-        self,
-        block_index: int,
-        new_bits: np.ndarray,
-        update_mask: np.ndarray | None = None,
-    ) -> MLCWriteOutcome:
+    def write(self, block_index: int, new_bits: np.ndarray) -> MLCWriteOutcome:
         """Program one line with differential-write semantics."""
         self._check_index(block_index)
         stored = self.stored[block_index]
@@ -98,8 +93,6 @@ class MLCBankArray:
         faulty_cells = self.faulty_cells[block_index]
 
         want = stored != new_bits.astype(np.uint8)
-        if update_mask is not None:
-            want = want & update_mask
 
         cell_wants = want.reshape(MLC_CELLS_PER_BLOCK, MLC_BITS_PER_CELL).any(axis=1)
         programmable_cells = cell_wants & ~faulty_cells
@@ -135,14 +128,9 @@ class MLCBankArray:
             programmed_cells=touched_cells.size,
         )
 
-    def write_bytes(
-        self,
-        block_index: int,
-        data: bytes,
-        update_mask: np.ndarray | None = None,
-    ) -> MLCWriteOutcome:
+    def write_bytes(self, block_index: int, data: bytes) -> MLCWriteOutcome:
         """Byte-level convenience wrapper around :meth:`write`."""
-        return self.write(block_index, bytes_to_bits(data), update_mask)
+        return self.write(block_index, bytes_to_bits(data))
 
     def read_bits(self, block_index: int) -> np.ndarray:
         """The line's current cell values (0/1 array)."""

@@ -82,7 +82,6 @@ class ShardSpec:
     endurance_mean: float
     endurance_cov: float
     seed: int
-    n_banks: int
     telemetry_dir: str | None = None
     heartbeat_interval: int = DEFAULT_SHARD_HEARTBEAT
 
@@ -149,7 +148,6 @@ def _build_controller(spec: ShardSpec):
             mean=spec.endurance_mean, cov=spec.endurance_cov
         ),
         rng=np.random.default_rng(spec.seed),
-        n_banks=spec.n_banks,
     )
     if spec.config.tier_lines:
         from ..tier import HybridController
@@ -157,7 +155,7 @@ def _build_controller(spec: ShardSpec):
         # The tier is part of the spec, so a recovery respawn rebuilds
         # it too and the history replay reconstructs its residents --
         # exact recovery holds for hybrid shards unchanged.
-        controller = HybridController(controller, spec.config.tier_lines)
+        controller = HybridController(controller)
     return controller
 
 
@@ -290,7 +288,6 @@ class MemoryService:
         endurance_mean: float = 100.0,
         endurance_cov: float = 0.15,
         seed: int = 0,
-        n_banks: int = 8,
         telemetry_dir: str | None = None,
         heartbeat_interval: int = DEFAULT_SHARD_HEARTBEAT,
         fleet_interval: int = DEFAULT_SHARD_HEARTBEAT,
@@ -315,7 +312,6 @@ class MemoryService:
         self.specs = shard_specs(
             self.shard_map, seed, config=config,
             endurance_mean=endurance_mean, endurance_cov=endurance_cov,
-            n_banks=n_banks,
             telemetry_dir=telemetry_dir, heartbeat_interval=heartbeat_interval,
         )
         self._ctx = mp.get_context()

@@ -44,7 +44,6 @@ class ShardedController:
         endurance_mean: float = 100.0,
         endurance_cov: float = 0.15,
         seed: int = 0,
-        n_banks: int = 8,
     ) -> None:
         self.config = config
         self.shard_map = ShardMap(total_lines, shards)
@@ -59,7 +58,6 @@ class ShardedController:
             for spec in shard_specs(
                 self.shard_map, seed, config=config,
                 endurance_mean=endurance_mean, endurance_cov=endurance_cov,
-                n_banks=n_banks,
             )
         ]
         #: Requests routed to each shard so far.

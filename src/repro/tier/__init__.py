@@ -27,10 +27,11 @@ compression window.  The tier therefore routes by content:
 :class:`HybridController` is the facade: it exposes the
 ``CompressedPCMController`` surface (``write``/``write_batch``/``read``
 plus the stats and death telemetry the simulator reads) and owns one
-:class:`DramTier`.  **Capacity 0 disables the tier entirely**: every
-call forwards verbatim to the inner controller, which keeps golden
-traces, fuzz corpora, and checkpoint digests bit-identical -- the
-safety rail the hybrid work hangs on.  Both classes pickle cleanly, so
+:class:`DramTier` of ``config.tier_lines`` lines.  ``tier_lines == 0``
+means no tier at all: the simulator, the service and the fuzzer then
+build no facade, which keeps golden traces, fuzz corpora, and
+checkpoint digests bit-identical -- the safety rail the hybrid work
+hangs on.  Both classes pickle cleanly, so
 lifetime checkpoints carry the tier's residents, refcounts, and
 counters and resume bit-identically.
 """
@@ -48,7 +49,7 @@ __all__ = ["DEFAULT_ADMIT_THRESHOLD", "DramTier", "HybridController"]
 #: A line whose best-of-FPC/BDI probe compresses to at most this many
 #: bytes is "compressible": cheap to store in PCM, so it writes
 #: through.  Larger probe results mark the line incompressible/hot and
-#: it stays DRAM-resident, per CARAM's placement rule.
+#: it stays DRAM-resident, per CARAM's fixed placement rule.
 DEFAULT_ADMIT_THRESHOLD = LINE_BYTES // 2
 
 #: Synthetic result for a write the DRAM tier absorbed: no PCM line was
@@ -82,20 +83,10 @@ class DramTier:
     write can reuse them instead of compressing again.
     """
 
-    def __init__(
-        self,
-        capacity_lines: int,
-        compressor: Compressor,
-        admit_threshold: int = DEFAULT_ADMIT_THRESHOLD,
-    ) -> None:
-        if capacity_lines < 0:
-            raise ValueError("tier capacity must be >= 0 lines")
-        if not 0 < admit_threshold <= LINE_BYTES:
-            raise ValueError(
-                f"admission threshold must be in (0, {LINE_BYTES}] bytes"
-            )
+    def __init__(self, capacity_lines: int, compressor: Compressor) -> None:
+        if capacity_lines < 1:
+            raise ValueError("tier capacity must be >= 1 line")
         self.capacity_lines = capacity_lines
-        self.admit_threshold = admit_threshold
         self.compressor = compressor
         #: line -> content, in LRU order (oldest first).
         self._resident: OrderedDict[int, bytes] = OrderedDict()
@@ -183,10 +174,6 @@ class DramTier:
         in turn would.  A line that was resident when the batch began
         but is evicted and rewritten within it is probed when reached.
         """
-        if self.capacity_lines == 0:
-            first = len(pcm_ops)
-            pcm_ops.extend(requests)
-            return list(range(first, len(pcm_ops)))
         requests = [(line, bytes(data)) for line, data in requests]
         probed = self._probe(dict.fromkeys(
             data for line, data in requests if line not in self._resident
@@ -205,7 +192,7 @@ class DramTier:
                 if result is None:
                     probed.update(self._probe([data]))
                     result = probed[data]
-                if result.size_bytes <= self.admit_threshold:
+                if result.size_bytes <= DEFAULT_ADMIT_THRESHOLD:
                     routed.append(len(pcm_ops))
                     pcm_ops.append((line, data))
                     if results is not None:
@@ -286,8 +273,8 @@ class HybridController:
     write stream: wrap a ``ValidatingController`` and the lockstep
     comparison covers exactly what the tier lets reach the medium.
 
-    ``tier_lines=0`` forwards everything verbatim (bit-identical to the
-    bare inner controller).  Delegation is explicit -- no
+    The tier holds ``inner.config.tier_lines`` lines, so a facade is
+    only built for a config with a tier.  Delegation is explicit -- no
     ``__getattr__`` magic -- so pickling (checkpoints carry the whole
     facade) and attribute errors stay predictable.
 
@@ -298,15 +285,11 @@ class HybridController:
     the controller does not compress them a second time.
     """
 
-    def __init__(
-        self,
-        inner,
-        tier_lines: int,
-        admit_threshold: int = DEFAULT_ADMIT_THRESHOLD,
-    ) -> None:
+    def __init__(self, inner) -> None:
         self.inner = inner
-        self.tier = DramTier(tier_lines, _uncached(inner.compressor),
-                             admit_threshold)
+        self.tier = DramTier(
+            inner.config.tier_lines, _uncached(inner.compressor)
+        )
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -321,8 +304,6 @@ class HybridController:
 
     def write(self, logical: int, data: bytes) -> WriteResult:
         """One demand write-back, routed through the tier."""
-        if self.tier.capacity_lines == 0:
-            return self.inner.write(logical, data)
         return self.write_batch([(logical, data)])[0]
 
     def write_batch(
@@ -339,8 +320,6 @@ class HybridController:
         synthetic :data:`ABSORBED` outcome.
         """
         requests = list(requests)
-        if self.tier.capacity_lines == 0:
-            return self.inner.write_batch(requests)
         for _, data in requests:
             if len(data) != LINE_BYTES:
                 raise ValueError(f"write data must be {LINE_BYTES} bytes")

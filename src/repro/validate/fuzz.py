@@ -334,6 +334,9 @@ def run_fuzz(
     reproduce under the (serial) recipe replay used for shrinking --
     in that case the unshrunk recipe is kept.
 
+    ``lines`` and ``banks`` shape every campaign memory; ``banks``
+    reaches it as the config's ``n_banks``.
+
     ``config_overrides`` replaces config knobs in every campaign's
     system (an absent knob keeps the system's own value), e.g.
     ``{"wl_backend": "wolfram"}`` re-runs the matrix against the PAD
@@ -385,9 +388,9 @@ def run_fuzz(
                 campaign.skipped = True
                 continue
 
-            config = resolve_config(
-                system, **{**overrides, "correction_scheme": scheme}
-            )
+            config = resolve_config(system, **{
+                "n_banks": banks, **overrides, "correction_scheme": scheme,
+            })
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, campaign_index])
             )
@@ -398,7 +401,7 @@ def run_fuzz(
                     config, shard_map.lines_of(shard),
                     endurance_mean=endurance_mean,
                     endurance_cov=endurance_cov,
-                    seed=shard_seed, n_banks=banks,
+                    seed=shard_seed,
                     check_state_every=check_state_every,
                 )
                 for shard, shard_seed in enumerate(
@@ -409,8 +412,7 @@ def run_fuzz(
                 from ..tier import HybridController
 
                 controllers = [
-                    HybridController(controller, config.tier_lines)
-                    for controller in controllers
+                    HybridController(controller) for controller in controllers
                 ]
             palette = _PayloadPalette(rng, lines)
             try:

@@ -58,12 +58,10 @@ class ValidatingController:
         endurance_mean: float = 32.0,
         endurance_cov: float = 0.2,
         seed: int = 0,
-        n_banks: int = 8,
         check_state_every: int = DEFAULT_CHECK_STATE_EVERY,
     ) -> None:
         self.config = config
         self.n_lines = n_lines
-        self.n_banks = n_banks
         self.endurance_mean = endurance_mean
         self.endurance_cov = endurance_cov
         self.seed = seed
@@ -74,7 +72,6 @@ class ValidatingController:
             n_lines,
             model,
             np.random.default_rng(seed),
-            n_banks=n_banks,
         )
         self.oracle = ReferenceModel.from_controller(self.fast)
         self.ops: list[tuple[int, bytes]] = []
@@ -367,7 +364,6 @@ class ValidatingController:
         return {
             "config": dataclasses.asdict(self.config),
             "n_lines": self.n_lines,
-            "n_banks": self.n_banks,
             "endurance_mean": self.endurance_mean,
             "endurance_cov": self.endurance_cov,
             "seed": self.seed,
@@ -380,15 +376,21 @@ class ValidatingController:
 
 
 def controller_from_recipe(recipe: dict) -> ValidatingController:
-    """Rebuild the validating pair a recipe was captured from."""
-    config = SystemConfig(**recipe["config"])
+    """Rebuild the validating pair a recipe was captured from.
+
+    Recipes written before the config carried ``n_banks`` store it at
+    the top level; such a file still rebuilds its own bank count.
+    """
+    fields = dict(recipe["config"])
+    if "n_banks" in recipe:
+        fields.setdefault("n_banks", recipe["n_banks"])
+    config = SystemConfig(**fields)
     return ValidatingController(
         config,
         recipe["n_lines"],
         endurance_mean=recipe["endurance_mean"],
         endurance_cov=recipe["endurance_cov"],
         seed=recipe["seed"],
-        n_banks=recipe["n_banks"],
         check_state_every=recipe.get("check_state_every", DEFAULT_CHECK_STATE_EVERY),
     )
 

@@ -405,11 +405,9 @@ class ReferenceModel:
         n_lines: int,
         endurance: list[list[int]],
         scheme,
-        n_banks: int = 8,
     ) -> None:
         self.config = config
         self.n_lines = n_lines
-        self.n_banks = n_banks
         self.scheme = scheme
 
         self.wl_backend = config.wl_backend
@@ -444,7 +442,7 @@ class ReferenceModel:
                 pointer_bits=max(1, (physical - 1).bit_length()),
             )
         self.intra_wl = (
-            _RefIntraWL(n_banks, config.intra_counter_limit)
+            _RefIntraWL(config.n_banks, config.intra_counter_limit)
             if config.use_intra_wear_leveling
             else None
         )
@@ -486,7 +484,6 @@ class ReferenceModel:
             n_lines=controller.n_lines,
             endurance=memory.endurance.tolist(),
             scheme=make_scheme(controller.config.correction_scheme),
-            n_banks=controller.n_banks,
         )
 
     # -- public API ------------------------------------------------------
@@ -602,7 +599,7 @@ class ReferenceModel:
             self._revive(physical)
             result["revived"] = True
         if self.intra_wl is not None:
-            self.intra_wl.record_write(physical % self.n_banks)
+            self.intra_wl.record_write(physical % self.config.n_banks)
         return result
 
     def _make_context(self, physical: int, data: bytes) -> dict:
@@ -655,7 +652,7 @@ class ReferenceModel:
         if not ctx["compressed"]:
             return 0
         if self.intra_wl is not None:
-            return self.intra_wl.offset(physical % self.n_banks)
+            return self.intra_wl.offset(physical % self.config.n_banks)
         return self.metadata[physical].start_pointer
 
     def _attempt(self, physical: int, ctx: dict) -> dict:

@@ -48,6 +48,7 @@ def test_shared_substrate_defaults():
         config = factory()
         assert config.correction_scheme == "ecp6"
         assert config.start_gap_psi == 100
+        assert config.n_banks == 8  # Table II
 
 
 def test_overrides():
@@ -75,6 +76,8 @@ def test_validation():
         comp_wf(intra_counter_limit=0)
     with pytest.raises(ValueError, match="compression-window features"):
         SystemConfig(name="bad", use_compression=False)
+    with pytest.raises(ValueError, match="n_banks"):
+        SystemConfig(name="x", n_banks=0)
 
 
 def test_cell_type_knob():
@@ -92,6 +95,6 @@ def test_cell_type_round_trips_through_json():
     import dataclasses
     import json
 
-    config = comp_wf(cell_type="mlc")
+    config = comp_wf(cell_type="mlc", n_banks=4)
     payload = json.loads(json.dumps(dataclasses.asdict(config)))
     assert SystemConfig(**payload) == config

@@ -72,10 +72,8 @@ def test_identity_encoder_replays_the_golden_trace(golden, system):
 
 
 def test_identity_encoder_survives_lockstep_validation():
-    config = resolve_config("comp_wf", correction_scheme="ecp6")
-    validating = ValidatingController(
-        config, 16, endurance_mean=24.0, seed=6, n_banks=4,
-    )
+    config = resolve_config("comp_wf", correction_scheme="ecp6", n_banks=4)
+    validating = ValidatingController(config, 16, endurance_mean=24.0, seed=6)
     validating.fast.engine.encoder = WireEncoder(
         len(validating.fast.engine.metadata), transforms=("identity",)
     )
@@ -106,10 +104,9 @@ def test_disabled_encoding_builds_no_encoder():
                                     "comp_coset", "comp_wf_coset"])
 def test_encoded_systems_read_back_exactly(system):
     """Encoding changes stored bits, never read-back data."""
-    config = resolve_config(system, correction_scheme="ecp6")
+    config = resolve_config(system, correction_scheme="ecp6", n_banks=4)
     controller = CompressedPCMController(
-        config, 16, EnduranceModel(mean=10**6),
-        np.random.default_rng(1), n_banks=4,
+        config, 16, EnduranceModel(mean=10**6), np.random.default_rng(1),
     )
     rng = np.random.default_rng(2)
     written = {}

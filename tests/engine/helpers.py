@@ -19,11 +19,10 @@ N_LINES = 40
 
 def make_controller(config, endurance_mean=70.0, seed=11):
     return CompressedPCMController(
-        config=config,
+        config=config.with_overrides(n_banks=4),
         n_lines=N_LINES,
         endurance_model=EnduranceModel(mean=endurance_mean, cov=0.25),
         rng=np.random.default_rng(seed),
-        n_banks=4,
     )
 
 

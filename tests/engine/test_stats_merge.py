@@ -80,8 +80,8 @@ class TestShardSumsAreExact:
         stream = self._stream(lines, 900, seed)
 
         fleet = ShardedController(
-            comp_wf(), lines, shards=shards,
-            endurance_mean=40.0, endurance_cov=0.2, seed=seed, n_banks=4,
+            comp_wf(n_banks=4), lines, shards=shards,
+            endurance_mean=40.0, endurance_cov=0.2, seed=seed,
         )
         for line, data in stream:
             fleet.write(line, data)
@@ -90,9 +90,9 @@ class TestShardSumsAreExact:
         # replaying only its routed sub-stream in local coordinates.
         independent = [
             ShardedController(
-                comp_wf(), fleet.shard_map.lines_of(shard), shards=1,
+                comp_wf(n_banks=4), fleet.shard_map.lines_of(shard), shards=1,
                 endurance_mean=40.0, endurance_cov=0.2,
-                seed=shard_seed, n_banks=4,
+                seed=shard_seed,
             )
             for shard, shard_seed in enumerate(
                 fleet.shard_map.shard_seeds(seed)
@@ -113,8 +113,8 @@ class TestShardSumsAreExact:
     def test_fleet_invariants_survive_aggregation(self):
         lines, seed = 40, 3
         fleet = ShardedController(
-            comp_wf(), lines, shards=4,
-            endurance_mean=32.0, endurance_cov=0.2, seed=seed, n_banks=4,
+            comp_wf(n_banks=4), lines, shards=4,
+            endurance_mean=32.0, endurance_cov=0.2, seed=seed,
         )
         fleet.write_batch(self._stream(lines, 600, seed))
         merged = fleet.stats

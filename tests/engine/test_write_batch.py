@@ -103,11 +103,10 @@ def test_write_batch_with_invariants_falls_back_to_serial():
     through the fully serial path -- and still match its results."""
     config = resolve_config("comp_wf")
     checked = CompressedPCMController(
-        config=config,
+        config=config.with_overrides(n_banks=4),
         n_lines=N_LINES,
         endurance_model=EnduranceModel(mean=70.0, cov=0.25),
         rng=np.random.default_rng(11),
-        n_banks=4,
         invariants=default_invariants(),
     )
     plain = make_controller(config)

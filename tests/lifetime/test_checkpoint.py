@@ -172,7 +172,7 @@ class TestBatchedResume:
         checkpoint = read_checkpoint(
             latest_checkpoint(tmp_path / "interrupted")
         )
-        assert checkpoint.version == CHECKPOINT_VERSION == 3
+        assert checkpoint.version == CHECKPOINT_VERSION == 4
         checkpoint.controller.scheduler.__dict__[retired] = None
         path = write_checkpoint(checkpoint, tmp_path / "older")
         reloaded = read_checkpoint(path)
@@ -195,16 +195,17 @@ class TestVersionCompatibility:
 
         checkpoint = self._checkpoint_from_run(tmp_path)
         assert checkpoint.version == CHECKPOINT_VERSION
-        assert checkpoint.tier_lines == 0
+        assert checkpoint.controller.config.tier_lines == 0
 
     def test_version1_checkpoint_without_tier_field_still_resumes(
         self, tmp_path
     ):
-        """Pre-tier snapshots (version 1, no ``tier_lines`` attribute)
-        must keep loading and resuming as the tier-less runs they were."""
+        """Pre-tier snapshots (version 1, a pickled config without
+        ``tier_lines``) must keep loading and resuming as the tier-less
+        runs they were."""
         checkpoint = self._checkpoint_from_run(tmp_path)
         stale = Checkpoint(**{**checkpoint.__dict__, "version": 1})
-        del stale.__dict__["tier_lines"]  # the attribute predates v2
+        del vars(stale.controller.config)["tier_lines"]  # the knob predates v2
         path = write_checkpoint(stale, tmp_path / "v1")
         reloaded = read_checkpoint(path)
         assert reloaded.version == 1
@@ -300,7 +301,7 @@ class TestBackendIdentity:
         simulator.run(max_writes=600, checkpoint_dir=tmp_path,
                       checkpoint_interval=500)
         checkpoint = read_checkpoint(latest_checkpoint(tmp_path))
-        assert checkpoint.wl_backend == "wolfram"
+        assert checkpoint.controller.config.wl_backend == "wolfram"
 
     def test_restore_refuses_a_checkpoint_from_another_backend(self, tmp_path):
         """A WoLFRaM run and a Start-Gap run of one system are different
@@ -341,7 +342,7 @@ class TestTieredCheckpoints:
                         checkpoint_interval=CHECKPOINT_EVERY)
         resume_point = latest_checkpoint(tmp_path)
         checkpoint = read_checkpoint(resume_point)
-        assert checkpoint.tier_lines == 4
+        assert checkpoint.controller.config.tier_lines == 4
         assert len(checkpoint.controller.tier) >= 0  # tier state pickled
         resumed = self.tiered_simulator().run(
             max_writes=3_000, resume_from=resume_point
@@ -526,10 +527,12 @@ class TestKnobsPickledBeforeTheyExisted:
     def test_fixture_reads_class_defaults_and_resumes(
         self, tmp_path, fixture, backend
     ):
-        """The committed fixtures predate ``cell_type``: their pickled
-        configs lack it, the dataclass default answers plain attribute
-        access, and the runs still resume.  They also pickle the bank's
-        retired fault-mode enum, which loads and is dropped."""
+        """The committed fixtures predate ``cell_type`` and ``n_banks``:
+        their pickled configs lack both, the dataclass defaults answer
+        plain attribute access, and the runs still resume.  They also
+        pickle the bank's retired fault-mode enum, which loads and is
+        dropped, and the record fields version 4 dropped, which stay
+        unread."""
         raw = gzip.decompress(fixture.read_bytes())
         assert b"FaultMode" in raw
         path = tmp_path / "checkpoint-000000000500.pkl"
@@ -539,6 +542,8 @@ class TestKnobsPickledBeforeTheyExisted:
         config = checkpoint.controller.config
         assert "cell_type" not in vars(config)
         assert config.cell_type == "slc"
+        assert "n_banks" not in vars(config)
+        assert config.n_banks == 8
         assert config.wl_backend == backend
         settings = dict(wl_backend=backend, **V2_SETTINGS)
         golden = build_simulator("comp_wf", "milc", **settings).run(
@@ -559,3 +564,12 @@ class TestCellIdentity:
         mlc = build_simulator("comp_wf", "milc", cell_type="mlc", **SMALL)
         with pytest.raises(ValueError, match="cell_type"):
             mlc.restore(latest_checkpoint(tmp_path))
+
+    def test_restore_refuses_a_checkpoint_from_other_banks(self, tmp_path):
+        """A 4-bank run rotates its windows on other counters than the
+        8-bank run of the same system."""
+        build_simulator("comp_wf", "milc", n_banks=4, **SMALL).run(
+            max_writes=600, checkpoint_dir=tmp_path, checkpoint_interval=500
+        )
+        with pytest.raises(ValueError, match="n_banks"):
+            small_simulator().restore(latest_checkpoint(tmp_path))

@@ -13,9 +13,9 @@ from repro.traces import SyntheticWorkload, get_profile
 
 def _run(lines, seed, writes=1500):
     simulator = LifetimeSimulator(
-        comp_wf(),
+        comp_wf(n_banks=4),
         SyntheticWorkload(get_profile("mcf"), n_lines=lines, seed=seed),
-        n_lines=lines, endurance_mean=24.0, seed=seed, n_banks=4,
+        n_lines=lines, endurance_mean=24.0, seed=seed,
     )
     return simulator.run(max_writes=writes)
 

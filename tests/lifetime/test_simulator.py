@@ -77,36 +77,10 @@ def test_empty_trace_rejected():
         simulator.run(max_writes=10)
 
 
-def test_rng_with_seed_rejected():
-    """An explicit rng= would silently ignore a non-default seed=."""
-    import numpy as np
-
-    generator = SyntheticWorkload(get_profile("milc"), n_lines=4, seed=0)
-    with pytest.raises(ValueError, match="rng"):
-        LifetimeSimulator(
-            config=baseline(), source=generator, n_lines=4,
-            endurance_mean=10, seed=3, rng=np.random.default_rng(3),
-        )
-    # rng with the default seed is fine: nothing is being ignored.
-    LifetimeSimulator(
-        config=baseline(), source=generator, n_lines=4,
-        endurance_mean=10, rng=np.random.default_rng(3),
-    )
-
-
 def test_bad_source_type_rejected():
     with pytest.raises(TypeError):
         LifetimeSimulator(
             config=baseline(), source=None, n_lines=4, endurance_mean=10
-        )
-
-
-def test_threshold_validation():
-    generator = SyntheticWorkload(get_profile("milc"), n_lines=4, seed=0)
-    with pytest.raises(ValueError):
-        LifetimeSimulator(
-            config=baseline(), source=generator, n_lines=4,
-            endurance_mean=10, dead_threshold=0.0,
         )
 
 

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.pcm import (
-    BLOCK_BITS,
-    EnduranceModel,
-    PCMBankArray,
-    bytes_to_bits,
-)
+from repro.core.window import place_bytes
+from repro.pcm import EnduranceModel, PCMBankArray
 
 
 @pytest.fixture()
@@ -56,9 +52,9 @@ def test_total_programmed_flips(bank):
 
 
 def test_update_mask(bank):
-    mask = np.zeros(BLOCK_BITS, dtype=bool)
-    mask[8:16] = True
-    bank.write(1, bytes_to_bits(b"\xff\xff" + bytes(62)), update_mask=mask)
+    """A one-byte window overlaid on the stored row changes that byte only."""
+    bank.write_bytes(1, b"\x00\x00" + bytes(62))
+    bank.write(1, place_bytes(bank.stored[1], b"\xff", 1))
     assert bank.read_bytes(1) == b"\x00\xff" + bytes(62)
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.window import place_bytes, window_mask
 from repro.pcm import (
     BLOCK_BITS,
     EnduranceModel,
+    MLCBankArray,
     PCMBankArray,
     PCMCell,
     bytes_to_bits,
@@ -68,11 +70,11 @@ def test_cells_wear_out_and_stick():
 
 
 def test_update_mask_limits_programming():
+    """Only the window's cells are programmed when the target is an
+    overlay on the stored row."""
     block = uniform_block()
     block.write_bytes(0, bytes(64))
-    mask = np.zeros(BLOCK_BITS, dtype=bool)
-    mask[:8] = True  # only byte 0 may change
-    outcome = block.write(0, bytes_to_bits(b"\xff" * 64), update_mask=mask)
+    outcome = block.write(0, place_bytes(block.stored[0], b"\xff", 0))
     assert outcome.programmed_flips == 8
     assert block.read_bytes(0) == b"\xff" + bytes(63)
 
@@ -81,12 +83,40 @@ def test_update_mask_suppresses_outside_errors():
     block = uniform_block(endurance=1)
     block.write_bytes(0, b"\xff" * 64)  # wears out all 512 cells, stuck at 1
     assert block.fault_count(0) == BLOCK_BITS
-    mask = np.zeros(BLOCK_BITS, dtype=bool)
-    mask[:8] = True
-    # 0x55 wants bits 1,3,5,7 at 0; those cells are stuck at 1.  Errors
-    # outside the masked byte are not reported.
-    outcome = block.write(0, bytes_to_bits(b"\x55" * 64), update_mask=mask)
+    # 0x55 wants bits 1,3,5,7 at 0; those cells are stuck at 1.  Outside
+    # byte 0 the overlay asks for the stuck value, so no error is reported.
+    outcome = block.write(0, place_bytes(block.stored[0], b"\x55", 0))
     assert set(outcome.error_positions) == {1, 3, 5, 7}
+
+
+@pytest.mark.parametrize(
+    "bank_class", [PCMBankArray, MLCBankArray], ids=["slc", "mlc"]
+)
+@given(
+    history=st.lists(st.binary(min_size=64, max_size=64), max_size=4),
+    start=st.integers(0, 63),
+    payload=st.binary(min_size=1, max_size=64),
+)
+@settings(deadline=None, max_examples=60)
+def test_window_overlay_leaves_cells_outside_the_window_alone(
+    bank_class, history, start, payload
+):
+    """A windowed write programs its payload overlaid on the stored
+    cells (the engine's program step), so no cell outside the window
+    (which may wrap around the line end) changes, wears or reports an
+    error, stuck cells included: endurance 2 wears cells out within the
+    history."""
+    bank = bank_class(1, EnduranceModel(mean=2, cov=0.0), np.random.default_rng(0))
+    for line in history:
+        bank.write_bytes(0, line)
+    stored, counts = bank.stored[0].copy(), bank.counts[0].copy()
+    outside = ~window_mask(start, len(payload))
+    outcome = bank.write(0, place_bytes(stored, payload, start))
+    assert not outside[outcome.error_positions].any()
+    np.testing.assert_array_equal(bank.stored[0][outside], stored[outside])
+    # MLC counts are per 2-bit cell; byte windows never split a cell.
+    cells_outside = outside[:: BLOCK_BITS // len(counts)]
+    np.testing.assert_array_equal(bank.counts[0][cells_outside], counts[cells_outside])
 
 
 def test_fresh_samples_from_model():

@@ -9,7 +9,6 @@ from repro.pcm import (
     EnduranceModel,
     MLCBankArray,
     PCMBankArray,
-    bytes_to_bits,
 )
 
 
@@ -62,14 +61,6 @@ def test_cell_death_pins_both_bits():
     outcome = bank.write_bytes(0, bytes(64))
     assert set(outcome.error_positions) == {0, 1}
     assert bank.read_bytes(0) == three
-
-
-def test_update_mask_respected():
-    bank = make_bank()
-    mask = np.zeros(BLOCK_BITS, dtype=bool)
-    mask[:16] = True  # bytes 0-1 only
-    bank.write(0, bytes_to_bits(b"\xff" * 64), update_mask=mask)
-    assert bank.read_bytes(0) == b"\xff\xff" + bytes(62)
 
 
 def test_mlc_wears_twice_as_fast_as_slc_per_capacity():

@@ -38,9 +38,8 @@ from repro.service import (
 )
 
 LINES = 48
-SERVICE_KWARGS = dict(
-    endurance_mean=40.0, endurance_cov=0.2, seed=13, n_banks=4,
-)
+CONFIG = comp_wf(n_banks=4)
+SERVICE_KWARGS = dict(endurance_mean=40.0, endurance_cov=0.2, seed=13)
 
 
 def _stream(count, seed=13, profile="memcached"):
@@ -55,7 +54,7 @@ def _reference(stream, shards, chunk=None):
     scheduler's wave telemetry depends on segment boundaries, and the
     bit-equality gates below include it -- same chunking, same waves.
     """
-    fleet = ShardedController(comp_wf(), LINES, shards=shards, **SERVICE_KWARGS)
+    fleet = ShardedController(CONFIG, LINES, shards=shards, **SERVICE_KWARGS)
     if chunk is None:
         fleet.write_batch(stream)
     else:
@@ -68,7 +67,7 @@ def test_service_matches_in_process_fleet(tmp_path):
     stream = _stream(600)
     reference = _reference(stream, shards=3, chunk=64)
     with MemoryService(
-        comp_wf(), LINES, shards=3, telemetry_dir=str(tmp_path),
+        CONFIG, LINES, shards=3, telemetry_dir=str(tmp_path),
         heartbeat_interval=100, fleet_interval=200, **SERVICE_KWARGS,
     ) as service:
         for start in range(0, len(stream), 64):
@@ -91,7 +90,7 @@ def test_service_matches_in_process_fleet(tmp_path):
 def test_one_shard_service_matches_monolithic_reference(tmp_path):
     stream = _stream(300)
     reference = _reference(stream, shards=1)
-    with MemoryService(comp_wf(), LINES, shards=1, **SERVICE_KWARGS) as service:
+    with MemoryService(CONFIG, LINES, shards=1, **SERVICE_KWARGS) as service:
         service.submit(stream)
         result = service.stop()
     assert result.stats == reference.stats
@@ -100,7 +99,7 @@ def test_one_shard_service_matches_monolithic_reference(tmp_path):
 def test_telemetry_streams_follow_the_jsonl_conventions(tmp_path):
     stream = _stream(500)
     with MemoryService(
-        comp_wf(), LINES, shards=2, telemetry_dir=str(tmp_path),
+        CONFIG, LINES, shards=2, telemetry_dir=str(tmp_path),
         heartbeat_interval=100, fleet_interval=100, **SERVICE_KWARGS,
     ) as service:
         for start in range(0, len(stream), 50):
@@ -143,7 +142,7 @@ def test_every_counter_reaches_the_service_streams(tmp_path):
     fields = {f.name for f in dataclasses.fields(ControllerStats)}
     stream = _stream(400)
     with MemoryService(
-        comp_wf(), LINES, shards=2, telemetry_dir=str(tmp_path),
+        CONFIG, LINES, shards=2, telemetry_dir=str(tmp_path),
         heartbeat_interval=100, fleet_interval=100, **SERVICE_KWARGS,
     ) as service:
         for start in range(0, len(stream), 50):
@@ -174,7 +173,7 @@ def test_every_counter_reaches_the_service_streams(tmp_path):
 
 def test_malformed_submit_is_rejected_before_it_reaches_a_shard():
     stream = _stream(200)
-    with MemoryService(comp_wf(), LINES, shards=2, **SERVICE_KWARGS) as service:
+    with MemoryService(CONFIG, LINES, shards=2, **SERVICE_KWARGS) as service:
         service.submit(stream[:100])
         with pytest.raises(ValueError, match="64 bytes"):
             service.submit(stream[100:110] + [(3, b"short")])
@@ -200,7 +199,7 @@ def test_sigterm_kill_recovers_bit_identically(tmp_path):
     reference = _reference(stream, shards=4, chunk=50)
     victim = 2
     with MemoryService(
-        comp_wf(), LINES, shards=4, telemetry_dir=str(tmp_path),
+        CONFIG, LINES, shards=4, telemetry_dir=str(tmp_path),
         heartbeat_interval=250, fleet_interval=250, **SERVICE_KWARGS,
     ) as service:
         half = len(stream) // 2
@@ -249,7 +248,7 @@ def test_long_history_replays_one_batch_at_a_time(tmp_path):
     """
     stream = _stream(3_200)
     reference = _reference(stream, shards=1, chunk=1)
-    service = MemoryService(comp_wf(), LINES, shards=1, **SERVICE_KWARGS)
+    service = MemoryService(CONFIG, LINES, shards=1, **SERVICE_KWARGS)
     service.start()
     outcome = {}
 
@@ -288,7 +287,7 @@ def test_submit_right_after_a_sigkill_recovers(monkeypatch):
     """
     stream = _stream(200)
     reference = _reference(stream, shards=2, chunk=100)
-    with MemoryService(comp_wf(), LINES, shards=2, **SERVICE_KWARGS) as service:
+    with MemoryService(CONFIG, LINES, shards=2, **SERVICE_KWARGS) as service:
         service.submit(stream[:100])
         _kill_and_wait(service, 1, signal.SIGKILL)
         monkeypatch.setattr(service._workers[1], "is_alive", lambda: True)
@@ -305,7 +304,7 @@ def test_submit_right_after_a_sigkill_recovers(monkeypatch):
 def test_retry_budget_exhaustion_raises_service_error():
     stream = _stream(200)
     service = MemoryService(
-        comp_wf(), LINES, shards=2, retries=0, **SERVICE_KWARGS,
+        CONFIG, LINES, shards=2, retries=0, **SERVICE_KWARGS,
     )
     service.start()
     try:
@@ -359,7 +358,7 @@ def test_worker_death_mid_read_or_snapshot_re_sends_it(tmp_path, monkeypatch):
         )),
     )
     with MemoryService(
-        comp_wf(), LINES, shards=2, worker_timeout=6, **SERVICE_KWARGS,
+        CONFIG, LINES, shards=2, worker_timeout=6, **SERVICE_KWARGS,
     ) as service:
         service.submit(stream)
         started = time.monotonic()
@@ -376,7 +375,7 @@ def test_worker_death_mid_read_or_snapshot_re_sends_it(tmp_path, monkeypatch):
 def _host_service(pids) -> None:
     """Child-process body: start a 2-shard service, report the worker
     pids, then idle until killed."""
-    service = MemoryService(comp_wf(), LINES, shards=2, **SERVICE_KWARGS)
+    service = MemoryService(CONFIG, LINES, shards=2, **SERVICE_KWARGS)
     service.start()
     pids.send([service.worker_pid(shard) for shard in range(2)])
     time.sleep(60)
@@ -423,9 +422,9 @@ def test_workers_exit_when_the_service_process_is_killed():
 
 def test_run_workload_drives_either_front_end():
     requests = 300
-    reference = ShardedController(comp_wf(), LINES, shards=2, **SERVICE_KWARGS)
+    reference = ShardedController(CONFIG, LINES, shards=2, **SERVICE_KWARGS)
     run_workload(reference, "nginx", requests, batch=32, seed=5)
-    with MemoryService(comp_wf(), LINES, shards=2, **SERVICE_KWARGS) as service:
+    with MemoryService(CONFIG, LINES, shards=2, **SERVICE_KWARGS) as service:
         run_workload(service, "nginx", requests, batch=32, seed=5)
         result = service.stop()
     assert result.requests_routed == requests
@@ -446,7 +445,7 @@ def test_workers_clear_window_caches_across_shard_restarts(tmp_path):
     stream = _stream(200)
     reference_stats = _reference(stream, shards=2, chunk=100).stats
     window.clear_window_caches()
-    with MemoryService(comp_wf(), LINES, shards=2, **SERVICE_KWARGS) as service:
+    with MemoryService(CONFIG, LINES, shards=2, **SERVICE_KWARGS) as service:
         service.submit(stream[:100])
         _kill_and_wait(service, 0)
         service.submit(stream[100:])
@@ -474,8 +473,8 @@ def test_workers_clear_window_caches_across_shard_restarts(tmp_path):
     replies_in, replies = ctx.Pipe(duplex=False)
     leftovers_in, leftovers = ctx.Pipe(duplex=False)
     spec = ShardSpec(
-        index=0, config=comp_wf(), start=0, stop=16,
-        endurance_mean=40.0, endurance_cov=0.2, seed=3, n_banks=4,
+        index=0, config=CONFIG, start=0, stop=16,
+        endurance_mean=40.0, endurance_cov=0.2, seed=3,
         telemetry_dir=None, heartbeat_interval=100,
     )
     in_range = [(line, data) for line, data in stream if line < 16]

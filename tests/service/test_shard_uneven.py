@@ -52,10 +52,11 @@ def test_uneven_worn_fleet_with_remaps_merges_cleanly(wl_backend):
         spare_line_fraction=0.2,
         start_gap_psi=3,
         wl_backend=wl_backend,
+        n_banks=4,
     )
     fleet = ShardedController(
         config, lines, shards=shards,
-        endurance_mean=20.0, endurance_cov=0.25, seed=seed, n_banks=4,
+        endurance_mean=20.0, endurance_cov=0.25, seed=seed,
     )
     stream = make_stream("memcached", lines, seed)
     for request in stream.iter_requests(3000):

@@ -76,16 +76,16 @@ def test_k_shards_equal_k_independent_runs():
     stream = _request_stream(lines, 1200, seed)
 
     fleet = ShardedController(
-        comp_wf(), lines, shards=shards,
-        endurance_mean=48.0, endurance_cov=0.2, seed=seed, n_banks=4,
+        comp_wf(n_banks=4), lines, shards=shards,
+        endurance_mean=48.0, endurance_cov=0.2, seed=seed,
     )
     fleet_results = [fleet.write(line, data) for line, data in stream]
 
     independent = [
         ShardedController(
-            comp_wf(), fleet.shard_map.lines_of(shard), shards=1,
+            comp_wf(n_banks=4), fleet.shard_map.lines_of(shard), shards=1,
             endurance_mean=48.0, endurance_cov=0.2,
-            seed=shard_seed, n_banks=4,
+            seed=shard_seed,
         )
         for shard, shard_seed in enumerate(fleet.shard_map.shard_seeds(seed))
     ]
@@ -129,7 +129,6 @@ def test_tiered_uneven_shards_equal_independent_hybrid_controllers():
                 EnduranceModel(mean=6.0, cov=0.15),
                 np.random.default_rng(shard_seed),
             ),
-            tier,
         )
         for shard, shard_seed in enumerate(shard_map.shard_seeds(seed))
     ]
@@ -158,12 +157,12 @@ def test_serial_and_batched_routing_agree():
     lines, seed = 48, 21
     stream = _request_stream(lines, 800, seed)
     serial = ShardedController(
-        comp_wf(), lines, shards=3,
-        endurance_mean=40.0, endurance_cov=0.2, seed=seed, n_banks=4,
+        comp_wf(n_banks=4), lines, shards=3,
+        endurance_mean=40.0, endurance_cov=0.2, seed=seed,
     )
     batched = ShardedController(
-        comp_wf(), lines, shards=3,
-        endurance_mean=40.0, endurance_cov=0.2, seed=seed, n_banks=4,
+        comp_wf(n_banks=4), lines, shards=3,
+        endurance_mean=40.0, endurance_cov=0.2, seed=seed,
     )
     serial_results = [serial.write(line, data) for line, data in stream]
     batched_results = []
@@ -178,7 +177,7 @@ def test_serial_and_batched_routing_agree():
 
 def test_write_batch_accepts_a_generator():
     fleet = ShardedController(
-        comp_wf(), 16, shards=2, endurance_mean=32.0, seed=1, n_banks=4,
+        comp_wf(n_banks=4), 16, shards=2, endurance_mean=32.0, seed=1,
     )
     stream = _request_stream(16, 40, 1)
     results = fleet.write_batch(pair for pair in stream)
@@ -187,7 +186,7 @@ def test_write_batch_accepts_a_generator():
 
 
 def test_routing_rejects_out_of_space_lines():
-    fleet = ShardedController(comp_wf(), 16, shards=2, n_banks=4)
+    fleet = ShardedController(comp_wf(n_banks=4), 16, shards=2)
     with pytest.raises(IndexError):
         fleet.write(16, bytes(64))
     with pytest.raises(IndexError):

@@ -83,7 +83,7 @@ def test_nginx_mixes_log_appends_with_object_writes():
 
 
 def test_run_workload_validates_arguments():
-    fleet = ShardedController(comp_wf(), 16, shards=2, n_banks=4)
+    fleet = ShardedController(comp_wf(n_banks=4), 16, shards=2)
     with pytest.raises(ValueError, match="negative"):
         run_workload(fleet, "monotonic", -1)
     with pytest.raises(ValueError, match="batch"):
@@ -94,6 +94,6 @@ def test_run_workload_validates_arguments():
 
 
 def test_run_workload_delivers_exactly_the_requested_count():
-    fleet = ShardedController(comp_wf(), 24, shards=3, n_banks=4)
+    fleet = ShardedController(comp_wf(n_banks=4), 24, shards=3)
     run_workload(fleet, "memcached", 157, batch=50, seed=1)
     assert fleet.stats.demand_writes == 157

@@ -16,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.window import LINE_BYTES
-from repro.tier import HybridController
 
-from tests.tier.test_tier import build_controller
+from tests.tier.test_tier import build_hybrid
 
 N_LINES = 16
 
@@ -61,8 +60,8 @@ def _snapshot(hybrid):
 @given(batches=batches, capacity=st.integers(1, 4))
 @settings(deadline=None, max_examples=40)
 def test_batched_probe_matches_per_request_writes(batches, capacity):
-    batched = HybridController(build_controller(seed=3), capacity)
-    serial = HybridController(build_controller(seed=3), capacity)
+    batched = build_hybrid(capacity, seed=3)
+    serial = build_hybrid(capacity, seed=3)
     for batch in batches:
         results = batched.write_batch(batch)
         assert results == [serial.write(line, data) for line, data in batch]
@@ -88,8 +87,8 @@ def test_one_batch_coalesces_evicts_and_rewrites_an_evicted_line():
         (5, VOCABULARY[0]),     # write-through
         (6, noisy[3]),          # line 2's content: dedup hit
     ]
-    batched = HybridController(build_controller(seed=4), 2)
-    serial = HybridController(build_controller(seed=4), 2)
+    batched = build_hybrid(2, seed=4)
+    serial = build_hybrid(2, seed=4)
     for hybrid in (batched, serial):
         hybrid.write(0, noisy[0])
     assert batched.write_batch(batch) == [

@@ -19,9 +19,7 @@ from repro.tier import HybridController
 from repro.validate.fuzz import run_fuzz
 
 LINES = 48
-FLEET_KWARGS = dict(
-    endurance_mean=500.0, endurance_cov=0.1, seed=13, n_banks=4,
-)
+FLEET_KWARGS = dict(endurance_mean=500.0, endurance_cov=0.1, seed=13)
 
 
 def _stream(count, seed=13, profile="memcached"):
@@ -32,7 +30,7 @@ def _stream(count, seed=13, profile="memcached"):
 class TestShardedFleet:
     def test_each_shard_gets_its_own_tier(self):
         fleet = ShardedController(
-            comp_wf(tier_lines=4), LINES, shards=3, **FLEET_KWARGS
+            comp_wf(tier_lines=4, n_banks=4), LINES, shards=3, **FLEET_KWARGS
         )
         assert all(
             isinstance(controller, HybridController)
@@ -41,7 +39,7 @@ class TestShardedFleet:
 
     def test_tiered_fleet_conserves_every_write(self):
         fleet = ShardedController(
-            comp_wf(tier_lines=4), LINES, shards=3, **FLEET_KWARGS
+            comp_wf(tier_lines=4, n_banks=4), LINES, shards=3, **FLEET_KWARGS
         )
         stream = _stream(1500)
         fleet.write_batch(stream)
@@ -65,17 +63,17 @@ class TestShardedFleet:
         assert fleet.stats.demand_writes <= len(stream)
 
     def test_config_tier_lines_fronts_every_shard(self):
-        hybrid = resolve_config("comp_wf_hybrid")
+        hybrid = resolve_config("comp_wf_hybrid", n_banks=4)
         fleet = ShardedController(hybrid, LINES, shards=2, **FLEET_KWARGS)
         assert [c.tier_lines for c in fleet.controllers] == [16, 16]
         # An overridden capacity replaces the system's, 0 included.
         small = ShardedController(
-            resolve_config("comp_wf_hybrid", tier_lines=4), LINES,
+            resolve_config("comp_wf_hybrid", tier_lines=4, n_banks=4), LINES,
             shards=2, **FLEET_KWARGS,
         )
         assert [c.tier_lines for c in small.controllers] == [4, 4]
         bare = ShardedController(
-            resolve_config("comp_wf_hybrid", tier_lines=0), LINES,
+            resolve_config("comp_wf_hybrid", tier_lines=0, n_banks=4), LINES,
             shards=2, **FLEET_KWARGS,
         )
         assert not any(
@@ -83,17 +81,17 @@ class TestShardedFleet:
         )
 
     def test_flush_tiers_is_a_noop_on_a_bare_fleet(self):
-        fleet = ShardedController(comp_wf(), LINES, shards=2, **FLEET_KWARGS)
+        fleet = ShardedController(comp_wf(n_banks=4), LINES, shards=2, **FLEET_KWARGS)
         fleet.write_batch(_stream(50))
         assert fleet.flush_tiers() == 0
 
     def test_capacity_zero_fleet_matches_bare_fleet(self):
         stream = _stream(1500)
-        bare = ShardedController(comp_wf(), LINES, shards=2, **FLEET_KWARGS)
+        bare = ShardedController(comp_wf(n_banks=4), LINES, shards=2, **FLEET_KWARGS)
         # comp_wf_hybrid is comp_wf plus a 16-line tier: overridden to
         # 0 lines it must run exactly the bare fleet.
         zero = ShardedController(
-            resolve_config("comp_wf_hybrid", tier_lines=0), LINES,
+            resolve_config("comp_wf_hybrid", tier_lines=0, n_banks=4), LINES,
             shards=2, **FLEET_KWARGS,
         )
         bare.write_batch(stream)
@@ -104,7 +102,7 @@ class TestShardedFleet:
 
     def test_fleet_stats_aggregate_tier_counters(self):
         fleet = ShardedController(
-            comp_wf(tier_lines=4), LINES, shards=2, **FLEET_KWARGS
+            comp_wf(tier_lines=4, n_banks=4), LINES, shards=2, **FLEET_KWARGS
         )
         fleet.write_batch(_stream(400))
         stats = fleet.stats
@@ -118,12 +116,12 @@ class TestMemoryService:
     def test_service_with_tiers_matches_the_inprocess_fleet(self):
         stream = _stream(300)
         reference = ShardedController(
-            comp_wf(tier_lines=4), LINES, shards=2, **FLEET_KWARGS
+            comp_wf(tier_lines=4, n_banks=4), LINES, shards=2, **FLEET_KWARGS
         )
         reference.write_batch(stream)
         # The service's tier_lines keyword overrides the config's.
         with MemoryService(
-            comp_wf(), LINES, shards=2, tier_lines=4, **FLEET_KWARGS
+            comp_wf(n_banks=4), LINES, shards=2, tier_lines=4, **FLEET_KWARGS
         ) as service:
             service.submit(stream)
             for line in range(LINES):
@@ -133,7 +131,7 @@ class TestMemoryService:
 
 
     def test_config_tier_lines_reaches_every_worker(self):
-        hybrid = resolve_config("comp_wf_hybrid")
+        hybrid = resolve_config("comp_wf_hybrid", n_banks=4)
         stream = _stream(300)
         reference = ShardedController(hybrid, LINES, shards=2, **FLEET_KWARGS)
         reference.write_batch(stream)
@@ -160,8 +158,8 @@ class TestFuzzWithTier:
         built = []
 
         class RecordingHybrid(repro.tier.HybridController):
-            def __init__(self, inner, tier_lines, *args, **kwargs):
-                super().__init__(inner, tier_lines, *args, **kwargs)
+            def __init__(self, inner):
+                super().__init__(inner)
                 built.append(self)
 
         monkeypatch.setattr(repro.tier, "HybridController", RecordingHybrid)

@@ -60,16 +60,16 @@ steps = st.lists(
 def build_hybrid(encoding: str, tier_lines: int) -> HybridController:
     """A tiered controller with a small cache, so the LRU evicts."""
     config = resolve_config(
-        "comp_wf", encoding=encoding, compression_cache_lines=6
+        "comp_wf", encoding=encoding, compression_cache_lines=6,
+        tier_lines=tier_lines, n_banks=4,
     )
     controller = CompressedPCMController(
         config=config,
         n_lines=N_LINES,
         endurance_model=EnduranceModel(mean=1e6, cov=0.1),
         rng=np.random.default_rng(5),
-        n_banks=4,
     )
-    return HybridController(controller, tier_lines)
+    return HybridController(controller)
 
 
 def without_handoff():
@@ -219,9 +219,10 @@ def test_lockstep_tier_probes_with_the_fast_controllers_compressor():
     from repro.validate import ValidatingController
 
     validating = ValidatingController(
-        resolve_config("comp_wf"), N_LINES, endurance_mean=1e6, seed=2
+        resolve_config("comp_wf", tier_lines=2), N_LINES, endurance_mean=1e6,
+        seed=2,
     )
-    hybrid = HybridController(validating, 2)
+    hybrid = HybridController(validating)
     assert hybrid.tier.compressor is validating.fast.compressor.inner
     hybrid.write_batch([(0, NOISY[0]), (1, NOISY[1]), (2, NOISY[2]),
                         (3, VOCABULARY[0])])

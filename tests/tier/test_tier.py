@@ -4,8 +4,8 @@ Unit tests pin the :class:`~repro.tier.DramTier` policy surface
 (admission by compressibility, LRU eviction over unique contents,
 coalescing, refcounted dedup) and the :class:`~repro.tier.HybridController`
 facade semantics; property tests assert the load-bearing invariants --
-the tier never loses a write, dedup never aliases lines, and capacity 0
-is bit-identical to no tier at all -- over random traces.
+the tier never loses a write and dedup never aliases lines -- over
+random traces.
 """
 
 from __future__ import annotations
@@ -45,14 +45,20 @@ def noise(seed):
     return bytes(rng.integers(0, 256, LINE_BYTES, dtype=np.uint8))
 
 
-def build_controller(seed=7, n_lines=16, endurance=1e6):
+def build_controller(seed=7, n_lines=16, endurance=1e6, tier_lines=0):
     """A real PCM controller that will not die within a short test."""
     return CompressedPCMController(
-        config=comp_wf(),
+        config=comp_wf(n_banks=4, tier_lines=tier_lines),
         n_lines=n_lines,
         endurance_model=EnduranceModel(mean=endurance, cov=0.1),
         rng=np.random.default_rng(seed),
-        n_banks=4,
+    )
+
+
+def build_hybrid(tier_lines, seed=7, n_lines=16):
+    """``build_controller`` behind its config's DRAM tier."""
+    return HybridController(
+        build_controller(seed=seed, n_lines=n_lines, tier_lines=tier_lines)
     )
 
 
@@ -68,19 +74,11 @@ trace = st.lists(
 
 class TestDramTierPolicy:
     def test_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            DramTier(-1, PROBE)
-        with pytest.raises(ValueError, match="threshold"):
-            DramTier(4, PROBE, admit_threshold=0)
-        with pytest.raises(ValueError, match="threshold"):
-            DramTier(4, PROBE, admit_threshold=LINE_BYTES + 1)
-
-    def test_capacity_zero_passes_everything_through(self):
-        tier = DramTier(0, PROBE)
-        ops = []
-        assert tier.write(3, INCOMPRESSIBLE, ops) is None
-        assert ops == [(3, INCOMPRESSIBLE)]
-        assert len(tier) == 0 and tier.stats.tier_pcm_writes_avoided == 0
+        """A tier holds at least one line; ``tier_lines == 0`` means
+        no tier, so no caller builds one."""
+        for capacity in (-1, 0):
+            with pytest.raises(ValueError, match="capacity"):
+                DramTier(capacity, PROBE)
 
     def test_compressible_lines_write_through(self):
         tier = DramTier(4, PROBE)
@@ -191,14 +189,14 @@ class TestDramTierPolicy:
 
 class TestHybridControllerFacade:
     def test_rejects_short_writes_when_tiered(self):
-        hybrid = HybridController(build_controller(), 4)
+        hybrid = build_hybrid(4)
         with pytest.raises(ValueError, match="bytes"):
             hybrid.write(0, b"short")
         with pytest.raises(ValueError, match="bytes"):
             hybrid.write_batch([(0, b"short")])
 
     def test_reads_hit_dram_then_fall_through_to_pcm(self):
-        hybrid = HybridController(build_controller(), 4)
+        hybrid = build_hybrid(4)
         hybrid.write(0, COMPRESSIBLE)  # write-through: PCM only
         hybrid.write(1, INCOMPRESSIBLE)  # resident: DRAM only
         assert hybrid.read(0) == COMPRESSIBLE
@@ -206,7 +204,7 @@ class TestHybridControllerFacade:
         assert not hybrid.tier.resident(0) and hybrid.tier.resident(1)
 
     def test_flush_lands_residents_in_pcm(self):
-        hybrid = HybridController(build_controller(), 4)
+        hybrid = build_hybrid(4)
         hybrid.write(0, INCOMPRESSIBLE)
         assert hybrid.inner.read(0) != INCOMPRESSIBLE
         assert hybrid.flush() == 1
@@ -214,7 +212,7 @@ class TestHybridControllerFacade:
         assert hybrid.flush() == 0  # nothing left
 
     def test_batch_results_align_with_requests(self):
-        hybrid = HybridController(build_controller(), 4)
+        hybrid = build_hybrid(4)
         results = hybrid.write_batch([
             (0, COMPRESSIBLE),      # write-through
             (1, INCOMPRESSIBLE),    # absorbed
@@ -226,7 +224,7 @@ class TestHybridControllerFacade:
         assert results[1] is ABSORBED and results[2] is ABSORBED
 
     def test_stats_merge_tier_and_pcm_counters(self):
-        hybrid = HybridController(build_controller(), 4)
+        hybrid = build_hybrid(4)
         hybrid.write(0, COMPRESSIBLE)
         hybrid.write(1, INCOMPRESSIBLE)
         hybrid.write(1, INCOMPRESSIBLE)
@@ -238,7 +236,7 @@ class TestHybridControllerFacade:
     def test_pcm_write_accounting_balances(self):
         """Demand stream conservation before any flush:
         pcm_demand + avoided - evictions == requests issued."""
-        hybrid = HybridController(build_controller(n_lines=32), 4)
+        hybrid = build_hybrid(4, n_lines=32)
         rng = np.random.default_rng(11)
         issued = 200
         for _ in range(issued):
@@ -258,7 +256,7 @@ class TestHybridControllerFacade:
         )
 
     def test_tier_state_survives_pickling(self):
-        hybrid = HybridController(build_controller(), 4)
+        hybrid = build_hybrid(4)
         hybrid.write(0, INCOMPRESSIBLE)
         hybrid.write(1, INCOMPRESSIBLE)
         clone = pickle.loads(pickle.dumps(hybrid))
@@ -272,7 +270,7 @@ class TestHybridControllerFacade:
     def test_eviction_never_loses_data(self, ops):
         """Every line reads back its last-written content, during the
         run (DRAM or PCM) and again after a full flush (PCM only)."""
-        hybrid = HybridController(build_controller(), 3)
+        hybrid = build_hybrid(3)
         shadow = {}
         for line, data in ops:
             hybrid.write(line, data)
@@ -283,18 +281,3 @@ class TestHybridControllerFacade:
         assert len(hybrid.tier) == 0
         for line, expected in shadow.items():
             assert hybrid.inner.read(line) == expected
-
-    @given(ops=st.lists(st.tuples(st.integers(0, 15), payloads),
-                        min_size=1, max_size=60))
-    @settings(deadline=None, max_examples=15)
-    def test_capacity_zero_is_bit_identical_to_bare(self, ops):
-        bare = build_controller(seed=21)
-        hybrid = HybridController(build_controller(seed=21), 0)
-        for line, data in ops:
-            assert bare.write(line, data) == hybrid.write(line, data)
-        assert bare.stats == hybrid.stats
-        np.testing.assert_array_equal(
-            bare.memory.stored, hybrid.memory.stored
-        )
-        for line in range(16):
-            assert bare.read(line) == hybrid.read(line)

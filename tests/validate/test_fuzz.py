@@ -113,8 +113,8 @@ class TestDivergenceHandling:
         from repro.validate import ValidatingController
         from repro.engine.registry import resolve_config
 
-        config = resolve_config("comp_wf", correction_scheme="ecp6")
-        controller = ValidatingController(config, 8, seed=0, n_banks=4)
+        config = resolve_config("comp_wf", correction_scheme="ecp6", n_banks=4)
+        controller = ValidatingController(config, 8, seed=0)
         controller.write(0, bytes(64))
         recipe = controller._recipe(0, bytes(64))
         with pytest.raises(ValueError, match="does not reproduce"):

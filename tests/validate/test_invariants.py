@@ -21,10 +21,10 @@ from repro.validate import (
 
 
 def _controller(invariants=(), n_lines=16, endurance=16.0, seed=2):
-    config = resolve_config("comp_wf", correction_scheme="ecp6")
+    config = resolve_config("comp_wf", correction_scheme="ecp6", n_banks=4)
     return CompressedPCMController(
         config, n_lines, EnduranceModel(mean=endurance, cov=0.2),
-        np.random.default_rng(seed), n_banks=4, invariants=invariants,
+        np.random.default_rng(seed), invariants=invariants,
     )
 
 
@@ -97,11 +97,11 @@ class TestFlipWearConservation:
 
     def test_holds_across_rescue_and_remap_churn(self):
         config = resolve_config(
-            "comp_wf_freep", correction_scheme="ecp6"
+            "comp_wf_freep", correction_scheme="ecp6", n_banks=4
         )
         controller = CompressedPCMController(
             config, 32, EnduranceModel(mean=16.0, cov=0.2),
-            np.random.default_rng(3), n_banks=4,
+            np.random.default_rng(3),
             invariants=(FlipWearConservation(),),
         )
         _drive(controller, writes=600, seed=11)
@@ -114,10 +114,10 @@ class TestFlipWearConservation:
         # Encoder flag cells live outside the array, so attaching one
         # must not perturb the array-side conservation law.
         for system in ("comp_wf_wire", "comp_coset"):
-            config = resolve_config(system, correction_scheme="ecp6")
+            config = resolve_config(system, correction_scheme="ecp6", n_banks=4)
             controller = CompressedPCMController(
                 config, 16, EnduranceModel(mean=24.0, cov=0.2),
-                np.random.default_rng(5), n_banks=4,
+                np.random.default_rng(5),
                 invariants=(FlipWearConservation(),),
             )
             _drive(controller, writes=1500, seed=13)
@@ -133,11 +133,10 @@ class TestFlipWearConservation:
 
 class TestCheckpointRoundtrip:
     def _simulator(self):
-        config = resolve_config("comp_wf", correction_scheme="ecp6")
+        config = resolve_config("comp_wf", correction_scheme="ecp6", n_banks=4)
         workload = SyntheticWorkload(get_profile("gcc"), n_lines=12, seed=4)
         return LifetimeSimulator(
             config, workload, n_lines=12, endurance_mean=24.0, seed=4,
-            n_banks=4,
         )
 
     def test_roundtrip_passes_on_live_simulator(self, tmp_path):

@@ -23,12 +23,12 @@ from repro.validate import (
 from repro.validate.fuzz import _PayloadPalette
 
 
-def _campaign(config, *, lines=24, banks=4, endurance=16.0, seed=3,
+def _campaign(config, *, lines=24, endurance=16.0, seed=3,
               writes=800, payload_seed=5):
-    """Drive one lockstep campaign; returns the controller."""
+    """Drive one lockstep campaign on 4 banks; returns the controller."""
     controller = ValidatingController(
-        config, lines, endurance_mean=endurance, endurance_cov=0.2,
-        seed=seed, n_banks=banks,
+        config.with_overrides(n_banks=4), lines, endurance_mean=endurance,
+        endurance_cov=0.2, seed=seed,
     )
     palette = _PayloadPalette(np.random.default_rng(payload_seed), lines)
     for _ in range(writes):
@@ -69,12 +69,11 @@ class TestCleanLockstep:
         """A 4-line tier passes enough writes on for PCM to wear out, so
         the oracle checks death and revival on the post-tier stream (the
         system's own 16-line tier absorbs all but about 500 of them)."""
-        config = resolve_config("comp_wf_hybrid", tier_lines=4)
+        config = resolve_config("comp_wf_hybrid", tier_lines=4, n_banks=4)
         inner = ValidatingController(
             config, 24, endurance_mean=32.0, endurance_cov=0.2, seed=1,
-            n_banks=4,
         )
-        hybrid = HybridController(inner, config.tier_lines)
+        hybrid = HybridController(inner)
         palette = _PayloadPalette(np.random.default_rng(1), 24)
         for _ in range(5000):
             hybrid.write(*palette.next_op())
@@ -84,7 +83,7 @@ class TestCleanLockstep:
         assert stats.revivals > 0, "no dead line was revived behind the tier"
 
 
-def _batched_campaign(config, *, lines=24, banks=4, endurance=16.0, seed=3,
+def _batched_campaign(config, *, lines=24, endurance=16.0, seed=3,
                       writes=800, payload_seed=5, chunk_seed=9):
     """Drive one lockstep campaign through write_batch; returns it.
 
@@ -93,8 +92,8 @@ def _batched_campaign(config, *, lines=24, banks=4, endurance=16.0, seed=3,
     vectorized epochs.
     """
     controller = ValidatingController(
-        config, lines, endurance_mean=endurance, endurance_cov=0.2,
-        seed=seed, n_banks=banks,
+        config.with_overrides(n_banks=4), lines, endurance_mean=endurance,
+        endurance_cov=0.2, seed=seed,
     )
     palette = _PayloadPalette(np.random.default_rng(payload_seed), lines)
     chunks = np.random.default_rng(chunk_seed)
@@ -163,8 +162,8 @@ class TestBatchedLockstep:
 
 class TestRecipes:
     def test_recipe_is_json_serializable_and_rebuildable(self):
-        config = resolve_config("comp_wf", correction_scheme="ecp6")
-        controller = ValidatingController(config, 8, seed=1, n_banks=4)
+        config = resolve_config("comp_wf", correction_scheme="ecp6", n_banks=4)
+        controller = ValidatingController(config, 8, seed=1)
         controller.write(3, bytes(64))
         recipe = controller._recipe(3, bytes(64))
         import json
@@ -173,10 +172,22 @@ class TestRecipes:
         assert rebuilt.config == config
         assert rebuilt.n_lines == 8
         assert rebuilt.seed == 1
+        assert "n_banks" not in recipe  # the config carries it
+
+    def test_older_recipe_keeps_its_top_level_bank_count(self):
+        """Recipe files written before the config carried ``n_banks``
+        stored it at the top level; they still rebuild on their banks."""
+        config = resolve_config("comp_wf", correction_scheme="ecp6")
+        recipe = ValidatingController(config, 8, seed=1)._recipe(3, bytes(64))
+        del recipe["config"]["n_banks"]
+        recipe["n_banks"] = 4
+        rebuilt = controller_from_recipe(recipe)
+        assert rebuilt.config == config.with_overrides(n_banks=4)
+        assert len(rebuilt.oracle.intra_wl.counters) == 4
 
     def test_replay_of_clean_sequence_returns_none(self):
-        config = resolve_config("comp_wf", correction_scheme="ecp6")
-        controller = ValidatingController(config, 8, seed=1, n_banks=4)
+        config = resolve_config("comp_wf", correction_scheme="ecp6", n_banks=4)
+        controller = ValidatingController(config, 8, seed=1)
         payloads = [bytes([i]) * 64 for i in range(6)]
         for index, payload in enumerate(payloads):
             controller.write(index % 8, payload)
@@ -187,9 +198,9 @@ class TestRecipes:
 def _run_until_divergence(config, *, max_writes=3000, **kwargs):
     """Drive a campaign expecting a mutation-induced divergence."""
     controller = ValidatingController(
-        config, kwargs.pop("lines", 24),
+        config.with_overrides(n_banks=4), kwargs.pop("lines", 24),
         endurance_mean=kwargs.pop("endurance", 12.0), endurance_cov=0.2,
-        seed=kwargs.pop("seed", 3), n_banks=kwargs.pop("banks", 4),
+        seed=kwargs.pop("seed", 3),
     )
     palette = _PayloadPalette(np.random.default_rng(7), 24)
     with pytest.raises(DivergenceError) as excinfo:

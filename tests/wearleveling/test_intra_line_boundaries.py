@@ -73,12 +73,12 @@ class TestOffsetWraparound:
 class TestRotationAcrossCheckpoint:
     def _simulator(self, limit):
         config = resolve_config(
-            "comp_wf", correction_scheme="ecp6", intra_counter_limit=limit
+            "comp_wf", correction_scheme="ecp6", intra_counter_limit=limit,
+            n_banks=4,
         )
         workload = SyntheticWorkload(get_profile("gcc"), n_lines=12, seed=6)
         return LifetimeSimulator(
             config, workload, n_lines=12, endurance_mean=200.0, seed=6,
-            n_banks=4,
         )
 
     @staticmethod
