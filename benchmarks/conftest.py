@@ -20,10 +20,12 @@ variable                default  meaning
 
 The defaults finish the whole harness in tens of minutes on a laptop;
 raise them for tighter confidence intervals.  A run that sets any scale
-variable here (or ``benchmarks/test_perf_hotpath.py``'s
-``REPRO_HOTPATH_*``) is a smoke run: its reports are printed but leave
-the committed ``.txt`` results, and the records a benchmark writes only
-at the ``default_scale`` (``BENCH_wolfram.json``), alone.
+variable here (or the perf benchmarks' ``REPRO_HOTPATH_*``,
+``REPRO_CARAM_*`` and ``REPRO_SERVICE_*``) is a smoke run: its reports
+are printed but leave the committed ``.txt`` results, and the records a
+benchmark writes only at the ``default_scale`` (``BENCH_wolfram.json``,
+``BENCH_caram.json``, ``BENCH_service.json``, ``BENCH_hotpath.json``),
+alone.
 ``REPRO_BENCH_WORKERS`` changes no result, so it does not count.  Figure 10's lifetime study
 is the expensive piece and is shared with Figure 12 and Table IV through
 the ``shared_cache`` fixture; set ``REPRO_BENCH_WORKERS`` to fan its
@@ -52,6 +54,10 @@ SCALE_VARIABLES = (
     "REPRO_BENCH_WRITES",
     "REPRO_HOTPATH_WRITES",
     "REPRO_HOTPATH_REPS",
+    "REPRO_CARAM_REQUESTS",
+    "REPRO_CARAM_MAX_WRITES",
+    "REPRO_SERVICE_REQUESTS",
+    "REPRO_SERVICE_REPS",
 )
 
 

@@ -4,8 +4,9 @@ Unlike the figure/table benchmarks, this file measures the *simulator*
 rather than the simulated memory: end-to-end writes/sec per system on a
 cycled trace, plus microbenchmarks of the two dominant per-write costs
 (the content-addressed compression cache and ``apply_write``).  Results
-land in ``benchmarks/results/BENCH_hotpath.json`` next to recorded
-before/after reference numbers so regressions are visible at a glance.
+land in ``benchmarks/results/BENCH_hotpath.json`` (at the default scale
+only) next to recorded before/after reference numbers so regressions
+are visible at a glance.
 
 Timing assertions are deliberately loose (shared CI runners drift by
 tens of percent); the *blocking* assertions are the behavioural ones --
@@ -129,6 +130,12 @@ def _commit() -> str:
         return "unknown"
 
 
+@pytest.fixture()
+def merge_json(default_scale):
+    """``_merge_json`` at the default scale; a smoke run records nothing."""
+    return _merge_json if default_scale else lambda section, payload: None
+
+
 def _merge_json(section: str, payload) -> None:
     """Update one section of BENCH_hotpath.json, keeping the others.
 
@@ -228,7 +235,7 @@ def _replay_wave_stats(system: str, trace, batch: int) -> dict:
 # -- end-to-end ---------------------------------------------------------
 
 
-def test_end_to_end_writes_per_sec(report):
+def test_end_to_end_writes_per_sec(report, merge_json):
     """Cycled-trace replay speed per system, best-of-REPS."""
     trace = _build_trace()
     measured: dict[str, float] = {}
@@ -252,7 +259,7 @@ def test_end_to_end_writes_per_sec(report):
             "full-scale reference are not meaningful)"
         )
     report("BENCH_hotpath_end_to_end", "\n".join(lines))
-    _merge_json(
+    merge_json(
         "end_to_end",
         {
             "replay_writes": REPLAY_WRITES,
@@ -270,7 +277,7 @@ def test_end_to_end_writes_per_sec(report):
     assert all(value > 0 for value in measured.values())
 
 
-def test_batched_throughput(report):
+def test_batched_throughput(report, merge_json):
     """Serial vs out-of-order scheduler on the line-parallel replay.
 
     BLOCKING: at ``BATCH_SIZE`` (128) the scheduler must sustain at
@@ -308,7 +315,7 @@ def test_batched_throughput(report):
             f"{batched[system] / serial[system]:9.2f}"
         )
     report("BENCH_hotpath_batched", "\n".join(lines))
-    _merge_json(
+    merge_json(
         "batched",
         {
             "batch_size": BATCH_SIZE,
@@ -341,7 +348,7 @@ def test_batched_throughput(report):
         )
 
 
-def test_batch_size_sweep(report):
+def test_batch_size_sweep(report, merge_json):
     """Batch-width scaling on the line-parallel replay (non-blocking).
 
     One batched best-of-REPS measurement per width in ``SWEEP_SIZES``;
@@ -373,7 +380,7 @@ def test_batch_size_sweep(report):
             )
         )
     report("BENCH_hotpath_batch_sweep", "\n".join(lines))
-    _merge_json(
+    merge_json(
         "batch_sweep",
         {
             "sizes": list(SWEEP_SIZES),
@@ -392,7 +399,7 @@ def test_batch_size_sweep(report):
 # -- microbenchmarks ----------------------------------------------------
 
 
-def test_compression_cache_microbench(report):
+def test_compression_cache_microbench(report, merge_json):
     """Per-call cost of a cache miss vs a cache hit, plus counter checks."""
     trace = _build_trace()
     payloads = list(dict.fromkeys(write.data for write in trace))
@@ -419,7 +426,7 @@ def test_compression_cache_microbench(report):
         f"hit  (dict lookup):              {hit_ns:10.0f} ns/call\n"
         f"miss/hit ratio:                  {miss_ns / hit_ns:10.1f}x",
     )
-    _merge_json(
+    merge_json(
         "cache_microbench",
         {
             "distinct_payloads": len(payloads),
@@ -429,7 +436,7 @@ def test_compression_cache_microbench(report):
     )
 
 
-def test_apply_write_microbench(report):
+def test_apply_write_microbench(report, merge_json):
     """Per-call cost of apply_write on the three hot shapes."""
     rng = np.random.default_rng(11)
     n = 512
@@ -469,7 +476,7 @@ def test_apply_write_microbench(report):
         f"healthy 60-bit diff:{diff_ns:8.0f} ns/call\n"
         f"faulty 60-bit diff: {faulted_ns:8.0f} ns/call",
     )
-    _merge_json(
+    merge_json(
         "apply_write_microbench",
         {
             "healthy_noop_ns": round(noop_ns, 1),

@@ -6,7 +6,7 @@ engine -- the same drain order ``test_perf_hotpath.py`` pins for the
 single-space engine): fleet writes/sec at 1, 2, 4, and 8 shards for
 both front ends, the in-process :class:`ShardedController` and the
 multi-process :class:`MemoryService`.  Results land in
-``benchmarks/results/BENCH_service.json``.
+``benchmarks/results/BENCH_service.json`` (at the default scale only).
 
 Timing numbers are informational (shared runners drift by tens of
 percent) -- the *blocking* assertion is behavioural: at every shard
@@ -89,7 +89,7 @@ def _drive(front_end, stream) -> float:
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(default_scale):
     payload = {
         "scenario": {
             "lines": LINES,
@@ -115,8 +115,9 @@ def report():
         "service": {},
     }
     yield payload
-    RESULTS_DIR.mkdir(exist_ok=True)
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    if default_scale:  # a smoke-scale run records nothing
+        RESULTS_DIR.mkdir(exist_ok=True)
+        BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)

@@ -7,7 +7,8 @@ traffic reduction*, the fraction of demand writes that never reach the
 PCM medium, at two DRAM capacities on the ``memcached`` and ``nginx``
 service workloads.  A Figure-10-style companion records the lifetime
 effect: ``comp`` and ``comp_wf`` with and without the tier at the same
-two capacities.  Results land in ``benchmarks/results/BENCH_caram.json``.
+two capacities.  Results land in ``benchmarks/results/BENCH_caram.json``
+(at the default scale only).
 
 Timing numbers are informational (shared runners drift); the blocking
 assertions are behavioural:
@@ -84,7 +85,7 @@ def _drive(fleet, stream) -> float:
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(default_scale):
     payload = {
         "scenario": {
             "lines": LINES,
@@ -120,8 +121,8 @@ def report():
     yield payload
     # A partial run (``-k``, or a failed test) would drop tables from
     # the recorded results, so the file is written only when every
-    # table is filled.
-    if _complete(payload):
+    # table is filled, and a smoke-scale run records nothing.
+    if default_scale and _complete(payload):
         RESULTS_DIR.mkdir(exist_ok=True)
         BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 

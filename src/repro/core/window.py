@@ -183,22 +183,29 @@ def find_window(
     Feasibility means the correction scheme can mask every fault inside
     the window.  The search wraps over all ``line_bytes`` candidate
     starts, beginning at the hint so stable lines keep their pointer.
+    One counting pass (per-byte histogram, circular running sum) sizes
+    every start, so only a start whose count of the (distinct) faults
+    lies above ``deterministic_capability`` and within ``fault_ceiling``
+    asks ``scheme.can_correct``.
     """
     if fault_positions.size <= scheme.deterministic_capability:
         # Any placement works: the scheme guarantees this many faults
         # no matter where they land.
         return start_hint % line_bytes
-
     if size_bytes == line_bytes:
         # A full-line window sees every fault regardless of start.
-        inside = faults_in_window(fault_positions, 0, size_bytes, line_bytes)
-        return 0 if scheme.can_correct(inside) else None
+        if fault_positions.size > scheme.fault_ceiling:
+            return None
+        return 0 if scheme.can_correct(fault_positions) else None
 
-    for step in range(line_bytes):
-        start = (start_hint + step) % line_bytes
-        inside = faults_in_window(fault_positions, start, size_bytes, line_bytes)
-        if inside.size <= scheme.deterministic_capability or scheme.can_correct(
-            inside
+    per_byte = np.bincount(fault_positions // 8, minlength=line_bytes)
+    running = np.cumsum(np.concatenate(([0], per_byte, per_byte)))
+    starts = _window_byte_indices(start_hint % line_bytes, line_bytes, line_bytes)
+    counts = running[starts + size_bytes] - running[starts]
+    below = counts <= scheme.fault_ceiling
+    for start, count in zip(starts[below].tolist(), counts[below].tolist()):
+        if count <= scheme.deterministic_capability or scheme.can_correct(
+            faults_in_window(fault_positions, start, size_bytes, line_bytes)
         ):
             return start
     return None

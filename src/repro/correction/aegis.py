@@ -70,6 +70,10 @@ class Aegis(CorrectionScheme):
             capability += 1
         self.deterministic_capability = capability
 
+    #: At most one fault per group: a slope family has ``columns``
+    #: groups, the vertical one ``rows`` <= ``columns``.
+    fault_ceiling = property(lambda self: self.columns)
+
     def can_correct(self, fault_positions: Iterable[int]) -> bool:
         """Whether the fault set is tolerable (see :class:`CorrectionScheme`)."""
         return self.find_slope(fault_positions) is not None

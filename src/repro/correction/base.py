@@ -54,6 +54,12 @@ class CorrectionScheme(abc.ABC):
             raise ValueError("block size must be positive")
         self.block_bits = block_bits
 
+    @property
+    def fault_ceiling(self) -> int:
+        """Most faults :meth:`can_correct` ever accepts, from the scheme's
+        geometry (derived, so schemes pickled before it have one too)."""
+        return self.block_bits
+
     @abc.abstractmethod
     def can_correct(self, fault_positions: Iterable[int]) -> bool:
         """Whether a line with these stuck-at faults is still usable."""

@@ -37,6 +37,8 @@ class ECP(CorrectionScheme):
         self.deterministic_capability = entries
         self.pointer_bits = pointer_bits
 
+    fault_ceiling = property(lambda self: self.entries)
+
     def can_correct(self, fault_positions: Iterable[int]) -> bool:
         """Whether the fault set is tolerable (see :class:`CorrectionScheme`)."""
         faults = normalize_faults(fault_positions, self.block_bits)

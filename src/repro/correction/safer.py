@@ -64,6 +64,9 @@ class SAFER(CorrectionScheme):
                 weights[row, bit] = 1 << order
         self._selection_weights = weights
 
+    #: At most one fault per partition.
+    fault_ceiling = property(lambda self: self.partitions)
+
     def can_correct(self, fault_positions: Iterable[int]) -> bool:
         """Whether the fault set is tolerable (see :class:`CorrectionScheme`)."""
         faults = normalize_faults(fault_positions, self.block_bits)

@@ -34,6 +34,9 @@ class SECDED(CorrectionScheme):
         self.metadata_bits = self.words * 8
         self.deterministic_capability = 1
 
+    #: At most one fault per code word.
+    fault_ceiling = property(lambda self: self.words)
+
     def can_correct(self, fault_positions: Iterable[int]) -> bool:
         """Correctable iff every code word holds at most one fault."""
         faults = normalize_faults(fault_positions, self.block_bits)

@@ -401,7 +401,8 @@ class CorrectionStage(Stage):
         faults_after = state.memory.fault_positions(physical)
         inside = faults_in_window(faults_after, start, ctx.size)
         return inside.size <= state.scheme.deterministic_capability or (
-            state.scheme.can_correct(inside)
+            inside.size <= state.scheme.fault_ceiling
+            and state.scheme.can_correct(inside)
         )
 
     def commit(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.window import find_window
-from ..correction import ECP, CorrectionScheme
+from ..correction import CorrectionScheme
 from ..rng import as_generator
 
 #: The data sizes highlighted in Figure 9's legend.
@@ -47,32 +47,10 @@ def block_survives(
     line_bytes: int = 64,
 ) -> bool:
     """Whether a block with these faults can still store ``data_bytes``."""
-    if isinstance(scheme, ECP):
-        return _ecp_survives(scheme, fault_positions, data_bytes, line_bytes)
     return (
         find_window(fault_positions, data_bytes, scheme, line_bytes=line_bytes)
         is not None
     )
-
-
-def _ecp_survives(
-    scheme: ECP, fault_positions: np.ndarray, data_bytes: int, line_bytes: int
-) -> bool:
-    """Vectorized ECP feasibility: some circular window has few faults.
-
-    ECP corrects any ``entries`` faults regardless of placement, so the
-    block survives iff the minimum fault count over all ``line_bytes``
-    circular byte windows of ``data_bytes`` is at most ``entries``.
-    """
-    if fault_positions.size <= scheme.entries:
-        return True
-    per_byte = np.bincount(fault_positions // 8, minlength=line_bytes)
-    doubled = np.concatenate([per_byte, per_byte])
-    cumulative = np.concatenate([[0], np.cumsum(doubled)])
-    window_sums = (
-        cumulative[data_bytes : data_bytes + line_bytes] - cumulative[:line_bytes]
-    )
-    return bool(window_sums.min() <= scheme.entries)
 
 
 def failure_probability(

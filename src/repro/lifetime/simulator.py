@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core import CompressedPCMController, SystemConfig
 from ..pcm import EnduranceModel
-from ..tier import HybridController
+from ..tier import with_tier
 from ..traces import SyntheticWorkload, Trace, WriteBack, WorkloadProfile
 from .checkpoint import (
     CHECKPOINT_VERSION,
@@ -76,7 +76,10 @@ class LifetimeSimulator:
         else:
             self.workload_name = getattr(source, "name", type(source).__name__)
         model = EnduranceModel(mean=endurance_mean, cov=endurance_cov)
-        self.controller = CompressedPCMController(
+        # Hybrid extension: a content-aware DRAM front tier absorbs hot
+        # incompressible lines; the PCM controller only sees the
+        # post-tier write stream.
+        self.controller = with_tier(CompressedPCMController(
             config=config,
             n_lines=n_lines,
             endurance_model=model,
@@ -84,13 +87,7 @@ class LifetimeSimulator:
             # Debug-mode checkers (repro.validate.invariants); pure
             # observers, so enabling them never changes the result.
             invariants=invariants,
-        )
-        if config.tier_lines:
-            # Hybrid extension: a content-aware DRAM front tier absorbs
-            # hot incompressible lines; the PCM controller only sees the
-            # post-tier write stream.  tier_lines=0 keeps the bare
-            # controller -- bit-identical to every pre-tier run.
-            self.controller = HybridController(self.controller)
+        ))
         #: Writes issued so far (advanced by run(); restored on resume).
         self.writes_issued = 0
         #: Replay position within a Trace source (unused for generators).

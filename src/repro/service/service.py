@@ -140,23 +140,19 @@ def _build_controller(spec: ShardSpec):
 
     from ..core.controller import CompressedPCMController
     from ..pcm import EnduranceModel
+    from ..tier import with_tier
 
-    controller = CompressedPCMController(
+    # The tier is part of the spec, so a recovery respawn rebuilds it
+    # too and the history replay reconstructs its residents -- exact
+    # recovery holds for hybrid shards unchanged.
+    return with_tier(CompressedPCMController(
         config=spec.config,
         n_lines=spec.stop - spec.start,
         endurance_model=EnduranceModel(
             mean=spec.endurance_mean, cov=spec.endurance_cov
         ),
         rng=np.random.default_rng(spec.seed),
-    )
-    if spec.config.tier_lines:
-        from ..tier import HybridController
-
-        # The tier is part of the spec, so a recovery respawn rebuilds
-        # it too and the history replay reconstructs its residents --
-        # exact recovery holds for hybrid shards unchanged.
-        controller = HybridController(controller)
-    return controller
+    ))
 
 
 def _exit_with_parent() -> None:

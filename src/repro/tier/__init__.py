@@ -44,7 +44,7 @@ from ..compression import CachingCompressor, CompressionResult, Compressor
 from ..core.window import LINE_BYTES
 from ..engine.context import ControllerStats, WriteResult
 
-__all__ = ["DEFAULT_ADMIT_THRESHOLD", "DramTier", "HybridController"]
+__all__ = ["DEFAULT_ADMIT_THRESHOLD", "DramTier", "HybridController", "with_tier"]
 
 #: A line whose best-of-FPC/BDI probe compresses to at most this many
 #: bytes is "compressible": cheap to store in PCM, so it writes
@@ -418,6 +418,14 @@ class HybridController:
         """
         self.flush()
         self.inner.verify_state()
+
+
+def with_tier(controller):
+    """``controller`` behind its config's DRAM tier, or bare without one:
+    every builder (simulator, service shard, fuzz campaign) wraps here."""
+    if controller.config.tier_lines:
+        return HybridController(controller)
+    return controller
 
 
 def _uncached(compressor):

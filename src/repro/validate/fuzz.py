@@ -28,6 +28,7 @@ import numpy as np
 from ..engine.address_space import ShardMap, shard_seeds
 from ..engine.context import ControllerStats
 from ..engine.registry import resolve_config, system_names
+from ..tier import with_tier
 from .lockstep import DivergenceError, ValidatingController, replay_recipe
 
 #: The paper's three fine-grained correction schemes (acceptance set).
@@ -397,23 +398,17 @@ def run_fuzz(
             # One lockstep oracle per shard; shard_seeds keeps a 1-shard
             # campaign's seed (and thus its whole replay) unchanged.
             controllers = [
-                ValidatingController(
+                with_tier(ValidatingController(
                     config, shard_map.lines_of(shard),
                     endurance_mean=endurance_mean,
                     endurance_cov=endurance_cov,
                     seed=shard_seed,
                     check_state_every=check_state_every,
-                )
+                ))
                 for shard, shard_seed in enumerate(
                     shard_seeds(seed + campaign_index, shards)
                 )
             ]
-            if config.tier_lines:
-                from ..tier import HybridController
-
-                controllers = [
-                    HybridController(controller) for controller in controllers
-                ]
             palette = _PayloadPalette(rng, lines)
             try:
                 for _ in range(0, writes, batch):

@@ -12,6 +12,8 @@ from repro.faultinjection import (
     tolerable_faults,
 )
 
+from ..core.test_window_search import per_start_search
+
 
 @pytest.fixture(scope="module")
 def ecp():
@@ -32,17 +34,17 @@ class TestBlockSurvives:
         assert block_survives(ecp, faults, data_bytes=16)
         assert not block_survives(ecp, faults, data_bytes=64)
 
-    def test_ecp_fast_path_matches_generic(self, ecp):
-        from repro.core.window import find_window
-
+    @pytest.mark.parametrize(
+        "scheme", [ecp6(), safer32(), aegis17x31()], ids=lambda s: s.name
+    )
+    def test_block_survives_matches_per_start_loop(self, scheme):
         rng = np.random.default_rng(0)
         for _ in range(100):
             n = int(rng.integers(0, 60))
             faults = np.sort(rng.choice(512, size=n, replace=False))
             size = int(rng.integers(1, 65))
-            fast = block_survives(ecp, faults, size)
-            generic = find_window(faults, size, ecp) is not None
-            assert fast == generic, (n, size)
+            found = per_start_search(faults, size, scheme, hint=0) is not None
+            assert block_survives(scheme, faults, size) == found, (n, size)
 
     def test_wraparound_window_counts(self, ecp):
         # Faults at both ends: a circular window covering the middle is

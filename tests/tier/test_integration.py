@@ -227,3 +227,32 @@ class TestLifetimeStudy:
         parallel = run_system_comparison("mcf", workers=2, **settings)
         assert parallel == serial
         assert serial["comp_wf"].stats.tier_hits > 0
+
+
+def test_every_builder_fronts_the_config_tier(monkeypatch):
+    """The simulator, the fleet and the fuzzer each build the config's
+    16-line tier through ``repro.tier.with_tier``."""
+    import repro.validate.fuzz as fuzz
+    from repro.lifetime import LifetimeSimulator
+    from repro.tier import with_tier
+    from repro.traces import SyntheticWorkload, get_profile
+
+    config = resolve_config("comp_wf_hybrid")
+    simulator = LifetimeSimulator(
+        config, SyntheticWorkload(get_profile("milc"), n_lines=LINES, seed=1),
+        LINES,
+    )
+    fleet = ShardedController(config, LINES, shards=2, **FLEET_KWARGS)
+    fuzzed = []
+
+    def spy(controller):
+        fuzzed.append(with_tier(controller))
+        return fuzzed[-1]
+
+    monkeypatch.setattr(fuzz, "with_tier", spy)
+    run_fuzz(systems=("comp_wf_hybrid",), schemes=("ecp6",), writes=20,
+             shards=2, shrink=False)
+    built = [simulator.controller, *fleet.controllers, *fuzzed]
+    assert len(built) == 5
+    assert all(isinstance(c, HybridController) for c in built)
+    assert [c.tier_lines for c in built] == [16] * 5
