@@ -39,8 +39,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import comp_wf
+from repro.engine import SweepRunner
 from repro.engine.registry import resolve_config
-from repro.lifetime import run_system_comparison
 from repro.service import ShardedController, make_stream
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -203,12 +203,11 @@ def test_lifetime_with_and_without_tier(report):
     """Figure-10-style companion: writes-to-failure for comp/comp_wf
     bare and behind the tier at both capacities."""
     for capacity in (0, *TIER_CAPACITIES):
-        results = run_system_comparison(
-            LIFETIME_WORKLOAD, systems=LIFETIME_SYSTEMS,
-            n_lines=LIFETIME_LINES, endurance_mean=LIFETIME_ENDURANCE,
-            seed=3, max_writes=MAX_WRITES,
+        results = SweepRunner(
+            systems=LIFETIME_SYSTEMS, n_lines=LIFETIME_LINES,
+            endurance_mean=LIFETIME_ENDURANCE, max_writes=MAX_WRITES,
             config_overrides={"tier_lines": capacity},
-        )
+        ).run_comparison(LIFETIME_WORKLOAD, seed=3)
         for system, result in results.items():
             recorded = report["lifetime"]["writes_to_failure"].setdefault(
                 system, {}

@@ -17,39 +17,31 @@ Each run also prices the backend's bookkeeping through the energy
 model: WoLFRaM pays ``pad_table_writes`` decoder-entry rewrites where
 Start-Gap pays none (its registers are two counters).  The full point
 set lands in ``benchmarks/results/BENCH_wolfram.json``, which records
-the default scale: a smoke run leaves it alone.
+the default scale: a smoke run leaves it alone.  Each (CoV, backend)
+pair is one :class:`~repro.engine.SweepRunner` grid, so
+``REPRO_BENCH_WORKERS`` fans it out like the lifetime studies.
 """
 
 import json
 from pathlib import Path
 
-from repro.lifetime import build_simulator
+from repro.engine import SweepRunner
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: (label, system, overrides) -- the spare-pool pair drives the
+#: (label, system, backend) -- the spare-pool pair drives the
 #: remap-to-spare machinery on both substrates.
 VARIANTS = (
-    ("comp_wf/startgap", "comp_wf", {}),
-    ("comp_wf/wolfram", "comp_wf", {"wl_backend": "wolfram"}),
-    ("comp_wf+spares/startgap", "comp_wf_freep", {}),
-    ("comp_wf+spares/wolfram", "comp_wf_freep", {"wl_backend": "wolfram"}),
+    ("comp_wf/startgap", "comp_wf", "startgap_freep"),
+    ("comp_wf/wolfram", "comp_wf", "wolfram"),
+    ("comp_wf+spares/startgap", "comp_wf_freep", "startgap_freep"),
+    ("comp_wf+spares/wolfram", "comp_wf_freep", "wolfram"),
 )
+#: One grid per backend: its config overrides.
+BACKEND_OVERRIDES = {"startgap_freep": {}, "wolfram": {"wl_backend": "wolfram"}}
+SYSTEMS = ("comp_wf", "comp_wf_freep")
 WORKLOADS = ("mcf", "gcc", "lbm")
 COVS = (0.15, 0.25)
-
-
-def _run(system, workload, scale, cov, **overrides):
-    simulator = build_simulator(
-        system,
-        workload,
-        n_lines=scale["n_lines"],
-        endurance_mean=scale["endurance_mean"],
-        endurance_cov=cov,
-        seed=0,
-        **overrides,
-    )
-    return simulator.run(max_writes=4_000_000)
 
 
 def test_wolfram_backend_lifetime_and_fault_tolerance(
@@ -58,18 +50,26 @@ def test_wolfram_backend_lifetime_and_fault_tolerance(
     def measure():
         points = []
         for cov in COVS:
+            grids = {
+                backend: SweepRunner(
+                    systems=SYSTEMS,
+                    workers=bench_scale["workers"],
+                    n_lines=bench_scale["n_lines"],
+                    endurance_mean=bench_scale["endurance_mean"],
+                    endurance_cov=cov,
+                    max_writes=4_000_000,
+                    config_overrides=overrides,
+                ).run(WORKLOADS, seed=0)
+                for backend, overrides in BACKEND_OVERRIDES.items()
+            }
             for workload in WORKLOADS:
-                for label, system, overrides in VARIANTS:
-                    result = _run(
-                        system, workload, bench_scale, cov, **overrides
-                    )
+                for label, system, backend in VARIANTS:
+                    result = grids[backend][workload][system]
                     breakdown = result.energy_breakdown()
                     points.append({
                         "label": label,
                         "system": system,
-                        "backend": overrides.get(
-                            "wl_backend", "startgap_freep"
-                        ),
+                        "backend": backend,
                         "workload": workload,
                         "endurance_cov": cov,
                         "writes_issued": result.writes_issued,

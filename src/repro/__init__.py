@@ -5,7 +5,7 @@ Quick tour of the public API::
 
     from repro.compression import BestOfCompressor
     from repro.core import comp_wf, CompressedPCMController
-    from repro.lifetime import run_system_comparison
+    from repro.engine import SweepRunner
     from repro.faultinjection import tolerable_faults
     from repro.traces import get_profile, SyntheticWorkload
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import EVALUATED_SYSTEMS
-from ..engine.sweep import SweepRunner, check_names
+from ..engine.sweep import SweepRunner
 from ..lifetime import LifetimeResult, lifetime_months, normalized_against_baseline
 from ..pcm import HIGH_VARIATION_COV, PAPER_ENDURANCE_COV
 from ..traces import WORKLOAD_ORDER, get_profile
@@ -47,46 +46,29 @@ def run_workload_study(workload: str, **kwargs) -> WorkloadStudy:
 
 def run_full_study(
     workloads: tuple[str, ...] = WORKLOAD_ORDER,
-    systems: tuple[str, ...] = EVALUATED_SYSTEMS,
-    n_lines: int = 96,
-    endurance_mean: float = 60.0,
-    endurance_cov: float = PAPER_ENDURANCE_COV,
     seed: int = 0,
-    max_writes: int = 4_000_000,
-    workers: int = 1,
-    checkpoint_dir: str | None = None,
-    checkpoint_interval: int = 0,
-    resume: bool = False,
-    progress: bool = False,
     batch: int = 1,
-    config_overrides: dict[str, object] | None = None,
+    progress: bool = False,
+    **settings,
 ) -> dict[str, WorkloadStudy]:
     """Figure 10 (cov=0.15) or Figure 13 (cov=0.25) across workloads.
 
     The whole (workload x system) grid is one
-    :class:`~repro.engine.SweepRunner` call -- in-process with
-    ``workers=1``, fanned out across processes otherwise, with
-    identical results.  The options mean what they mean for
-    :func:`repro.lifetime.run_system_comparison`: only
-    ``config_overrides`` (knobs replaced in every system, e.g. the
-    DRAM tier's ``tier_lines``) changes the simulated results, by
-    design.
-    Unknown names raise ``ValueError`` before any run starts; a run
-    that does not reach the failure criterion raises ``RuntimeError``.
+    :class:`~repro.engine.SweepRunner` call; ``settings`` are its
+    fields (``systems``, ``workers``, ``config_overrides``,
+    ``checkpoint_dir``, ...), and ``seed``, ``batch`` and ``progress``
+    are its per-run options.  Absent scale settings take the study's:
+    96 lines, endurance 60 at the paper's CoV, 4 M writes per run.
+    A run that does not reach the failure criterion raises
+    ``RuntimeError``.
     """
-    check_names(workloads, systems)
-    runner = SweepRunner(
-        systems=tuple(systems),
-        workers=workers,
-        n_lines=n_lines,
-        endurance_mean=endurance_mean,
-        endurance_cov=endurance_cov,
-        max_writes=max_writes,
-        config_overrides=dict(config_overrides or {}),
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        resume=resume,
-    )
+    runner = SweepRunner(**{
+        "n_lines": 96,
+        "endurance_mean": 60.0,
+        "endurance_cov": PAPER_ENDURANCE_COV,
+        "max_writes": 4_000_000,
+        **settings,
+    })
     grid = runner.run(workloads, seed, batch, progress)
     studies = {}
     for workload, results in grid.items():

@@ -27,39 +27,41 @@ DEFAULT_WORKLOADS = ("milc", "gcc", "lbm")
 def run_energy_sweep(
     workloads: tuple[str, ...] = DEFAULT_WORKLOADS,
     systems: tuple[str, ...] | None = None,
-    n_lines: int = 128,
-    endurance_mean: float = 60.0,
-    max_writes: int = 2_000_000,
     seed: int = 0,
     mix_samples: int = 500,
     model: EnergyModel | None = None,
     perf: PerformanceModel | None = None,
+    **settings,
 ) -> list[dict]:
     """Run the sweep; returns one JSON-ready point dict per (system,
     workload) with ``pareto=True`` on each workload's frontier.
 
     ``systems=None`` sweeps the paper's four evaluated systems, then the
-    ``energy``-tagged encoding variants.  Points are comparable *within*
-    a workload (the frontier is marked per workload); cross-workload
-    comparisons only make sense per metric.
+    ``energy``-tagged encoding variants.  ``settings`` are the other
+    :class:`~repro.engine.SweepRunner` fields; absent scale settings
+    take the sweep's: 128 lines, endurance 60, 2 M writes per run.
+    Points are comparable *within* a workload (the frontier is marked
+    per workload); cross-workload comparisons only make sense per
+    metric.
     """
     # Deferred imports: the controller imports this package while
     # building encoders, so pulling the simulator stack in at module
     # scope would cycle through repro.core.
     from ..core.config import EVALUATED_SYSTEMS
     from ..engine.registry import resolve_config, system_names
-    from ..engine.sweep import SweepRunner, check_names
+    from ..engine.sweep import SweepRunner
     from ..perf.overhead import PerformanceModel, ReadMix, measure_read_mix
     from ..traces import get_profile
 
     names = tuple(systems) if systems else EVALUATED_SYSTEMS + system_names("energy")
-    check_names(workloads, names)
     model = model or EnergyModel()
     perf = perf or PerformanceModel()
-    grid = SweepRunner(
-        systems=names, workers=1, n_lines=n_lines,
-        endurance_mean=endurance_mean, max_writes=max_writes,
-    ).run(workloads, seed)
+    grid = SweepRunner(systems=names, **{
+        "n_lines": 128,
+        "endurance_mean": 60.0,
+        "max_writes": 2_000_000,
+        **settings,
+    }).run(workloads, seed)
     points: list[dict] = []
     for workload in workloads:
         mix = measure_read_mix(

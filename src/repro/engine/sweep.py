@@ -2,16 +2,21 @@
 
 A full Figure 10/13 study is dozens of completely independent lifetime
 simulations -- one per (workload profile, system) pair.
-:class:`SweepRunner` is the one driver every study goes through
-(:func:`repro.lifetime.run_system_comparison`,
-:func:`repro.analysis.run_full_study`, the energy sweep): it runs the
-grid in-process with ``workers=1`` or fans it out across worker
-processes, and merges the per-run
+:class:`SweepRunner` is the one driver every grid goes through, and the
+one place a grid's settings live (systems, scale, write budget, worker
+count, config overrides, checkpointing).  The study drivers
+(:func:`repro.analysis.run_full_study`,
+:func:`repro.energy.run_energy_sweep`) build one runner and add only
+what is their own; a single workload is
+``SweepRunner(...).run_comparison(workload)``.  The runner runs the
+grid in-process with ``workers=1`` (the default) or fans it out across
+worker processes, and merges the per-run
 :class:`~repro.lifetime.results.LifetimeResult`\\ s back into one
-``{workload: {system: result}}`` grid.  :func:`run_task` is the only
-code that builds and runs one lifetime run, so every option (batch
-size, DRAM tier, checkpoints, progress lines) works at every worker
-count.
+``{workload: {system: result}}`` grid.  Unknown workload or system
+names raise ``ValueError`` before any run starts.  :func:`run_task` is
+the only code that builds and runs one lifetime run, so every option
+(batch size, DRAM tier, checkpoints, progress lines) works at every
+worker count.
 
 Determinism: each run builds its own simulator from ``(system,
 workload, seed)``, so the results are bit-for-bit identical regardless
@@ -25,8 +30,8 @@ completed sibling result).  A failing task is retried up to
 and reports partial results (verified by
 ``tests/engine/test_sweep_failures.py``).  A JSON run-manifest of task
 outcomes can be written for post-mortems, and per-run checkpointing /
-resume (see :mod:`repro.lifetime.checkpoint`) threads through
-:class:`SweepTask` so an interrupted grid picks up where it stopped.
+resume (see :mod:`repro.lifetime.checkpoint`) lets an interrupted grid
+pick up where it stopped.
 """
 
 from __future__ import annotations
@@ -46,25 +51,17 @@ MANIFEST_VERSION = 1
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One independent lifetime run (fully pickleable)."""
+    """One independent lifetime run: a grid cell of its runner.
+
+    Holds only the cell and the per-call options; every grid setting
+    is read from ``runner``.  Fully pickleable, so it crosses into pool
+    workers as is.
+    """
 
     system: str
     workload: str
-    n_lines: int
-    endurance_mean: float
-    endurance_cov: float
-    seed: int
-    max_writes: int
-    config_overrides: tuple[tuple[str, object], ...] = ()
-    #: Root checkpoint directory of the sweep; each task checkpoints
-    #: into a ``<workload>-<system>`` subdirectory.  None disables
-    #: checkpointing and telemetry for the run.
-    checkpoint_dir: str | None = None
-    #: Writes between checkpoints (only used when ``checkpoint_dir`` is
-    #: set; 0 means the simulator default).
-    checkpoint_interval: int = 0
-    #: Resume from the run directory's latest checkpoint if one exists.
-    resume: bool = False
+    runner: SweepRunner
+    seed: int = 0
     #: Write-backs per controller call (``LifetimeSimulator.run``'s
     #: ``batch``; results are identical at every size).
     batch: int = 1
@@ -73,11 +70,12 @@ class SweepTask:
 
     @property
     def run_dir(self) -> str | None:
-        """This task's checkpoint/telemetry directory (None when off)."""
-        if self.checkpoint_dir is None:
+        """This task's checkpoint/telemetry directory (None when off):
+        ``<workload>-<system>`` under the runner's ``checkpoint_dir``."""
+        if self.runner.checkpoint_dir is None:
             return None
         return os.path.join(
-            self.checkpoint_dir, f"{self.workload}-{self.system}"
+            self.runner.checkpoint_dir, f"{self.workload}-{self.system}"
         )
 
 
@@ -209,21 +207,6 @@ def quarantine_attempt(task: SweepTask, attempt: int) -> str | None:
     return quarantine_run_dir(task.run_dir, attempt)
 
 
-def check_names(workloads, systems) -> None:
-    """Raise ``ValueError`` for an unknown workload or system name.
-
-    The study drivers call this before a grid starts, so a typo fails
-    at once rather than as a task failure after the rest of the grid
-    has run.
-    """
-    from ..traces import get_profile
-
-    for system in systems:
-        get_system(system)
-    for workload in workloads:
-        get_profile(workload)
-
-
 def run_task(task: SweepTask):
     """Build and run one lifetime simulation; the worker entry point.
 
@@ -238,25 +221,26 @@ def run_task(task: SweepTask):
     from ..lifetime.systems import build_simulator
     from ..lifetime.telemetry import JsonlObserver, ProgressObserver
 
+    runner = task.runner
     simulator = build_simulator(
         task.system,
         task.workload,
-        n_lines=task.n_lines,
-        endurance_mean=task.endurance_mean,
-        endurance_cov=task.endurance_cov,
+        n_lines=runner.n_lines,
+        endurance_mean=runner.endurance_mean,
+        endurance_cov=runner.endurance_cov,
         seed=task.seed,
-        **dict(task.config_overrides),
+        **runner.config_overrides,
     )
-    run_kwargs: dict = {"max_writes": task.max_writes, "batch": task.batch}
+    run_kwargs: dict = {"max_writes": runner.max_writes, "batch": task.batch}
     observers: list = []
     run_dir = task.run_dir
     if run_dir is not None:
         run_kwargs["checkpoint_dir"] = run_dir
         run_kwargs["checkpoint_interval"] = (
-            task.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
+            runner.checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL
         )
         observers.append(JsonlObserver(os.path.join(run_dir, "events.jsonl")))
-        if task.resume:
+        if runner.resume:
             run_kwargs["resume_from"] = latest_checkpoint(run_dir)
     if task.progress:
         observers.append(ProgressObserver())
@@ -270,13 +254,19 @@ class SweepRunner:
 
     Args:
         systems: System names (registry specs) to run per workload.
-        workers: Worker processes; ``None`` uses the CPU count, ``1``
-            runs serially in-process (no pool, handy for debugging).
-            Every run gets the same base seed, so the worker count
-            never changes a result.
+        workers: Worker processes; ``1`` (the default) runs serially
+            in-process (no pool, handy for debugging), ``None`` uses
+            the CPU count.  Every run gets the same base seed, so the
+            worker count never changes a result.
+        n_lines, endurance_mean, endurance_cov: Simulation scale of
+            every run (see :func:`repro.lifetime.build_simulator`).
+        max_writes: Write budget per run; a run that does not reach the
+            failure criterion within it ends unfailed.
         config_overrides: Config knobs replaced in every run's system
             (``tier_lines``, ``wl_backend``, ...); an absent knob keeps
-            each system's own value.
+            each system's own value, a present one applies as given --
+            ``{"tier_lines": 0}`` runs every system bare, even
+            ``comp_wf_hybrid``.
         retries: How often a failing task is re-executed before being
             recorded as a :class:`TaskFailure` (0 = no retries).  Every
             retry starts from a *clean* run directory: whatever the
@@ -294,7 +284,7 @@ class SweepRunner:
     """
 
     systems: tuple[str, ...] = EVALUATED_SYSTEMS
-    workers: int | None = None
+    workers: int | None = 1
     n_lines: int = 256
     endurance_mean: float = 100.0
     endurance_cov: float = 0.15
@@ -320,21 +310,7 @@ class SweepRunner:
         :class:`SweepTask`); neither changes a result.
         """
         return [
-            SweepTask(
-                system=system,
-                workload=workload,
-                n_lines=self.n_lines,
-                endurance_mean=self.endurance_mean,
-                endurance_cov=self.endurance_cov,
-                seed=seed,
-                max_writes=self.max_writes,
-                config_overrides=tuple(sorted(self.config_overrides.items())),
-                checkpoint_dir=self.checkpoint_dir,
-                checkpoint_interval=self.checkpoint_interval,
-                resume=self.resume,
-                batch=batch,
-                progress=progress,
-            )
+            SweepTask(system, workload, self, seed, batch, progress)
             for workload in workloads
             for system in self.systems
         ]
@@ -350,11 +326,18 @@ class SweepRunner:
         the report carries results for each completed (workload,
         system) pair and a :class:`TaskFailure` per task that kept
         failing.  When ``checkpoint_dir`` is set, the sweep's
-        ``manifest.json`` is (re)written there afterwards.
+        ``manifest.json`` is (re)written there afterwards.  An unknown
+        workload or system name raises ``ValueError`` before any task
+        runs, rather than as a task failure after the rest of the grid.
         """
         from ..core.window import clear_window_caches
+        from ..traces import get_profile
 
         workloads = tuple(workloads)
+        for system in self.systems:
+            get_system(system)
+        for workload in workloads:
+            get_profile(workload)
         tasks = self.tasks(workloads, seed=seed, batch=batch, progress=progress)
         workers = self.workers if self.workers is not None else os.cpu_count() or 1
         workers = min(workers, len(tasks)) or 1

@@ -24,7 +24,6 @@ from .simulator import (
 from .systems import (
     build_simulator,
     normalized_against_baseline,
-    run_system_comparison,
     scaled_intra_counter_limit,
 )
 from .telemetry import (
@@ -55,7 +54,6 @@ __all__ = [
     "normalized_against_baseline",
     "normalized_lifetime",
     "read_checkpoint",
-    "run_system_comparison",
     "scaled_intra_counter_limit",
     "write_checkpoint",
 ]

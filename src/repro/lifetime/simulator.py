@@ -58,7 +58,6 @@ class LifetimeSimulator:
         endurance_mean: float = 100.0,
         endurance_cov: float = 0.15,
         seed: int = 0,
-        invariants: tuple = (),
     ) -> None:
         if not isinstance(source, Trace) and not hasattr(source, "next_write"):
             raise TypeError(
@@ -84,9 +83,6 @@ class LifetimeSimulator:
             n_lines=n_lines,
             endurance_model=model,
             rng=np.random.default_rng(seed),
-            # Debug-mode checkers (repro.validate.invariants); pure
-            # observers, so enabling them never changes the result.
-            invariants=invariants,
         ))
         #: Writes issued so far (advanced by run(); restored on resume).
         self.writes_issued = 0

@@ -1,16 +1,18 @@
-"""Convenience builders for the paper's lifetime experiments.
+"""Builders for the paper's lifetime experiments.
 
-These wire workload profiles, system configs, and the scaled simulation
-parameters together so benchmarks and examples can run one-liners like::
+:func:`build_simulator` wires a workload profile, a system config and
+the scaled simulation parameters into one ready-to-run simulator; it is
+what :func:`repro.engine.sweep.run_task` calls for every grid cell.  A
+grid of them (one Figure 10 column group, say) runs through
+:class:`~repro.engine.SweepRunner`::
 
-    results = run_system_comparison("gcc", n_lines=128, endurance_mean=60)
+    results = SweepRunner(n_lines=128, endurance_mean=60).run_comparison("gcc")
+    normalized_against_baseline(results)
 """
 
 from __future__ import annotations
 
-from ..core import EVALUATED_SYSTEMS
 from ..engine.registry import resolve_config
-from ..engine.sweep import SweepRunner, check_names
 from ..traces import SyntheticWorkload, get_profile
 from .results import LifetimeResult, normalized_lifetime
 from .simulator import LifetimeSimulator
@@ -70,66 +72,6 @@ def build_simulator(
         endurance_cov=endurance_cov,
         seed=seed + 1,
     )
-
-
-def run_system_comparison(
-    workload: str,
-    systems: tuple[str, ...] = EVALUATED_SYSTEMS,
-    n_lines: int = 256,
-    endurance_mean: float = 100.0,
-    endurance_cov: float = 0.15,
-    seed: int = 0,
-    max_writes: int = 2_000_000,
-    workers: int = 1,
-    checkpoint_dir: str | None = None,
-    checkpoint_interval: int = 0,
-    resume: bool = False,
-    progress: bool = False,
-    batch: int = 1,
-    config_overrides: dict[str, object] | None = None,
-) -> dict[str, LifetimeResult]:
-    """Run every system on one workload (one Figure 10 column group).
-
-    One :class:`~repro.engine.SweepRunner` call: ``workers=1`` runs the
-    systems in-process, ``workers > 1`` fans them out across processes
-    with bit-for-bit the same results.  Every option below works at
-    every worker count.  Unknown system or workload names raise
-    ``ValueError`` before any run starts.
-
-    ``batch > 1`` drains each run's write stream in batched epochs
-    through the out-of-order scheduler (bit-identical results; the
-    scheduler's wave telemetry lands in each
-    :class:`~repro.lifetime.results.LifetimeResult`).
-
-    ``config_overrides`` replaces config knobs in every system: an
-    absent knob keeps each system's own value, a present one applies
-    as given -- ``{"tier_lines": 0}`` runs every system bare, even
-    ``comp_wf_hybrid``.
-
-    Durability knobs (see :mod:`repro.lifetime.checkpoint` and
-    :mod:`repro.lifetime.telemetry`): ``checkpoint_dir`` gives each run
-    a ``<workload>-<system>/`` subdirectory with durable checkpoints
-    (every ``checkpoint_interval`` writes; 0 = the simulator default)
-    plus a JSONL heartbeat stream, and the sweep's ``manifest.json``;
-    ``resume=True`` continues each run from its latest checkpoint when
-    one exists; ``progress=True`` prints per-heartbeat
-    ``[workload/system]`` progress lines to stderr.  Checkpoints and
-    heartbeats never change results.
-    """
-    check_names((workload,), systems)
-    runner = SweepRunner(
-        systems=tuple(systems),
-        workers=workers,
-        n_lines=n_lines,
-        endurance_mean=endurance_mean,
-        endurance_cov=endurance_cov,
-        max_writes=max_writes,
-        config_overrides=dict(config_overrides or {}),
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        resume=resume,
-    )
-    return runner.run_comparison(workload, seed, batch, progress)
 
 
 def normalized_against_baseline(

@@ -75,3 +75,20 @@ def test_full_study_workers_match_serial_with_tier():
     for workload, study in serial.items():
         assert parallel[workload].results == study.results, workload
         assert study.results["comp_wf"].stats.tier_hits > 0
+
+
+def test_full_study_is_the_plain_runner_grid():
+    """``run_full_study`` adds only its failure check and
+    ``WorkloadStudy``: its results are the runner grid's."""
+    from repro.engine import SweepRunner
+    from repro.pcm import PAPER_ENDURANCE_COV
+
+    settings = dict(
+        systems=("baseline", "comp_wf"), n_lines=16, endurance_mean=12,
+        max_writes=400_000,
+    )
+    studies = run_full_study(workloads=("milc", "gcc"), seed=1, **settings)
+    grid = SweepRunner(endurance_cov=PAPER_ENDURANCE_COV, **settings).run(
+        ("milc", "gcc"), seed=1
+    )
+    assert {w: study.results for w, study in studies.items()} == grid

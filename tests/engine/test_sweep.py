@@ -1,10 +1,9 @@
 """Tests for the parallel (profile x system) sweep runner.
 
 The load-bearing property is determinism: a parallel sweep must
-reproduce the serial ``run_system_comparison`` results bit-for-bit,
-regardless of worker count or OS scheduling, with every option the
-drivers take.  The runs here are deliberately tiny so the process-pool
-tests stay fast.
+reproduce the serial (``workers=1``) results bit-for-bit, regardless
+of worker count or OS scheduling, with every option a grid takes.  The
+runs here are deliberately tiny so the process-pool tests stay fast.
 """
 
 import dataclasses
@@ -12,10 +11,16 @@ import dataclasses
 import pytest
 
 from repro.engine import SweepRunner, SweepTask, run_task
-from repro.lifetime import run_system_comparison
 
 SMALL = dict(n_lines=24, endurance_mean=12.0, max_writes=600_000)
 SYSTEMS = ("baseline", "comp_wf")
+
+
+def comparison(workload, seed, batch=1, progress=False, **settings):
+    """One workload across a grid's systems (``SYSTEMS`` unless given)."""
+    settings.setdefault("systems", SYSTEMS)
+    runner = SweepRunner(**SMALL, **settings)
+    return runner.run_comparison(workload, seed, batch, progress)
 
 
 def results_equal(a, b):
@@ -38,6 +43,14 @@ class TestTaskGrid:
             ("gcc", "baseline"), ("gcc", "comp_wf"),
         ]
         assert all(t.seed == 5 for t in tasks)
+        assert all(t.runner is runner for t in tasks)
+
+    def test_tasks_hold_only_the_cell_and_the_call_options(self):
+        """Grid settings live on the runner; a task copies none of them."""
+        fields = {f.name for f in dataclasses.fields(SweepTask)}
+        assert fields == {
+            "system", "workload", "runner", "seed", "batch", "progress"
+        }
 
     def test_tasks_are_pickleable_frozen_records(self):
         import pickle
@@ -54,7 +67,7 @@ class TestTaskGrid:
 
 class TestDeterminism:
     def test_parallel_sweep_matches_serial_comparison_bit_for_bit(self):
-        serial = run_system_comparison("milc", systems=SYSTEMS, seed=3, **SMALL)
+        serial = comparison("milc", seed=3)
         runner = SweepRunner(systems=SYSTEMS, workers=4, **SMALL)
         parallel = runner.run_comparison("milc", seed=3)
         assert set(parallel) == set(serial)
@@ -72,23 +85,22 @@ class TestDeterminism:
             ), workload
 
     def test_run_task_matches_in_process_simulation(self):
-        task = SweepTask(
-            system="comp_wf", workload="milc", n_lines=SMALL["n_lines"],
-            endurance_mean=SMALL["endurance_mean"], endurance_cov=0.15,
-            seed=9, max_writes=SMALL["max_writes"],
-        )
-        serial = run_system_comparison(
-            "milc", systems=("comp_wf",), seed=9, **SMALL
-        )["comp_wf"]
+        task = SweepTask("comp_wf", "milc", SweepRunner(**SMALL), seed=9)
+        serial = comparison("milc", seed=9, systems=("comp_wf",))["comp_wf"]
         assert results_equal(run_task(task), serial)
 
 
 class TestWorkersPlumbing:
-    def test_run_system_comparison_workers_flag_delegates(self):
-        serial = run_system_comparison("gcc", systems=SYSTEMS, seed=2, **SMALL)
-        parallel = run_system_comparison(
-            "gcc", systems=SYSTEMS, seed=2, workers=2, **SMALL
-        )
+    def test_default_workers_run_in_process_and_match_the_pool(
+        self, monkeypatch
+    ):
+        from repro.engine import sweep
+
+        assert SweepRunner().workers == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep, "ProcessPoolExecutor", None)  # no pool
+            serial = comparison("gcc", seed=2)
+        parallel = comparison("gcc", seed=2, workers=2)
         for system in SYSTEMS:
             assert results_equal(parallel[system], serial[system]), system
 
@@ -107,22 +119,16 @@ class TestOneDriver:
     """Every option of the study drivers works at every worker count."""
 
     def test_workers_match_serial_with_batch(self):
-        serial = run_system_comparison(
-            "milc", systems=SYSTEMS, seed=3, batch=8, **SMALL
-        )
-        parallel = run_system_comparison(
-            "milc", systems=SYSTEMS, seed=3, batch=8, workers=2, **SMALL
-        )
+        serial = comparison("milc", seed=3, batch=8)
+        parallel = comparison("milc", seed=3, batch=8, workers=2)
         assert parallel == serial
         assert serial["comp_wf"].stats.batch_waves > 0
-        unbatched = run_system_comparison("milc", systems=SYSTEMS, seed=3, **SMALL)
+        unbatched = comparison("milc", seed=3)
         for system in SYSTEMS:
             assert results_equal(parallel[system], unbatched[system]), system
 
     def test_progress_lines_appear_with_workers(self, capfd):
-        run_system_comparison(
-            "milc", systems=SYSTEMS, seed=3, workers=2, progress=True, **SMALL
-        )
+        comparison("milc", seed=3, progress=True, workers=2)
         err = capfd.readouterr().err
         for system in SYSTEMS:
             assert f"[milc/{system}] run started (fresh)" in err
@@ -137,11 +143,112 @@ class TestOneDriver:
 
         monkeypatch.setattr(LifetimeSimulator, "run", no_runs)
         with pytest.raises(ValueError, match="no_such_system"):
-            run_system_comparison(
-                "milc", systems=("baseline", "no_such_system"),
-                workers=workers, **SMALL,
+            comparison(
+                "milc", seed=0, systems=("baseline", "no_such_system"),
+                workers=workers,
             )
         with pytest.raises(ValueError, match="no_such_workload"):
-            run_system_comparison(
-                "no_such_workload", systems=SYSTEMS, workers=workers, **SMALL
+            comparison("no_such_workload", seed=0, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_study_drivers_reject_unknown_names_before_any_run(
+        self, workers, monkeypatch
+    ):
+        """The runner's name check guards every driver: no task runs
+        and no pool starts."""
+        from repro.analysis import run_full_study
+        from repro.energy import run_energy_sweep
+        from repro.engine import sweep
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a lifetime run started")
+
+        monkeypatch.setattr(sweep, "run_task", no_runs)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_runs)
+        for driver in (run_full_study, run_energy_sweep):
+            with pytest.raises(ValueError, match="no_such_system"):
+                driver(
+                    workloads=("milc",), systems=("baseline", "no_such_system"),
+                    workers=workers, **SMALL,
+                )
+            with pytest.raises(ValueError, match="no_such_workload"):
+                driver(
+                    workloads=("milc", "no_such_workload"), systems=SYSTEMS,
+                    workers=workers, **SMALL,
+                )
+
+
+class _Captured(Exception):
+    pass
+
+
+def built_runner(monkeypatch, driver, **kwargs) -> SweepRunner:
+    """The runner a study driver builds; its grid is never run."""
+    built = []
+
+    def run(self, *args, **kw):
+        built.append(self)
+        raise _Captured
+
+    monkeypatch.setattr(SweepRunner, "run", run)
+    with pytest.raises(_Captured):
+        driver(**kwargs)
+    [runner] = built
+    return runner
+
+
+class TestStudyDrivers:
+    """The study drivers declare no grid setting of their own: each
+    builds one runner from its scale defaults plus the caller's
+    settings."""
+
+    @staticmethod
+    def scale(runner):
+        return (
+            runner.n_lines, runner.endurance_mean, runner.endurance_cov,
+            runner.max_writes, runner.workers,
+        )
+
+    def test_full_study_defaults(self, monkeypatch):
+        from repro.analysis import run_full_study
+        from repro.core import EVALUATED_SYSTEMS
+        from repro.pcm import PAPER_ENDURANCE_COV
+
+        runner = built_runner(monkeypatch, run_full_study)
+        assert self.scale(runner) == (96, 60.0, PAPER_ENDURANCE_COV, 4_000_000, 1)
+        assert runner.systems == EVALUATED_SYSTEMS
+        assert runner == SweepRunner(
+            n_lines=96, endurance_mean=60.0,
+            endurance_cov=PAPER_ENDURANCE_COV, max_writes=4_000_000,
+        )
+
+    def test_energy_sweep_defaults(self, monkeypatch):
+        from repro.core import EVALUATED_SYSTEMS
+        from repro.energy import run_energy_sweep
+        from repro.engine import system_names
+
+        runner = built_runner(monkeypatch, run_energy_sweep)
+        assert self.scale(runner) == (128, 60.0, 0.15, 2_000_000, 1)
+        assert runner == SweepRunner(
+            systems=EVALUATED_SYSTEMS + system_names("energy"),
+            n_lines=128, endurance_mean=60.0, max_writes=2_000_000,
+        )
+
+    def test_settings_reach_the_runner(self, monkeypatch):
+        from repro.analysis import high_variation_study, run_full_study
+        from repro.energy import run_energy_sweep
+
+        settings = dict(
+            n_lines=32, endurance_mean=12.0, max_writes=1_000, workers=2,
+            config_overrides={"tier_lines": 4}, checkpoint_dir="runs",
+            checkpoint_interval=50, resume=True, retries=1,
+        )
+        for driver in (run_full_study, run_energy_sweep):
+            runner = built_runner(
+                monkeypatch, driver, systems=SYSTEMS, **settings
             )
+            assert runner == SweepRunner(systems=SYSTEMS, **settings)
+        runner = built_runner(monkeypatch, high_variation_study, **settings)
+        assert runner == SweepRunner(
+            systems=SYSTEMS, endurance_cov=0.25, **settings
+        )

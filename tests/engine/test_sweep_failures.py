@@ -23,17 +23,40 @@ from repro.engine import (
     run_task,
 )
 from repro.engine.sweep import quarantine_attempt
-from repro.lifetime import latest_checkpoint, run_system_comparison
+from repro.lifetime import latest_checkpoint, systems
 from repro.lifetime.checkpoint import list_checkpoints
 
 SMALL = dict(n_lines=24, endurance_mean=12.0, max_writes=600_000)
-#: An unregistered system name: the worker raises inside
-#: ``build_simulator`` exactly like a bad config would mid-grid.
-POISON = "no_such_system"
+#: A registered system whose runs fail inside the task (see
+#: ``poisoned_builder``): the runner's up-front name check passes it,
+#: and the worker raises inside ``build_simulator`` exactly like a bad
+#: config would mid-grid.
+POISON = "comp_wf_safer32"
+
+
+@pytest.fixture(autouse=True)
+def poisoned_builder(monkeypatch):
+    """Patch ``build_simulator`` to raise for ``POISON``.
+
+    Patched in this process before any pool starts, so forked pool
+    workers inherit it too.
+    """
+    real = systems.build_simulator
+
+    def build_simulator(system, workload, **kwargs):
+        if system == POISON:
+            raise ValueError(f"cannot build {system!r}")
+        return real(system, workload, **kwargs)
+
+    monkeypatch.setattr(systems, "build_simulator", build_simulator)
 
 
 def poisoned_runner(**kwargs):
     return SweepRunner(systems=("baseline", POISON, "comp_wf"), **SMALL, **kwargs)
+
+
+def clean_comparison(names=("baseline", "comp_wf")):
+    return SweepRunner(systems=names, **SMALL).run_comparison("milc", seed=3)
 
 
 class TestPartialResults:
@@ -54,19 +77,20 @@ class TestPartialResults:
         assert failure.attempts == 1
 
     def test_parallel_pool_matches_serial_partial_results(self):
-        serial = poisoned_runner().run_report(
-            ("milc",), seed=3
-        )
+        serial = poisoned_runner(workers=1).run_report(("milc",), seed=3)
         parallel = poisoned_runner(workers=3).run_report(("milc",), seed=3)
         assert parallel.results["milc"] == serial.results["milc"]
-        assert [f.task for f in parallel.failures] == [
-            f.task for f in serial.failures
-        ]
+        # The tasks' runners differ in ``workers`` alone; compare cells.
+        def failed(report):
+            return [
+                (f.task.workload, f.task.system, f.task.seed, f.message)
+                for f in report.failures
+            ]
+
+        assert failed(parallel) == failed(serial)
 
     def test_surviving_results_match_a_clean_sweep(self):
-        clean = run_system_comparison(
-            "milc", systems=("baseline", "comp_wf"), seed=3, **SMALL
-        )
+        clean = clean_comparison()
         report = poisoned_runner().run_report(
             ("milc",), seed=3
         )
@@ -125,9 +149,7 @@ class TestRetryQuarantine:
         would finish with a result no clean run can produce."""
         from repro.lifetime.telemetry import JsonlObserver
 
-        clean = run_system_comparison(
-            "milc", systems=("comp_wf",), seed=3, **SMALL
-        )["comp_wf"]
+        clean = clean_comparison(("comp_wf",))["comp_wf"]
 
         state = {"simulator": None, "checkpoints": 0}
         real_start = JsonlObserver.on_run_start
@@ -178,9 +200,7 @@ class TestRetryQuarantine:
     def test_corrupt_checkpoint_self_heals_in_the_parallel_pool(self, tmp_path):
         """A torn/garbage checkpoint fails the first attempt; the retry
         quarantines it and completes cleanly (both pool workers)."""
-        clean = run_system_comparison(
-            "milc", systems=("baseline", "comp_wf"), seed=3, **SMALL
-        )
+        clean = clean_comparison()
         run_dir = tmp_path / "milc-comp_wf"
         run_dir.mkdir(parents=True)
         poison = run_dir / "checkpoint-000000000100.pkl"
@@ -200,14 +220,15 @@ class TestRetryQuarantine:
         assert poison not in list_checkpoints(run_dir)
 
     def test_quarantine_numbering_and_noop_paths(self, tmp_path):
-        task = SweepTask(
-            system="comp_wf", workload="milc", n_lines=8,
-            endurance_mean=5.0, endurance_cov=0.15, seed=0, max_writes=100,
-            checkpoint_dir=str(tmp_path),
+        runner = SweepRunner(
+            systems=("comp_wf",), n_lines=8, endurance_mean=5.0,
+            max_writes=100, checkpoint_dir=str(tmp_path),
         )
+        [task] = runner.tasks(("milc",))
         # Checkpointing off, missing run dir, empty run dir: no-ops.
+        off = dataclasses.replace(runner, checkpoint_dir=None)
         assert quarantine_attempt(
-            dataclasses.replace(task, checkpoint_dir=None), 1
+            dataclasses.replace(task, runner=off), 1
         ) is None
         assert quarantine_attempt(task, 1) is None
         run_dir = Path(task.run_dir)
@@ -262,11 +283,11 @@ class TestManifestAndCheckpoints:
     def test_poisoned_task_spec_round_trips_through_pickle(self):
         import pickle
 
-        task = SweepTask(
-            system=POISON, workload="milc", n_lines=8, endurance_mean=5.0,
-            endurance_cov=0.15, seed=0, max_writes=100,
+        runner = SweepRunner(
+            n_lines=8, endurance_mean=5.0, max_writes=100,
             checkpoint_dir="/tmp/x", checkpoint_interval=50, resume=True,
         )
+        task = SweepTask(POISON, "milc", runner, seed=0)
         assert pickle.loads(pickle.dumps(task)) == task
         with pytest.raises(ValueError, match=POISON):
             run_task(task)

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import EVALUATED_SYSTEMS, CompressedPCMController
-from repro.engine import resolve_config
-from repro.lifetime import run_system_comparison
+from repro.engine import SweepRunner, resolve_config
 from repro.pcm import EnduranceModel
 from repro.traces import SyntheticWorkload, get_profile
 
@@ -101,13 +100,12 @@ def replay(system: str) -> dict:
 
 
 def lifetime_comparison() -> dict:
-    results = run_system_comparison(
-        COMPARISON_WORKLOAD,
+    runner = SweepRunner(
         n_lines=COMPARISON_LINES,
         endurance_mean=COMPARISON_ENDURANCE,
-        seed=COMPARISON_SEED,
         max_writes=COMPARISON_MAX_WRITES,
     )
+    results = runner.run_comparison(COMPARISON_WORKLOAD, seed=COMPARISON_SEED)
     return {
         system: {
             "writes_issued": result.writes_issued,

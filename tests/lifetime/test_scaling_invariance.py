@@ -9,21 +9,20 @@ comp_wf/baseline ratio agrees within Monte Carlo noise.
 
 import pytest
 
-from repro.lifetime import normalized_against_baseline, run_system_comparison
+from repro.engine import SweepRunner
+from repro.lifetime import normalized_against_baseline
 
 
 @pytest.mark.slow
 def test_normalized_lifetime_stable_across_endurance_scales():
     ratios = []
     for endurance in (20.0, 60.0):
-        results = run_system_comparison(
-            "milc",
+        results = SweepRunner(
             systems=("baseline", "comp_wf"),
             n_lines=64,
             endurance_mean=endurance,
-            seed=1,
             max_writes=2_000_000,
-        )
+        ).run_comparison("milc", seed=1)
         assert all(result.failed for result in results.values())
         ratios.append(normalized_against_baseline(results)["comp_wf"])
 
@@ -35,10 +34,10 @@ def test_normalized_lifetime_stable_across_endurance_scales():
 def test_absolute_writes_scale_with_endurance():
     writes = []
     for endurance in (10.0, 40.0):
-        results = run_system_comparison(
-            "milc", systems=("baseline",), n_lines=32,
-            endurance_mean=endurance, seed=2, max_writes=2_000_000,
-        )
+        results = SweepRunner(
+            systems=("baseline",), n_lines=32,
+            endurance_mean=endurance, max_writes=2_000_000,
+        ).run_comparison("milc", seed=2)
         assert results["baseline"].failed
         writes.append(results["baseline"].writes_issued)
     # 4x the endurance -> roughly 4x the writes-to-failure.

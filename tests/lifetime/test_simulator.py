@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import baseline, comp_wf
+from repro.engine import SweepRunner
 from repro.lifetime import (
     DEAD_CAPACITY_THRESHOLD,
     LifetimeSimulator,
@@ -10,7 +11,6 @@ from repro.lifetime import (
     lifetime_months,
     normalized_against_baseline,
     normalized_lifetime,
-    run_system_comparison,
     scaled_intra_counter_limit,
 )
 from repro.traces import SyntheticWorkload, Trace, WriteBack, get_profile
@@ -85,20 +85,20 @@ def test_bad_source_type_rejected():
 
 
 def test_comparison_and_normalization():
-    results = run_system_comparison(
-        "milc", systems=("baseline", "comp_wf"), n_lines=32,
+    results = SweepRunner(
+        systems=("baseline", "comp_wf"), n_lines=32,
         endurance_mean=20, max_writes=500_000,
-    )
+    ).run_comparison("milc")
     norm = normalized_against_baseline(results)
     assert norm["baseline"] == pytest.approx(1.0)
     assert norm["comp_wf"] > 1.0  # compression helps milc
 
 
 def test_normalization_requires_baseline():
-    results = run_system_comparison(
-        "milc", systems=("comp_wf",), n_lines=16, endurance_mean=10,
+    results = SweepRunner(
+        systems=("comp_wf",), n_lines=16, endurance_mean=10,
         max_writes=200_000,
-    )
+    ).run_comparison("milc")
     with pytest.raises(ValueError, match="baseline"):
         normalized_against_baseline(results)
 

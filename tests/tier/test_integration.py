@@ -182,17 +182,16 @@ class TestLifetimeStudy:
         """The headline CARAM effect at simulator level: the hybrid's
         PCM write stream is strictly lighter than the bare one on a
         write-hot workload, and the run records the tier telemetry."""
-        from repro.lifetime import run_system_comparison
+        from repro.engine import SweepRunner
 
-        bare = run_system_comparison(
-            "mcf", systems=("comp_wf",), n_lines=48,
-            endurance_mean=30.0, seed=3, max_writes=400_000,
-        )["comp_wf"]
-        tiered = run_system_comparison(
-            "mcf", systems=("comp_wf",), n_lines=48,
-            endurance_mean=30.0, seed=3, max_writes=400_000,
-            config_overrides={"tier_lines": 8},
-        )["comp_wf"]
+        settings = dict(
+            systems=("comp_wf",), n_lines=48, endurance_mean=30.0,
+            max_writes=400_000,
+        )
+        bare = SweepRunner(**settings).run_comparison("mcf", seed=3)["comp_wf"]
+        tiered = SweepRunner(
+            config_overrides={"tier_lines": 8}, **settings
+        ).run_comparison("mcf", seed=3)["comp_wf"]
         assert bare.failed and tiered.failed
         # Fewer PCM stores per demand write -> the hybrid survives at
         # least as many demand writes as the bare system.
@@ -202,29 +201,29 @@ class TestLifetimeStudy:
     def test_tier_lines_zero_turns_a_systems_own_tier_off(self):
         """A present override applies as given, 0 included; an absent
         one keeps the system's own tier (comp_wf_hybrid's 16 lines)."""
-        from repro.lifetime import run_system_comparison
+        from repro.engine import SweepRunner
 
         settings = dict(
             systems=("comp_wf_hybrid",), n_lines=16, endurance_mean=12,
             max_writes=5000,
         )
-        bare = run_system_comparison(
-            "milc", config_overrides={"tier_lines": 0}, **settings
-        )
-        own = run_system_comparison("milc", **settings)
+        bare = SweepRunner(
+            config_overrides={"tier_lines": 0}, **settings
+        ).run_comparison("milc")
+        own = SweepRunner(**settings).run_comparison("milc")
         assert bare["comp_wf_hybrid"].stats.tier_hits == 0
         assert own["comp_wf_hybrid"].stats.tier_hits > 0
 
     def test_tier_runs_on_the_parallel_path(self):
-        from repro.lifetime import run_system_comparison
+        from repro.engine import SweepRunner
 
         settings = dict(
             systems=("baseline", "comp_wf"), n_lines=16,
-            endurance_mean=12.0, seed=3, max_writes=400_000,
+            endurance_mean=12.0, max_writes=400_000,
             config_overrides={"tier_lines": 4},
         )
-        serial = run_system_comparison("mcf", **settings)
-        parallel = run_system_comparison("mcf", workers=2, **settings)
+        serial = SweepRunner(**settings).run_comparison("mcf", seed=3)
+        parallel = SweepRunner(workers=2, **settings).run_comparison("mcf", seed=3)
         assert parallel == serial
         assert serial["comp_wf"].stats.tier_hits > 0
 
